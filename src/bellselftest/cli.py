@@ -179,10 +179,11 @@ def cmd_simulate(args) -> int:
     r.validate()
     beh = behavior_of(r)
     beh.validate()
+    # restrict first: a shape that cannot be observed must leave no file behind
+    obs = observed(beh) if args.out_observed else None
     if args.out_behavior:
         _jsonio.dump(beh.to_json(), args.out_behavior)
-    if args.out_observed:
-        obs = observed(beh)
+    if obs is not None:
         _jsonio.dump(obs.to_json(), args.out_observed)
     if not args.out_behavior and not args.out_observed:
         print(_jsonio.dumps(beh.to_json()))

@@ -39,7 +39,7 @@ DEFAULT_VALUE_TOL = 1e-7
 
 
 class OptimizerError(RuntimeError):
-    """Raised when the canonical-realization search misses its target."""
+    """Raised when a canonical realization misses its target value."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved {achieved!r})")
@@ -123,6 +123,16 @@ def tilted_value(w: float, theta: float, t1: float) -> float:
     amp00 = c0 * np.cos(a0) * np.cos(b0) + c1 * np.sin(a0) * np.sin(b0)
     amp11 = c0 * np.sin(a0) * np.sin(b0) + c1 * np.cos(a0) * np.cos(b0)
     return float(amp00 * amp00 + w * amp11 * amp11)
+
+
+def stationary_point(w: float) -> tuple[float, float]:
+    """Closed-form maximizer (theta, t1) of the exact-zero family.
+
+    The stationary branch theta = theta_w, t1 = tan(alpha_1) = sqrt(cot theta_w)
+    attains q(w); ``maximize_tilted`` finds the same value by search.
+    """
+    theta = theta_of_w(_check_w(w, closed=False))
+    return theta, float(np.sqrt(1.0 / np.tan(theta)))
 
 
 def maximize_tilted(w: float, restarts: int = 50, seed: int = 7,
@@ -225,7 +235,7 @@ def _wired_table(o) -> tuple[np.ndarray, ScenarioShape]:
         sh = o.shape
         if (sh.nx, sh.ny, sh.na, sh.nb) != (2, 2, 2, 2) or not sh.wired:
             raise ValueError("expected the wired 2,2,2,2,2,2 shape")
-        return np.transpose(o.table, (0, 1, 2, 3)), sh
+        return o.table, sh
     if isinstance(o, Behavior):
         sh = o.shape
         if (sh.ns, sh.nt) != (1, 1) or (sh.nx, sh.ny, sh.na, sh.nb) != (2, 2, 2, 2):

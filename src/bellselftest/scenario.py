@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qmath
-from .qmath import ProjectiveMeasurement, as_matrix, dag, kron
+from .qmath import ProjectiveMeasurement, as_matrix, dag
 
 PSD_TOL = 1e-10
 SUM_TOL = 1e-10
@@ -212,17 +212,23 @@ class ObservedBehavior:
 
 
 def behavior_of(r: Realization) -> Behavior:
-    """p(stab|xy) = tr(rho_st A_{a|x} (x) B_{b|y})."""
+    """p(stab|xy) = tr(rho_st A_{a|x} (x) B_{b|y}).
+
+    Each rho_st, reshaped to R[i, j, k, l] = <ij|rho_st|kl>, is contracted
+    first with Alice's stacked effects and then with Bob's, so no operator
+    on the joint space is ever formed.
+    """
     sh = r.shape
+    da, db = r.cq.dims
+    ea = np.array([[r.alice[x].effects[a] for a in range(sh.na)] for x in range(sh.nx)])
+    eb = np.array([[r.bob[y].effects[b] for b in range(sh.nb)] for y in range(sh.ny)])
     tensor = np.empty((sh.ns, sh.nt, sh.na, sh.nb, sh.nx, sh.ny))
-    ops = {(a, b, x, y): kron(r.alice[x].effects[a], r.bob[y].effects[b])
-           for x in range(sh.nx) for y in range(sh.ny)
-           for a in range(sh.na) for b in range(sh.nb)}
     for s in range(sh.ns):
         for t in range(sh.nt):
-            rho = r.cq.states[(s, t)]
-            for (a, b, x, y), op in ops.items():
-                tensor[s, t, a, b, x, y] = float(np.real(np.trace(rho @ op)))
+            rho = as_matrix(r.cq.states[(s, t)]).reshape(da, db, da, db)
+            half = np.einsum("ijkl,xaki->xajl", rho, ea, optimize=True)
+            p = np.einsum("xajl,yblj->abxy", half, eb, optimize=True)
+            tensor[s, t] = p.real
     return Behavior(shape=sh, tensor=tensor)
 
 

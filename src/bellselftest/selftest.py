@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy, qmath
-from .qmath import ProjectiveMeasurement, dag, dichotomic_qubit_measurement, kron
+from .qmath import ProjectiveMeasurement, dag, dichotomic_qubit_measurement
 from .scenario import (
     ClassicalQuantumState,
     Realization,
@@ -87,8 +87,10 @@ def _principal_state(rho: np.ndarray, tol: float):
     return psi / np.linalg.norm(psi), trace, bool(rank_one)
 
 
-def _expect(psi: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> float:
-    return float(np.real(np.conj(psi) @ (kron(op_a, op_b) @ psi)))
+def _expect(amp: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> float:
+    """<psi|A (x) B|psi> = tr(Psi^dag A Psi B^T) on the amplitude matrix
+    Psi[i, j] = <ij|psi>, on which (A (x) B)|psi> is A Psi B^T."""
+    return float(np.real(np.vdot(amp, op_a @ amp @ op_b.T)))
 
 
 # -------------------------------------------------------------- flip unitaries
@@ -131,15 +133,15 @@ def flip_unitaries(r: Realization, proto: QuditProtocol) -> list:
     which the isometry argument only requires to exist.
     """
     psi, _, _ = _principal_state(r.cq.states[(0, 0)], 1e-6)
+    amp = psi.reshape(r.cq.dims)
     coeffs = proto.coeffs
     out = []
     for i, (m, n) in enumerate(proto.tree.edges):
         x0, _ = proto.edge_settings(i)
         ua = _flip_from_jordan(r.alice[0].effects[m], r.alice[x0].effects[0])
         ub = _flip_from_jordan(r.bob[0].effects[m], r.bob[x0].effects[0])
-        lhs = kron(ua, ub) @ (kron(np.eye(ua.shape[0]), r.bob[0].effects[m]) @ psi)
-        rhs = (coeffs[m] / coeffs[n]) * (kron(r.alice[0].effects[n],
-                                              np.eye(ub.shape[0])) @ psi)
+        lhs = ua @ amp @ (ub @ r.bob[0].effects[m]).T
+        rhs = (coeffs[m] / coeffs[n]) * (r.alice[0].effects[n] @ amp)
         if np.linalg.norm(-lhs - rhs) < np.linalg.norm(lhs - rhs):
             ub = -ub
         out.append((ua, ub))
@@ -186,6 +188,7 @@ def verify_qudit(r: Realization, proto: QuditProtocol,
         for t in range(sh.nt):
             rho = r.cq.states[(s, t)]
             psi, weight, rank_one = _principal_state(rho, tol)
+            amp = psi.reshape(r.cq.dims)
             if not rank_one:
                 warnings.append(f"rho_{s}{t} is not rank one within tolerance; "
                                 "verification continues on the principal component")
@@ -194,24 +197,23 @@ def verify_qudit(r: Realization, proto: QuditProtocol,
                 et = proto.per_edge[i]
                 m, n = edge
                 x0, x1 = proto.edge_settings(i)
-                heavy, light = et.heavy, et.light
                 a0 = r.alice[x0].effects[0]
                 a1 = r.alice[x1].effects[0]
                 b0 = r.bob[x0].effects[0]
                 b1 = r.bob[x1].effects[0]
                 zeros = (
-                    abs(weight * _expect(psi, a0, eye - b1)),
-                    abs(weight * _expect(psi, eye - a1, b0)),
-                    abs(weight * _expect(psi, a1, b1)),
+                    abs(weight * _expect(amp, a0, eye - b1)),
+                    abs(weight * _expect(amp, eye - a1, b0)),
+                    abs(weight * _expect(amp, a1, b1)),
                 )
                 pa_edge = r.alice[0].effects[m] + r.alice[0].effects[n]
                 pb_edge = r.bob[0].effects[m] + r.bob[0].effects[n]
-                norm_meas = weight * _expect(psi, pa_edge, pb_edge)
+                norm_meas = weight * _expect(amp, pa_edge, pb_edge)
                 norm_res = abs(norm_meas - weight * et.p)
                 violation = None
                 if (s, t) == (0, 0):
-                    val = _expect(psi, a0, b0) \
-                        + et.w * _expect(psi, pa_edge - a0, pb_edge - b0)
+                    val = _expect(amp, a0, b0) \
+                        + et.w * _expect(amp, pa_edge - a0, pb_edge - b0)
                     violation = abs(weight * val
                                     - weight * et.p * hardy.q_of_w(et.w))
                 per_edge[i] = {"zeros": zeros, "normalization": norm_res,
@@ -224,8 +226,8 @@ def verify_qudit(r: Realization, proto: QuditProtocol,
             premise1 = []
             chat = []
             for k in range(d):
-                va = kron(r.alice[0].effects[k], eye) @ psi
-                vb = kron(eye, r.bob[0].effects[k]) @ psi
+                va = r.alice[0].effects[k] @ amp
+                vb = amp @ r.bob[0].effects[k].T
                 premise1.append(float(np.linalg.norm(va - vb)))
                 chat.append(float(np.linalg.norm(va)))
             premise2 = []
@@ -239,9 +241,8 @@ def verify_qudit(r: Realization, proto: QuditProtocol,
                         ua, ub = flip_by_edge[e]
                         xa = xa @ ua
                         xb = xb @ ub
-                    lhs = kron(xa, xb) @ (kron(eye, r.bob[0].effects[k]) @ psi)
-                    rhs = (coeffs[k] / coeffs[root]) \
-                        * (kron(r.alice[0].effects[root], eye) @ psi)
+                    lhs = xa @ amp @ (xb @ r.bob[0].effects[k]).T
+                    rhs = (coeffs[k] / coeffs[root]) * (r.alice[0].effects[root] @ amp)
                     premise2.append(float(np.linalg.norm(lhs - rhs)))
             else:
                 passed = False
@@ -324,14 +325,17 @@ def verify_qubit(r: Realization, w: float, tol: float = 1e-7) -> VerificationRep
 
 # --------------------------------------------------- canonical qudit devices
 
-def canonical_qudit_realization(c, proto: QuditProtocol, restarts: int = 50,
-                                seed: int = 7) -> Realization:
+def canonical_qudit_realization(c, proto: QuditProtocol, restarts=None,
+                                seed=None) -> Realization:
     """Ideal device for a qudit protocol.
 
     State sum_k c_k |kk>, computational d-outcome measurements at setting 0,
     and per edge the canonical two-qubit tilted-Hardy measurement pair
     conjugated into span{|heavy>, |light>} with the orthogonal complement
-    absorbed into outcome 1.
+    absorbed into outcome 1.  The pair comes from the closed-form stationary
+    point of the edge's tilt, certified against q(w), so no search runs;
+    ``restarts`` and ``seed`` are ignored and kept only so that callers
+    written for the former multistart search keep working.
     """
     coeffs = np.asarray(getattr(c, "coeffs", c), dtype=float)
     d = proto.d
@@ -346,17 +350,14 @@ def canonical_qudit_realization(c, proto: QuditProtocol, restarts: int = 50,
         dim=d, effects=tuple(np.outer(np.eye(d)[k], np.eye(d)[k]) for k in range(d)))
     alice = [comp]
     bob = [comp]
-    angle_cache: dict = {}
     for et in proto.per_edge:
-        key = round(et.w, 15)
-        if key not in angle_cache:
-            val, theta, t1 = hardy.maximize_tilted(et.w, restarts=restarts, seed=seed)
-            target = hardy.q_of_w(et.w)
-            if abs(val - target) > hardy.DEFAULT_VALUE_TOL:
-                raise hardy.OptimizerError(
-                    f"edge test for w={et.w} missed q(w)={target!r}", val)
-            angle_cache[key] = hardy._angles_from(theta, t1)
-        a0, a1, b0, b1 = angle_cache[key]
+        theta, t1 = hardy.stationary_point(et.w)
+        val = hardy.tilted_value(et.w, theta, t1)
+        target = hardy.q_of_w(et.w)
+        if abs(val - target) > hardy.DEFAULT_VALUE_TOL:
+            raise hardy.OptimizerError(
+                f"edge test for w={et.w} missed q(w)={target!r}", val)
+        a0, a1, b0, b1 = hardy._angles_from(theta, t1)
         span = (et.heavy, et.light)
         alice.append(dichotomic_qubit_measurement(a0, dim=d, span=span, pad_outcomes=d))
         alice.append(dichotomic_qubit_measurement(a1, dim=d, span=span, pad_outcomes=d))

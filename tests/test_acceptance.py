@@ -135,7 +135,7 @@ class TestCriterion6QuditRoundTrip:
     def test_round_trip_and_mutations(self):
         t0 = time.time()
         proto = tree.protocol_of(FIG2)
-        dev = selftest.canonical_qudit_realization(FIG2, proto, restarts=20)
+        dev = selftest.canonical_qudit_realization(FIG2, proto)
         rep = selftest.verify_qudit(dev, proto, tol=1e-7)
         ok = rep.passed and rep.max_deviation <= 1e-7
 

@@ -70,12 +70,43 @@ class TestSimulateVerify:
         from bellselftest.tree import SchmidtVector, protocol_of
         c = SchmidtVector(np.array([0.8, 0.6]))
         proto = protocol_of(c)
-        dev = canonical_qudit_realization(c, proto, restarts=10)
+        dev = canonical_qudit_realization(c, proto)
         rpath, ppath = tmp_path / "real.json", tmp_path / "proto.json"
         _jsonio.dump(dev.to_json(), rpath)
         _jsonio.dump(proto.to_json(), ppath)
         rc = main(["verify", "--realization", str(rpath), "--protocol", str(ppath)])
         assert rc == 0
+
+    def test_unobservable_shape_writes_no_file(self, tmp_path):
+        from bellselftest.selftest import canonical_qudit_realization
+        from bellselftest.tree import SchmidtVector, protocol_of
+        c = SchmidtVector(np.array([1 / 6, 1 / 8, 1 / 6, 1 / 6, 1 / 8, 1 / 4]))
+        rpath = tmp_path / "real.json"
+        _jsonio.dump(canonical_qudit_realization(c, protocol_of(c)).to_json(), rpath)
+        bpath, opath = tmp_path / "b.json", tmp_path / "o.json"
+        rc = main(["simulate", "--realization", str(rpath),
+                   "--out-behavior", str(bpath), "--out-observed", str(opath)])
+        assert rc == 2
+        assert not bpath.exists() and not opath.exists()
+
+    def test_qudit_round_trip_d16(self, tmp_path):
+        from bellselftest.selftest import canonical_qudit_realization
+        coeffs = ",".join(["1", "1.5", "2", "2.5"] * 4)
+        ppath, rpath = tmp_path / "proto.json", tmp_path / "real.json"
+        bpath, report = tmp_path / "beh.json", tmp_path / "report.json"
+        assert main(["protocol", "--coeffs", coeffs, "--out", str(ppath)]) == 0
+        proto = QuditProtocol.from_json(_jsonio.load(ppath))
+        assert proto.d == 16
+        _jsonio.dump(canonical_qudit_realization(proto.coeffs, proto).to_json(), rpath)
+        assert main(["simulate", "--realization", str(rpath),
+                     "--out-behavior", str(bpath)]) == 0
+        tensor = np.asarray(_jsonio.load(bpath)["tensor"])
+        assert np.max(np.abs(tensor.sum(axis=(0, 1, 2, 3)) - 1.0)) < 1e-10
+        assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath),
+                     "--out", str(report)]) == 0
+        c = np.array([float(v) for v in coeffs.split(",")])
+        extracted = _jsonio.load(report)["extractedCoefficients"]["0,0"]
+        assert np.max(np.abs(np.array(extracted) - c / np.linalg.norm(c))) < 1e-7
 
     def test_missing_file_exits_2(self):
         assert main(["simulate", "--realization", "/nonexistent.json"]) == 2

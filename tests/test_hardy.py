@@ -175,3 +175,31 @@ class TestSandwich:
                 weights={(0, 0): 1.0})
             val, _, _ = hardy.maximize_tilted(w, restarts=8, seed=5)
             assert val <= bound + 1e-6
+
+
+class TestStationaryPoint:
+    GRID = np.linspace(-0.2, 0.95, 12)
+
+    def test_closed_form_reaches_q(self):
+        for w in self.GRID:
+            theta, t1 = hardy.stationary_point(w)
+            assert theta == theta_of_w(w)
+            assert abs(hardy.tilted_value(w, theta, t1) - q_of_w(w)) <= 1e-12
+
+    def test_optimizer_agrees(self):
+        for w in self.GRID:
+            val, _, _ = hardy.maximize_tilted(w, restarts=8, seed=5)
+            assert abs(val - q_of_w(w)) <= 1e-10
+
+    def test_closed_form_zeros_exact(self):
+        for w in self.GRID:
+            theta, t1 = hardy.stationary_point(w)
+            r = hardy.realization_from_angles(theta, *hardy._angles_from(theta, t1))
+            beh = behavior_of(r)
+            for (a, b, x, y) in hardy.ZERO_TRIPLES:
+                assert abs(beh.tensor[0, 0, a, b, x, y]) <= 1e-14
+
+    def test_domain(self):
+        for w in (-0.25, 1.0):
+            with pytest.raises(ValueError):
+                hardy.stationary_point(w)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from bellselftest.scenario import (
     trace_distance,
     zero_pattern,
 )
+from bellselftest.selftest import canonical_qudit_realization
+from bellselftest.tree import SchmidtVector, protocol_of
 from conftest import random_source_independent, random_untrusted
 
 COMP = ProjectiveMeasurement(dim=2, effects=(np.diag([1.0, 0]), np.diag([0, 1.0])))
@@ -60,6 +64,53 @@ class TestBehaviorOf:
             marg = beh.tensor.sum(axis=(0, 1))  # p(ab|xy)
             assert beh.tensor.min() >= -1e-12
             assert np.all(beh.tensor <= marg[None, None] + 1e-12)
+
+
+def kron_reference(r):
+    """p(stab|xy) as tr(rho_st A_{a|x} (x) B_{b|y}), one Kronecker product per entry."""
+    sh = r.shape
+    out = np.empty((sh.ns, sh.nt, sh.na, sh.nb, sh.nx, sh.ny))
+    for s in range(sh.ns):
+        for t in range(sh.nt):
+            for a in range(sh.na):
+                for b in range(sh.nb):
+                    for x in range(sh.nx):
+                        for y in range(sh.ny):
+                            op = np.kron(r.alice[x].effects[a], r.bob[y].effects[b])
+                            out[s, t, a, b, x, y] = np.real(
+                                np.trace(r.cq.states[(s, t)] @ op))
+    return out
+
+
+def canonical_device(d):
+    c = SchmidtVector(np.arange(1.0, d + 1.0))
+    return canonical_qudit_realization(c, protocol_of(c))
+
+
+class TestBehaviorOfReference:
+    TOL = 1e-14
+
+    def test_untrusted_matches_kron(self, rng):
+        for dim in (2, 3):
+            for _ in range(3):
+                r = random_untrusted(rng, dim)
+                diff = np.abs(behavior_of(r).tensor - kron_reference(r))
+                assert np.max(diff) <= self.TOL
+
+    def test_canonical_qudit_matches_kron(self):
+        r = canonical_device(4)
+        diff = np.abs(behavior_of(r).tensor - kron_reference(r))
+        assert np.max(diff) <= self.TOL
+
+    def test_no_joint_operators_in_memory(self):
+        r = canonical_device(8)
+        tracemalloc.start()
+        try:
+            behavior_of(r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestObserved:

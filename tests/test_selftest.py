@@ -28,7 +28,7 @@ def fig2_proto():
 
 @pytest.fixture(scope="module")
 def fig2_device(fig2_proto):
-    return canonical_qudit_realization(FIG2, fig2_proto, restarts=20)
+    return canonical_qudit_realization(FIG2, fig2_proto)
 
 
 class TestVerifyQubit:
@@ -85,14 +85,14 @@ class TestCanonicalQudit:
         t = tree.build_tree(c)
         assert set(map(frozenset, t.edges)) == {frozenset({0, 1}), frozenset({1, 2})}
         proto = protocol_of(c)
-        dev = canonical_qudit_realization(c, proto, restarts=15)
+        dev = canonical_qudit_realization(c, proto)
         rep = verify_qudit(dev, proto, tol=1e-7)
         assert rep.passed
 
     def test_d2_reduces_to_qubit_verification(self):
         c = SchmidtVector(np.array([0.8, 0.6]))
         proto = protocol_of(c)
-        dev = canonical_qudit_realization(c, proto, restarts=15)
+        dev = canonical_qudit_realization(c, proto)
         rep = verify_qudit(dev, proto, tol=1e-7)
         assert rep.passed
 
@@ -193,7 +193,7 @@ class TestMultiSourceQudit:
     def test_source_independent_four_block_device_passes(self):
         c = SchmidtVector(np.array([2.0, 1.0, 2.0]) / 3.0)
         proto = protocol_of(c)
-        dev = canonical_qudit_realization(c, proto, restarts=15)
+        dev = canonical_qudit_realization(c, proto)
         from bellselftest.scenario import ScenarioShape
         d = proto.d
         weights = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -210,7 +210,7 @@ class TestMultiSourceQudit:
     def test_mixed_state_reports_degraded_confidence(self):
         c = SchmidtVector(np.array([0.8, 0.6]))
         proto = protocol_of(c)
-        dev = canonical_qudit_realization(c, proto, restarts=10)
+        dev = canonical_qudit_realization(c, proto)
         rho = dev.cq.states[(0, 0)]
         mixed = 0.999 * rho + 0.001 * np.eye(4) / 4
         cq = ClassicalQuantumState(shape=dev.cq.shape, dims=(2, 2),
@@ -245,7 +245,7 @@ class TestFlipUnitaries:
         # commuting pair: deterministic dichotomic measurement aligned with m
         c = SchmidtVector(np.array([0.8, 0.6]))
         proto = protocol_of(c)
-        dev = canonical_qudit_realization(c, proto, restarts=10)
+        dev = canonical_qudit_realization(c, proto)
         ms = list(dev.alice)
         ms[1] = dichotomic_qubit_measurement(0.0, dim=2, span=(0, 1))
         broken = Realization(cq=dev.cq, alice=tuple(ms), bob=dev.bob)
