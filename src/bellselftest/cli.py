@@ -72,12 +72,6 @@ def _parse_coeffs(text: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _check_w(w: float) -> float:
-    if not (-0.25 < w < 1.0):
-        raise StructuralError(f"w = {w} outside (-1/4, 1)")
-    return w
-
-
 def _check_bounds(lo, up):
     if lo is None and up is None:
         return None
@@ -86,12 +80,6 @@ def _check_bounds(lo, up):
     if not (0.0 < lo <= up < 1.0):
         raise StructuralError(f"need 0 < l <= u < 1, got l={lo}, u={up}")
     return (float(lo), float(up))
-
-
-def _check_level(level: int) -> int:
-    if not 1 <= level <= 3:
-        raise StructuralError(f"level must be in [1, 3], got {level}")
-    return level
 
 
 _REQUIRED_KEYS = {
@@ -198,14 +186,14 @@ def cmd_verify(args) -> int:
         proto = tree.QuditProtocol.from_json(_load_json(args.protocol, "protocol.v1"))
         report = selftest.verify_qudit(r, proto, tol=args.tol)
     else:
-        report = selftest.verify_qubit(r, _check_w(args.w), tol=args.tol)
+        report = selftest.verify_qubit(r, args.w, tol=args.tol)
     _write_json(report.to_json(), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _problem_from_spec(obj: dict) -> moments.MomentProblem:
     shape = ScenarioShape.from_json(obj["shape"])
-    level = _check_level(int(obj["level"]))
+    level = int(obj["level"])
     basis = moments.MomentBasis(shape, level)
     weights = obj.get("weights")
     if weights is not None:
@@ -251,7 +239,7 @@ def _preset_problem(name: str, w: float | None, level: int,
     if name == "tilted-hardy":
         if w is None:
             raise StructuralError("preset tilted-hardy needs --w")
-        w = _check_w(w)
+        w = hardy._check_w(w, closed=False)
         if bounds is None:
             shape = SINGLE_SOURCE_CHSH_SHAPE
             basis = moments.MomentBasis(shape, level)
@@ -271,14 +259,13 @@ def _preset_problem(name: str, w: float | None, level: int,
 
 
 def cmd_bound(args) -> int:
-    level = _check_level(args.level)
     bounds = _check_bounds(args.l, args.u)
     if (args.preset is None) == (args.problem is None):
         raise StructuralError("provide exactly one of --preset or --problem")
     if args.problem:
         problem = _problem_from_spec(_load_json(args.problem))
     else:
-        problem = _preset_problem(args.preset, args.w, level, bounds)
+        problem = _preset_problem(args.preset, args.w, args.level, bounds)
     config = SolverConfig(tol_feas=args.tol, tol_gap=args.tol)
     sol = moments.solve_sdp(problem, config)
     if sol.status is not Status.OPTIMAL:
@@ -293,10 +280,9 @@ def cmd_bound(args) -> int:
 
 def cmd_membership(args) -> int:
     obs = scenario.ObservedBehavior.from_json(_load_json(args.observed, "observed.v1"))
-    level = _check_level(args.level)
     bounds = _check_bounds(args.l, args.u)
     config = SolverConfig(tol_feas=args.tol, tol_gap=args.tol)
-    result = npa_membership.membership_test(obs, level, residual_bounds=bounds,
+    result = npa_membership.membership_test(obs, args.level, residual_bounds=bounds,
                                             config=config)
     print(result.status.value)
     if result.status is npa_membership.MembershipStatus.INFEASIBLE:
@@ -329,16 +315,15 @@ def _demo_chsh(args) -> int:
 
 def _demo_hardy(args) -> int:
     ws = [-0.2, 0.0, 0.25, 0.5, 0.75] if args.w_grid is None \
-        else [float(v) for v in args.w_grid.split(",")]
+        else [hardy._check_w(v, closed=False) for v in args.w_grid.split(",")]
 
     def row(w):
-        _check_w(w)
-        r = hardy.canonical_realization(w, seed=args.seed)
+        r = hardy.canonical_realization(w)
         beh = behavior_of(r)
         test = hardy.TiltedHardyTest.for_w(w)
         rep = hardy.check_conditions(beh, (0, 0), test)
         vrep = selftest.verify_qubit(r, w)
-        ss = seesaw.seesaw_tilted_hardy(w, restarts=10, iters=60, seed=args.seed)
+        ss = seesaw.seesaw_tilted_hardy(w, restarts=10, seed=args.seed)
         shape = SINGLE_SOURCE_CHSH_SHAPE
         basis = moments.MomentBasis(shape, 2)
         bound, _ = moments.max_value(

@@ -135,8 +135,8 @@ def stationary_point(w: float) -> tuple[float, float]:
     return theta, float(np.sqrt(1.0 / np.tan(theta)))
 
 
-def maximize_tilted(w: float, restarts: int = 50, seed: int = 7,
-                    extra_starts=()) -> tuple[float, float, float]:
+def maximize_tilted(w: float, restarts: int = 50,
+                    seed: int = 7) -> tuple[float, float, float]:
     """Best (value, theta, t1) over the exact-zero family, seeded restarts.
 
     Besides random restarts, a deterministic grid of starts with
@@ -146,7 +146,7 @@ def maximize_tilted(w: float, restarts: int = 50, seed: int = 7,
     """
     rng = np.random.default_rng(seed)
     theta_lo, theta_hi = 1e-5, np.pi / 4 - 1e-9
-    starts = list(extra_starts)
+    starts = []
     for th0 in np.linspace(0.005, np.pi / 4 - 0.005, 15):
         starts.append((th0, np.sqrt(1.0 / np.tan(th0))))
     for _ in range(restarts):
@@ -182,29 +182,33 @@ def realization_from_angles(theta: float, a0: float, a1: float,
     return Realization(cq=cq, alice=alice, bob=bob)
 
 
-def canonical_realization(w: float, restarts: int = 50, seed: int = 7,
-                          zero_tol: float = DEFAULT_ZERO_TOL,
-                          value_tol: float = DEFAULT_VALUE_TOL) -> Realization:
+def canonical_angles(w: float) -> tuple[float, float, float, float, float]:
+    """State and measurement angles (theta, a0, a1, b0, b1) attaining q(w).
+
+    Taken from the closed-form ``stationary_point`` and certified: raises
+    ``OptimizerError`` if the family's value there misses q(w) by more than
+    ``DEFAULT_VALUE_TOL``.
+    """
+    theta, t1 = stationary_point(w)
+    val = tilted_value(w, theta, t1)
+    target = q_of_w(w)
+    if abs(val - target) > DEFAULT_VALUE_TOL:
+        raise OptimizerError(f"canonical angles for w={w} missed q(w)={target!r}", val)
+    return (theta, *_angles_from(theta, t1))
+
+
+def canonical_realization(w: float) -> Realization:
     """Two-qubit realization attaining q(w) with the three zeros exact.
 
-    The measurements are rederived numerically: the zeros are solved in closed
-    form for Bob's angles given Alice's, and the remaining two parameters
-    (theta, tan alpha_1) are maximized with seeded restarts.  The closed form
-    q(w) acts as the acceptance certificate.
+    Built from ``canonical_angles``; the zeros are checked on the simulated
+    behavior against ``DEFAULT_ZERO_TOL``.
     """
-    w = _check_w(w, closed=False)
-    target = q_of_w(w)
-    val, theta, t1 = maximize_tilted(w, restarts=restarts, seed=seed)
-    if abs(val - target) > value_tol:
-        raise OptimizerError(
-            f"canonical realization for w={w} missed q(w)={target!r}", val)
-    a0, a1, b0, b1 = _angles_from(theta, t1)
-    r = realization_from_angles(theta, a0, a1, b0, b1)
+    r = realization_from_angles(*canonical_angles(w))
     beh = behavior_of(r)
     zmax = max(beh.tensor[0, 0, a, b, x, y] for (a, b, x, y) in ZERO_TRIPLES)
-    if zmax > zero_tol:
+    if zmax > DEFAULT_ZERO_TOL:
         raise OptimizerError(
-            f"canonical realization for w={w} violates a zero ({zmax!r})", val)
+            f"canonical realization for w={w} violates a zero", zmax)
     return r
 
 

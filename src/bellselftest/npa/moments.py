@@ -65,7 +65,7 @@ class MomentBasis:
 
     def __init__(self, shape: ScenarioShape, level: int):
         if not 1 <= level <= 3:
-            raise ValueError("level must be between 1 and 3")
+            raise ValueError(f"level must be in [1, 3], got {level}")
         self.shape = shape
         self.level = level
         self.words = mono.build_basis(shape.nx, shape.ny, shape.na, shape.nb, level)

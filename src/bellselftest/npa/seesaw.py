@@ -1,139 +1,34 @@
-"""See-saw lower-bound oracle for the tilted Hardy value.
+"""Lower-bound oracle for the tilted Hardy value.
 
-Alternating eigenvalue-optimal updates of the state and each party's effects,
-with the zero constraints enforced exactly at every step: the state is
-restricted to the kernel of the current zero operators and each measurement
-update is support-constrained.  The alternating phase stalls a little short of
-the optimum, so the oracle finishes with a polish pass over the
-zero-solved angle family (still independent of the closed form; the reported
-value is evaluated directly on the resulting realization).
+The lower bound is the best value found over the exact-zero two-parameter
+family: for a Schmidt angle theta and t1 = tan(alpha_1) the three zeros fix
+the remaining measurement angles in closed form, and ``hardy.maximize_tilted``
+searches (theta, t1) with seeded restarts.  The search never consults the
+closed-form maximizer or q(w); the reported value and zero residual are
+evaluated on the behavior of the realization it found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .. import hardy
-
-_KERNEL_TOL = 1e-11
-_SUPPORT_TOL = 1e-9
-_ZERO_ACCEPT = 1e-9
+from ..scenario import behavior_of
 
 
 @dataclass(frozen=True)
 class SeesawResult:
     value: float
     zero_residual: float
-    theta: float | None = None  # Schmidt angle of the best state, if extracted
+    theta: float | None = None  # Schmidt angle of the best state
 
 
-def _support(mat: np.ndarray, tol: float = _SUPPORT_TOL) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    cols = vecs[:, vals > tol * max(1.0, float(vals.max()) if len(vals) else 1.0)]
-    return cols @ cols.conj().T
-
-
-def _best_projector(objective: np.ndarray, forbidden: np.ndarray,
-                    required: np.ndarray) -> np.ndarray:
-    """argmax tr(P objective) over projectors with P forbidden = 0 and
-    P >= required."""
-    d = objective.shape[0]
-    allowed = np.eye(d) - forbidden - required
-    vals, vecs = np.linalg.eigh(0.5 * (allowed + allowed.conj().T))
-    basis = vecs[:, vals > 0.5]
-    if basis.shape[1] == 0:
-        return required.copy()
-    sub = basis.conj().T @ objective @ basis
-    sv, su = np.linalg.eigh(0.5 * (sub + sub.conj().T))
-    keep = su[:, sv > 0]
-    return required + basis @ keep @ keep.conj().T @ basis.conj().T
-
-
-def _alternating(w: float, seed: int, iters: int) -> tuple[float, float, float]:
-    """One see-saw run; returns (value, worst zero residual, state angle)."""
-    rng = np.random.default_rng(seed)
-    d = 2
-    eye = np.eye(d)
-
-    def rand_proj():
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        return np.outer(v, v.conj())
-
-    alice = [rand_proj(), rand_proj()]  # outcome-0 effects of settings 0, 1
-    bob = [rand_proj(), rand_proj()]
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    psi /= np.linalg.norm(psi)
-
-    def zero_ops():
-        return [np.kron(alice[0], eye - bob[1]),
-                np.kron(eye - alice[1], bob[0]),
-                np.kron(alice[1], bob[1])]
-
-    def objective_op():
-        return (np.kron(alice[0], bob[0])
-                + w * np.kron(eye - alice[0], eye - bob[0]))
-
-    for _ in range(iters):
-        zsum = sum(zero_ops())
-        vals, vecs = np.linalg.eigh(zsum)
-        kernel = vecs[:, vals < _KERNEL_TOL]
-        if kernel.shape[1] == 0:
-            kernel = vecs[:, [0]]
-        sub = kernel.conj().T @ objective_op() @ kernel
-        sv, su = np.linalg.eigh(0.5 * (sub + sub.conj().T))
-        psi = kernel @ su[:, -1]
-        psi /= np.linalg.norm(psi)
-        rho = np.outer(psi, psi.conj()).reshape(d, d, d, d)
-
-        def tr_b(op):
-            return np.einsum("ikjl,lk->ij", rho, op)
-
-        def tr_a(op):
-            return np.einsum("ikjl,ji->kl", rho, op)
-
-        r0, r1 = tr_b(bob[0]), tr_b(eye - bob[0])
-        alice[0] = _best_projector(r0 - w * r1, _support(tr_b(eye - bob[1])),
-                                   np.zeros((d, d), complex))
-        req = _support(tr_b(bob[0]))
-        forb = _support(tr_b(bob[1]))
-        if np.linalg.norm(req @ forb) > 1e-8:
-            req = _support((eye - forb) @ req @ (eye - forb))
-        alice[1] = _best_projector(np.zeros((d, d)), forb, req)
-
-        s0, s1 = tr_a(alice[0]), tr_a(eye - alice[0])
-        bob[0] = _best_projector(s0 - w * s1, _support(tr_a(eye - alice[1])),
-                                 np.zeros((d, d), complex))
-        reqb = _support(tr_a(alice[0]))
-        forbb = _support(tr_a(alice[1]))
-        if np.linalg.norm(reqb @ forbb) > 1e-8:
-            reqb = _support((eye - forbb) @ reqb @ (eye - forbb))
-        bob[1] = _best_projector(np.zeros((d, d)), forbb, reqb)
-
-    value = float(np.real(psi.conj() @ objective_op() @ psi))
-    zres = max(float(np.real(psi.conj() @ z @ psi)) for z in zero_ops())
-    coeffs = np.linalg.svd(psi.reshape(d, d), compute_uv=False)
-    theta = float(np.arctan2(coeffs[1], coeffs[0]))
-    return value, zres, theta
-
-
-def seesaw_tilted_hardy(w: float, restarts: int = 50, iters: int = 120,
-                        seed: int = 11, polish: bool = True) -> SeesawResult:
-    """Best lower bound over seeded restarts; deterministic merge (best value,
-    ties by lowest restart index)."""
-    best = SeesawResult(value=-np.inf, zero_residual=np.inf)
-    polish_seeds = []
-    for k in range(restarts):
-        val, zres, theta = _alternating(w, seed + k, iters)
-        if zres <= _ZERO_ACCEPT and val > best.value:
-            best = SeesawResult(value=val, zero_residual=zres, theta=theta)
-        polish_seeds.append((theta, 1.0))
-    if polish:
-        val, theta, t1 = hardy.maximize_tilted(w, restarts=restarts, seed=seed + 1,
-                                               extra_starts=polish_seeds)
-        if val > best.value:
-            # exact-zero family: residual is numerically zero by construction
-            best = SeesawResult(value=float(val), zero_residual=0.0, theta=float(theta))
-    return best
+def seesaw_tilted_hardy(w: float, restarts: int = 50, seed: int = 11) -> SeesawResult:
+    """Best lower bound over the exact-zero family from a seeded search of
+    ``restarts`` random starts; deterministic for a given seed."""
+    _, theta, t1 = hardy.maximize_tilted(w, restarts=restarts, seed=seed + 1)
+    r = hardy.realization_from_angles(theta, *hardy._angles_from(theta, t1))
+    p = behavior_of(r).tensor[0, 0]
+    value = float(p[0, 0, 0, 0] + w * p[1, 1, 0, 0])
+    zres = max(float(abs(p[a, b, x, y])) for (a, b, x, y) in hardy.ZERO_TRIPLES)
+    return SeesawResult(value=value, zero_residual=zres, theta=theta)

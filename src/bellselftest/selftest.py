@@ -332,10 +332,10 @@ def canonical_qudit_realization(c, proto: QuditProtocol, restarts=None,
     State sum_k c_k |kk>, computational d-outcome measurements at setting 0,
     and per edge the canonical two-qubit tilted-Hardy measurement pair
     conjugated into span{|heavy>, |light>} with the orthogonal complement
-    absorbed into outcome 1.  The pair comes from the closed-form stationary
-    point of the edge's tilt, certified against q(w), so no search runs;
-    ``restarts`` and ``seed`` are ignored and kept only so that callers
-    written for the former multistart search keep working.
+    absorbed into outcome 1.  The pair comes from ``hardy.canonical_angles``
+    of the edge's tilt, so no search runs; ``restarts`` and ``seed`` are
+    ignored and kept only so that callers written for the former multistart
+    search keep working.
     """
     coeffs = np.asarray(getattr(c, "coeffs", c), dtype=float)
     d = proto.d
@@ -351,13 +351,7 @@ def canonical_qudit_realization(c, proto: QuditProtocol, restarts=None,
     alice = [comp]
     bob = [comp]
     for et in proto.per_edge:
-        theta, t1 = hardy.stationary_point(et.w)
-        val = hardy.tilted_value(et.w, theta, t1)
-        target = hardy.q_of_w(et.w)
-        if abs(val - target) > hardy.DEFAULT_VALUE_TOL:
-            raise hardy.OptimizerError(
-                f"edge test for w={et.w} missed q(w)={target!r}", val)
-        a0, a1, b0, b1 = hardy._angles_from(theta, t1)
+        _, a0, a1, b0, b1 = hardy.canonical_angles(et.w)
         span = (et.heavy, et.light)
         alice.append(dichotomic_qubit_measurement(a0, dim=d, span=span, pad_outcomes=d))
         alice.append(dichotomic_qubit_measurement(a1, dim=d, span=span, pad_outcomes=d))

@@ -65,6 +65,11 @@ class TestSimulateVerify:
         _jsonio.dump(lifted.to_json(), rpath)
         assert main(["verify", "--realization", str(rpath), "--w", "0.5"]) == 1
 
+    def test_verify_w_out_of_range_exits_2(self, tmp_path):
+        rpath = tmp_path / "real.json"
+        _jsonio.dump(hardy.canonical_realization(0.25).to_json(), rpath)
+        assert main(["verify", "--realization", str(rpath), "--w", "1.0"]) == 2
+
     def test_qudit_verify_via_files(self, tmp_path):
         from bellselftest.selftest import canonical_qudit_realization
         from bellselftest.tree import SchmidtVector, protocol_of
@@ -175,6 +180,11 @@ class TestMembershipCommand:
         rc = main(["membership", "--observed", str(opath), "--level", "1"])
         assert rc == 0
 
+    def test_bad_level_exits_2(self, tmp_path):
+        opath = tmp_path / "pr.json"
+        _jsonio.dump(pr_box_observed().to_json(), opath)
+        assert main(["membership", "--observed", str(opath), "--level", "7"]) == 2
+
 
 class TestDemos:
     def test_chsh_counterexample_demo(self, tmp_path):
@@ -209,6 +219,10 @@ class TestDemos:
             assert row[2] == pytest.approx(hardy.q_of_w(w), abs=1e-6)
             assert row[3] >= hardy.q_of_w(w) - 1e-7
             assert row[4] == "true"
+
+    def test_hardy_selftest_w_out_of_range_exits_2(self, tmp_path):
+        assert main(["demo", "hardy-selftest", "--out", str(tmp_path),
+                     "--w-grid", "1.0"]) == 2
 
     def test_deterministic_outputs(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

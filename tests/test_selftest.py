@@ -111,6 +111,19 @@ class TestCanonicalQudit:
         assert rep.condition_residuals[(0, 0)][0]["violation"] == pytest.approx(
             qrep.condition_residuals[(0, 0)][0]["violation"], abs=1e-12)
 
+    def test_certification_rejects_off_optimum_point(self, monkeypatch, fig2_proto):
+        stationary = hardy.stationary_point
+
+        def off_optimum(w):
+            theta, t1 = stationary(w)
+            return theta, 1.5 * t1
+
+        monkeypatch.setattr(hardy, "stationary_point", off_optimum)
+        with pytest.raises(hardy.OptimizerError):
+            hardy.canonical_realization(0.25)
+        with pytest.raises(hardy.OptimizerError):
+            canonical_qudit_realization(FIG2, fig2_proto)
+
 
 def _perturb_measurement(dev, party, setting, angle):
     """Rotate one dichotomic effect inside its edge span by `angle`."""
