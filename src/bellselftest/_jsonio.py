@@ -1,14 +1,33 @@
 """Deterministic JSON serialization: sorted keys, floats with 17 significant
-digits, so reruns produce byte-identical artifacts."""
+digits, so reruns produce byte-identical artifacts.
+
+A float64 array is written in one ``%``-format call whose template follows
+the array's shape. ``'%.17g' % x`` and ``format(x, '.17g')`` go through the
+same CPython routine, so an array and the nested list of its elements are
+written as the same bytes.
+"""
 
 from __future__ import annotations
 
 import json
 import math
 
+import numpy as np
+
+
+def _format_floats(a: np.ndarray) -> str:
+    """Write a non-empty float64 array as nested lists in one pass."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"non-finite float {float(a[~finite][0])} in JSON payload")
+    template = "%.17g"
+    for n in reversed(a.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template % tuple(np.ravel(a).tolist())
+
 
 def _format(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
         return "null"
@@ -26,16 +45,14 @@ def _format(value) -> str:
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_format(v) for v in value) + "]"
-    try:
-        import numpy as np
-        if isinstance(value, np.integer):
-            return str(int(value))
-        if isinstance(value, np.floating):
-            return _format(float(value))
-        if isinstance(value, np.ndarray):
-            return _format(value.tolist())
-    except ImportError:
-        pass
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.size:
+            return _format_floats(value)
+        return _format(value.tolist())
+    if isinstance(value, np.integer):
+        return str(int(value))
+    if isinstance(value, np.floating):
+        return _format(float(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

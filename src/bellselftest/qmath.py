@@ -74,22 +74,30 @@ def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    """Encode as {"rows", "cols", "entries"} with flat row-major [re, im] pairs."""
+    """Encode as {"rows", "cols", "entries"} with flat row-major [re, im] pairs.
+
+    ``entries`` is a (rows*cols, 2) float64 array, which ``_jsonio`` writes
+    in one pass.
+    """
     m = as_matrix(m)
+    flat = m.reshape(-1)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "entries": np.stack((flat.real, flat.imag), axis=1),
     }
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError("entry count does not match rows*cols")
-    flat = np.array([complex(float(re), float(im)) for re, im in entries])
-    return flat.reshape(rows, cols)
+    entries = np.array(obj["entries"], dtype=float)
+    if entries.shape != (rows * cols, 2):
+        raise ValueError(f"entries of shape {entries.shape} do not match "
+                         f"{rows}*{cols} [re, im] pairs")
+    if not np.isfinite(entries).all():
+        raise ValueError("non-finite matrix entry")
+    # a view keeps the sign of every zero, which re + 1j*im would not
+    return entries.view(complex).reshape(rows, cols)
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ class Behavior:
 
     def to_json(self) -> dict:
         return {"version": "behavior.v1", "shape": self.shape.to_json(),
-                "tensor": self.tensor.tolist()}
+                "tensor": self.tensor}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Behavior":
@@ -203,7 +203,7 @@ class ObservedBehavior:
 
     def to_json(self) -> dict:
         return {"version": "observed.v1", "shape": self.shape.to_json(),
-                "table": self.table.tolist()}
+                "table": self.table}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ObservedBehavior":

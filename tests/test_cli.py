@@ -225,13 +225,21 @@ class TestDemos:
                      "--w-grid", "1.0"]) == 2
 
     def test_deterministic_outputs(self, tmp_path):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        rc1 = main(["protocol", "--coeffs", "1/6,1/8,1/6,1/6,1/8,1/4",
-                    "--out", str(p1)])
-        rc2 = main(["protocol", "--coeffs", "1/6,1/8,1/6,1/6,1/8,1/4",
-                    "--out", str(p2)])
-        assert rc1 == rc2 == 0
-        assert p1.read_bytes() == p2.read_bytes()
+        from bellselftest.selftest import canonical_qudit_realization
+        runs = []
+        for run in ("a", "b"):
+            ppath, rpath = tmp_path / f"{run}.proto.json", tmp_path / f"{run}.real.json"
+            report = tmp_path / f"{run}.report.json"
+            assert main(["protocol", "--coeffs", "1/6,1/8,1/6,1/6,1/8,1/4",
+                         "--out", str(ppath)]) == 0
+            proto = QuditProtocol.from_json(_jsonio.load(ppath))
+            _jsonio.dump(canonical_qudit_realization(proto.coeffs, proto).to_json(), rpath)
+            assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath),
+                         "--out", str(report)]) == 0
+            runs.append([p.read_bytes() for p in (ppath, rpath, report)])
+        assert runs[0] == runs[1]
+        assert [_jsonio.loads(b)["version"] for b in runs[0]] == [
+            "protocol.v1", "realization.v1", "report.v1"]
 
     def test_thread_cap_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SELFTEST_NUM_THREADS", "1")

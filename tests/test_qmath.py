@@ -181,3 +181,15 @@ class TestMatrixJson:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("entries", [[[1, 0, 0, 0]], [1, 0, 0, 0],
+                                         [[1, 0], [0]], [[1, 0], [None, 0]]])
+    def test_rejects_entries_not_re_im_pairs(self, entries):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": entries})
+
+    def test_keeps_signed_zeros(self):
+        m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]])
+        back = matrix_from_json(matrix_to_json(m))
+        assert np.array_equal(np.signbit(back.real), [[True, False]])
+        assert np.array_equal(np.signbit(back.imag), [[False, True]])
