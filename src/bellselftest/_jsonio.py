@@ -66,10 +66,23 @@ def dump(obj, path) -> None:
         fh.write("\n")
 
 
+class _IntTokens(dict):
+    """Values of JSON integer tokens.  The writer emits -0.0 as ``-0``, read
+    back as -0.0 so that a loaded payload is written again as the same bytes.
+    Looking the common tokens up, rather than calling Python code for each,
+    keeps the reader's speed on matrices full of zeros."""
+
+    def __missing__(self, text: str) -> int:
+        return int(text)
+
+
+_parse_int = _IntTokens({"-0": -0.0, "0": 0, "1": 1}).__getitem__
+
+
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=_parse_int)
 
 
 def loads(text: str):
-    return json.loads(text)
+    return json.loads(text, parse_int=_parse_int)

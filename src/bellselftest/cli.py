@@ -266,7 +266,7 @@ def cmd_bound(args) -> int:
         problem = _problem_from_spec(_load_json(args.problem))
     else:
         problem = _preset_problem(args.preset, args.w, args.level, bounds)
-    config = SolverConfig(tol_feas=args.tol, tol_gap=args.tol)
+    config = SolverConfig(tol=args.tol)
     sol = moments.solve_sdp(problem, config)
     if sol.status is not Status.OPTIMAL:
         print(f"solver status: {sol.status.value}", file=sys.stderr)
@@ -281,7 +281,7 @@ def cmd_bound(args) -> int:
 def cmd_membership(args) -> int:
     obs = scenario.ObservedBehavior.from_json(_load_json(args.observed, "observed.v1"))
     bounds = _check_bounds(args.l, args.u)
-    config = SolverConfig(tol_feas=args.tol, tol_gap=args.tol)
+    config = SolverConfig(tol=args.tol)
     result = npa_membership.membership_test(obs, args.level, residual_bounds=bounds,
                                             config=config)
     print(result.status.value)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..scenario import ObservedBehavior, ScenarioShape
 from .moments import MomentProblem, build_moment_problem, to_conic, zero_expr
-from .sdp import SolverConfig, Status, solve_conic
+from .sdp import SolverConfig, Status
 
 
 class MembershipStatus(Enum):
@@ -35,19 +35,15 @@ class Certificate:
     """
 
     y: np.ndarray
-    row_spec: list  # per row: ("data", s,t,a,b) | ("weight", s,t) | ("const", value)
+    row_spec: list  # per equality row: ("data", s,t,a,b) | ("const", value)
     shape: ScenarioShape
 
     def rhs_for(self, table: np.ndarray) -> np.ndarray:
         b = np.empty(len(self.row_spec))
         for i, spec in enumerate(self.row_spec):
-            kind = spec[0]
-            if kind == "data":
+            if spec[0] == "data":
                 _, s, t, a, bb = spec
                 b[i] = table[s, t, a, bb]
-            elif kind == "weight":
-                _, s, t = spec
-                b[i] = table[s, t].sum()
             else:
                 b[i] = spec[1]
         return b
@@ -82,10 +78,8 @@ def membership_problem(o: ObservedBehavior, level: int,
     total = float(o.table.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"observed table sums to {total}, expected 1")
-    weights = {(s, t): float(o.table[s, t].sum())
-               for s in range(sh.ns) for t in range(sh.nt)}
-    problem = build_moment_problem(sh, level, weights=weights,
-                                   objective=zero_expr(),
+    # the data rows fix each source weight L_st(1) through completeness
+    problem = build_moment_problem(sh, level, objective=zero_expr(),
                                    residual_bounds=residual_bounds)
     eqs = list(problem.equalities)
     for s in range(sh.ns):
@@ -104,21 +98,12 @@ def membership_test(o: ObservedBehavior, level: int, residual_bounds=None,
     """Feasibility of the observed table at the given relaxation level."""
     problem = membership_problem(o, level, residual_bounds)
     conic = to_conic(problem)
-    sol = solve_conic(conic.a_mat, conic.b, conic.c, conic.cone, config)
+    sol = conic.solve(config)
     if sol.status is Status.OPTIMAL:
         return MembershipResult(status=MembershipStatus.FEASIBLE,
                                 solver_status=sol.status, iterations=sol.iterations)
     if sol.status is Status.PRIMAL_INFEASIBLE:
-        row_spec = []
-        for tag, const in zip(conic.row_tags, conic.b):
-            if isinstance(tag, tuple) and len(tag) == 2 and isinstance(tag[0], tuple) \
-                    and tag[0][0] == "data":
-                row_spec.append(("data", *tag[0][1:]))
-            elif isinstance(tag, tuple) and tag[0] == "weight":
-                row_spec.append(("weight", *tag[1]))
-            else:
-                row_spec.append(("const", float(const)))
-        cert = Certificate(y=sol.certificate, row_spec=row_spec, shape=o.shape)
+        cert = Certificate(y=sol.certificate, row_spec=conic.row_spec, shape=o.shape)
         return MembershipResult(status=MembershipStatus.INFEASIBLE, certificate=cert,
                                 solver_status=sol.status, iterations=sol.iterations)
     return MembershipResult(status=MembershipStatus.UNKNOWN,

@@ -8,25 +8,30 @@ linear equalities on probabilities, and two-sided residual-randomness bounds
 
     l * sum_{s't'} p(s't'ab|xy) <= p(stab|xy) <= u * sum_{s't'} p(s't'ab|xy).
 
-Zero events are eliminated by facial reduction rather than equality rows:
-p = L(m) with m = F G a product of commuting effect polynomials satisfies
-L(m* m) = L(m), so p = 0 forces the moment matrix to annihilate the expansion
-of every left multiple w m that stays inside the basis.  Keeping the zeros as
-equality rows instead would leave the feasible set without interior and stall
-the interior-point iteration.
+Every constraint is a row over the moment vector y, which holds each block's
+distinct moments L_st(w) once; l = u makes the residual bounds equalities.
+Zero events are also eliminated by facial reduction: p = L(m) with m = F G a
+product of commuting effect polynomials satisfies L(m* m) = L(m), so p = 0
+forces the moment matrix to annihilate the expansion of every left multiple
+w m that stays inside the basis.  Each block is restricted to that face, which
+keeps the reduced problem strictly feasible; the equalities on y, face
+conditions included, are eliminated before the solver sees them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import qr
 
 from ..scenario import ScenarioShape
 from . import monomials as mono
 from .sdp import Cone, ConicSolution, SolverConfig, Status, solve_conic, svec, svec_dim
 
 _PRUNE_TOL = 1e-12
+_RANK_TOL = 1e-10        # singular values below this fraction of the largest are zero
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,19 @@ class MomentBasis:
         self.words = mono.build_basis(shape.nx, shape.ny, shape.na, shape.nb, level)
         self.index = {w: i for i, w in enumerate(self.words)}
         self.size = len(self.words)
+
+    @cached_property
+    def moment_ids(self) -> np.ndarray:
+        """N x N table: entry (u, v) holds the id of the moment
+        L(w_u* w_v), identified with its adjoint's, or -1 for ZERO."""
+        ids: dict = {}
+        table = np.empty((self.size, self.size), dtype=int)
+        for u, wu in enumerate(self.words):
+            adj = mono.adjoint(wu)
+            for v, wv in enumerate(self.words):
+                k = mono.adjoint_key(mono.concat(adj, wv))
+                table[u, v] = -1 if k is mono.ZERO else ids.setdefault(k, len(ids))
+        return table
 
     def word_entry(self, word) -> tuple[int, int]:
         """Entry (u, v) with u <= v whose moment equals L(word), for words with
@@ -142,7 +160,7 @@ class MomentProblem:
     basis: MomentBasis
     weights: dict | None              # {(s,t): p(st)} or None for free weights
     zeros: tuple                      # [(s,t,a,b,x,y)] eliminated by reduction
-    equalities: tuple                 # [(LinearExpr, const, tag)]
+    equalities: tuple                 # [(LinearExpr, const, None | ("data", s,t,a,b))]
     inequalities: tuple               # [LinearExpr >= 0]
     objective: LinearExpr             # maximized
     residual_bounds: tuple | None     # (l, u) or None
@@ -163,7 +181,7 @@ class MomentProblem:
             "weights": None if self.weights is None else
                        {f"{s},{t}": w for (s, t), w in sorted(self.weights.items())},
             "zeros": [list(z) for z in self.zeros],
-            "equalities": [[expr_json(e), c] for (e, c, _tag) in self.equalities],
+            "equalities": [[expr_json(e), c] for (e, c, _spec) in self.equalities],
             "inequalities": [expr_json(e) for e in self.inequalities],
             "objective": expr_json(self.objective),
             "residualBounds": list(self.residual_bounds) if self.residual_bounds else None,
@@ -201,7 +219,7 @@ def build_moment_problem(shape: ScenarioShape, level: int,
 
     eqs = []
     for expr, const in value_constraints:
-        eqs.append((expr, float(const), "value"))
+        eqs.append((expr, float(const), None))
         # a value constraint pinning a zeroed event to a nonzero constant is
         # structurally inconsistent; detect it before the solver sees it
         if abs(const) > _PRUNE_TOL:
@@ -225,8 +243,11 @@ def build_moment_problem(shape: ScenarioShape, level: int,
                                 for s2 in range(shape.ns):
                                     for t2 in range(shape.nt):
                                         total = total + basis.prob_expr(s2, t2, a, b, x, y)
-                                ineqs.append(p_st - lo * total)
-                                ineqs.append(up * total - p_st)
+                                if lo == up:
+                                    eqs.append((p_st - lo * total, 0.0, None))
+                                else:
+                                    ineqs.append(p_st - lo * total)
+                                    ineqs.append(up * total - p_st)
     return MomentProblem(shape=shape, level=level, basis=basis,
                          weights=None if weights is None else dict(weights),
                          zeros=zeros, equalities=tuple(eqs),
@@ -239,143 +260,136 @@ def build_moment_problem(shape: ScenarioShape, level: int,
 
 @dataclass
 class ConicData:
+    """Solver data for min c.x, A x = b, x in K over the moment vector y.
+
+    The cone point is x = C y + h: the inequality values, then
+    svec(Q^T M_st(y) Q) for each block.  The equalities E y = e are solved
+    as y = y0 + N z, and the rows of A are an orthonormal basis of the
+    complement of range(C N), so A has full row rank and A x = A (C y0 + h)
+    holds exactly on the image of the equalities' solutions."""
+
     a_mat: np.ndarray
     b: np.ndarray
     c: np.ndarray
     cone: Cone
     const: float                     # objective offset
     faces: dict                      # (s,t) -> Q (N x r) face basis
-    row_tags: list                   # provenance per row, for certificates
     block_keys: list
+    row_spec: list                   # per equality: ("data", s,t,a,b) | ("const", e_i)
+    eq_map: np.ndarray               # A C E^+, from rows of A to equalities
+    inconsistency: np.ndarray | None  # r / (r.r) when E y = e has no solution
 
     def lift_block(self, key, reduced: np.ndarray) -> np.ndarray:
         q = self.faces[key]
         return q @ reduced @ q.T
 
+    def solve(self, config: SolverConfig | None = None) -> ConicSolution:
+        """solve_conic on this data.  A PrimalInfeasible certificate is
+        returned over the equalities (row_spec), scaled to e . y = 1 (the
+        inequalities are homogeneous); a linearly inconsistent E y = e is
+        certified by r / (r.r) without a solve."""
+        if self.inconsistency is not None:
+            return ConicSolution(status=Status.PRIMAL_INFEASIBLE,
+                                 certificate=self.inconsistency)
+        sol = solve_conic(self.a_mat, self.b, self.c, self.cone, config)
+        if sol.status is Status.PRIMAL_INFEASIBLE:
+            sol = replace(sol, certificate=self.eq_map.T @ sol.certificate)
+        return sol
 
-def _entry_matrix(n: int, u: int, v: int, coeff: float = 1.0) -> np.ndarray:
-    m = np.zeros((n, n))
-    if u == v:
-        m[u, u] = coeff
-    else:
-        m[u, v] = m[v, u] = 0.5 * coeff
-    return m
+
+def _range_complement(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U_r, U_0): orthonormal bases of range(mat) and of its complement."""
+    u, sv, _ = np.linalg.svd(mat)
+    rank = int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size else 0
+    return u[:, :rank], u[:, rank:]
 
 
 def to_conic(problem: MomentProblem) -> ConicData:
     """Assemble solver data; applies facial reduction per block."""
     basis = problem.basis
-    n_words = basis.size
+    ids = basis.moment_ids
+    n_mom = int(ids.max()) + 1
+    # onehot[j] is the symmetric 0/1 pattern of moment j in a block
+    onehot = (ids[None, :, :] == np.arange(n_mom)[:, None, None]).astype(float)
     block_keys = problem.block_keys
+    col = {key: k * n_mom for k, key in enumerate(block_keys)}
+    n_y = n_mom * len(block_keys)
 
+    def expr_vec(expr: LinearExpr) -> np.ndarray:
+        vec = np.zeros(n_y)
+        for (s, t, u, v), coeff in expr.terms.items():
+            if ids[u, v] >= 0:
+                vec[col[(s, t)] + ids[u, v]] += coeff
+        return vec
+
+    rows, rhs, row_spec = [], [], []
+
+    def equal(vec: np.ndarray, value: float, spec=None):
+        rows.append(vec)
+        rhs.append(value)
+        row_spec.append(spec or ("const", value))
+
+    if problem.weights is None:
+        equal(expr_vec(LinearExpr({(s, t, 0, 0): 1.0 for (s, t) in block_keys})), 1.0)
+    else:
+        for (s, t) in block_keys:
+            equal(expr_vec(LinearExpr({(s, t, 0, 0): 1.0})), float(problem.weights[(s, t)]))
+
+    # faces: M_st(y) vanishes on the null vectors of the block's zero events
     faces = {}
     for key in block_keys:
-        nulls = []
-        for (s, t, a, b, x, y) in problem.zeros:
-            if (s, t) == key:
-                nulls.extend(basis.null_vectors(a, b, x, y))
-        if nulls:
-            nmat = np.array(nulls).T
-            u, sv, _ = np.linalg.svd(nmat, full_matrices=True)
-            rank = int(np.sum(sv > 1e-10))
-            faces[key] = u[:, rank:]
-        else:
-            faces[key] = np.eye(n_words)
+        nulls = [vec for (s, t, a, b, x, y) in problem.zeros if (s, t) == key
+                 for vec in basis.null_vectors(a, b, x, y)]
+        kernel, faces[key] = _range_complement(
+            np.array(nulls).T if nulls else np.zeros((basis.size, 0)))
+        # row (u, k) of M_st(y) kernel, as coefficients of the block's moments
+        for vec in np.einsum("jul,lk->ukj", onehot, kernel).reshape(-1, n_mom):
+            equal(np.pad(vec, (col[key], n_y - col[key] - n_mom)), 0.0)
 
-    sizes = {key: faces[key].shape[1] for key in block_keys}
-    n_lin = len(problem.inequalities)
-    cone = Cone(n_lin, [sizes[key] for key in block_keys])
-    block_offset = {key: cone.offsets[i] for i, key in enumerate(block_keys)}
-
-    def expr_row(expr: LinearExpr) -> np.ndarray:
-        """Row vector of an expression on the reduced cone variables."""
-        per_block: dict = {}
-        for (s, t, u, v), coeff in expr.terms.items():
-            per_block.setdefault((s, t), []).append((u, v, coeff))
-        row = np.zeros(cone.dim)
-        for key, entries in per_block.items():
-            full = np.zeros((n_words, n_words))
-            for u, v, coeff in entries:
-                full += _entry_matrix(n_words, u, v, coeff)
-            q = faces[key]
-            red = q.T @ full @ q
-            off = block_offset[key]
-            row[off:off + svec_dim(red.shape[0])] = svec(red)
-        return row
-
-    rows, rhs, tags = [], [], []
-
-    def add_row(row: np.ndarray, const: float, tag):
-        norm = float(np.linalg.norm(row))
-        if norm <= _PRUNE_TOL:
-            if abs(const) > 1e-9:
-                raise ValueError(f"inconsistent constraint with empty row: {tag}")
-            return
-        rows.append(row)
-        rhs.append(const)
-        tags.append(tag)
-
-    # structural: equal-moment entries and algebraically zero entries
-    for key in block_keys:
-        q = faces[key]
-        reps: dict = {}
-        for u in range(n_words):
-            for v in range(u, n_words):
-                word = mono.concat(mono.adjoint(basis.words[u]), basis.words[v])
-                k = mono.adjoint_key(word)
-                full = _entry_matrix(n_words, u, v)
-                if k is mono.ZERO:
-                    red = q.T @ full @ q
-                    add_row(_block_row(cone, block_offset[key], red), 0.0,
-                            ("structural_zero", key, u, v))
-                elif k in reps:
-                    ru, rv = reps[k]
-                    red = q.T @ (full - _entry_matrix(n_words, ru, rv)) @ q
-                    add_row(_block_row(cone, block_offset[key], red), 0.0,
-                            ("structural_eq", key, u, v))
-                else:
-                    reps[k] = (u, v)
-
-    # normalization
-    if problem.weights is not None:
-        for key in block_keys:
-            expr = LinearExpr({(key[0], key[1], 0, 0): 1.0})
-            add_row(expr_row(expr), float(problem.weights[key]), ("weight", key))
-    else:
-        expr = LinearExpr({(s, t, 0, 0): 1.0 for (s, t) in block_keys})
-        add_row(expr_row(expr), 1.0, ("norm_free",))
-
-    # zero events not captured by the face (level too low for the null vectors)
     for (s, t, a, b, x, y) in problem.zeros:
-        expr = basis.prob_expr(s, t, a, b, x, y)
-        row = expr_row(expr)
-        if np.linalg.norm(row) > 1e-10:
-            add_row(row, -expr.const, ("zero", (s, t, a, b, x, y)))
+        equal(expr_vec(basis.prob_expr(s, t, a, b, x, y)), 0.0)
+    for expr, const, spec in problem.equalities:
+        equal(expr_vec(expr), const - expr.const, spec)
 
-    # user equalities
-    for expr, const, tag in problem.equalities:
-        add_row(expr_row(expr), const - expr.const, (tag, len(rows)))
+    e_mat, e = np.array(rows), np.array(rhs)
+    u, sv, vt = np.linalg.svd(e_mat)
+    rank = int(np.sum(sv > _RANK_TOL * sv[0]))
+    e_pinv = vt[:rank].T @ (u[:, :rank] / sv[:rank]).T
+    y0 = e_pinv @ e
+    resid = e - e_mat @ y0
+    inconsistency = None
+    if np.linalg.norm(resid) > 1e-9 * (1.0 + np.linalg.norm(e)):
+        inconsistency = resid / float(resid @ resid)
 
-    # inequalities via slack variables: expr - slack = -const
-    for j, expr in enumerate(problem.inequalities):
-        row = expr_row(expr)
-        row[j] = -1.0
-        rows.append(row)
-        rhs.append(-expr.const)
-        tags.append(("slack", j))
+    sizes = [faces[key].shape[1] for key in block_keys]
+    n_lin = len(problem.inequalities)
+    cone = Cone(n_lin, sizes)
+    c_mat = np.zeros((cone.dim, n_y))
+    h = np.zeros(cone.dim)
+    c = np.zeros(cone.dim)
+    for i, expr in enumerate(problem.inequalities):
+        c_mat[i] = expr_vec(expr)
+        h[i] = expr.const
+    objective = {}          # symmetric coefficient matrix F_st of the entry terms
+    for (s, t, u, v), coeff in problem.objective.terms.items():
+        f = objective.setdefault((s, t), np.zeros((basis.size, basis.size)))
+        f[u, v] += 0.5 * coeff
+        f[v, u] += 0.5 * coeff
+    for key, n, off in zip(block_keys, sizes, cone.offsets):
+        q = faces[key]
+        c_mat[off:off + svec_dim(n), col[key]:col[key] + n_mom] = svec(q.T @ onehot @ q).T
+        if key in objective:
+            c[off:off + svec_dim(n)] = -svec(q.T @ objective[key] @ q)
 
-    a_mat = np.array(rows) if rows else np.zeros((0, cone.dim))
-    b = np.array(rhs)
-    c = -expr_row(problem.objective)
-    return ConicData(a_mat=a_mat, b=b, c=c, cone=cone,
+    _, complement = _range_complement(c_mat @ vt[rank:].T)
+    # rotated by a pivoted QR, each row of A stays close to one coordinate of
+    # x, so the solver's max-norm residuals are read per coordinate
+    q, _, _ = qr(complement.T, mode="economic", pivoting=True)
+    a_mat = q.T @ complement.T
+    return ConicData(a_mat=a_mat, b=a_mat @ (c_mat @ y0 + h), c=c, cone=cone,
                      const=problem.objective.const, faces=faces,
-                     row_tags=tags, block_keys=block_keys)
-
-
-def _block_row(cone: Cone, offset: int, reduced: np.ndarray) -> np.ndarray:
-    row = np.zeros(cone.dim)
-    row[offset:offset + svec_dim(reduced.shape[0])] = svec(reduced)
-    return row
+                     block_keys=block_keys, row_spec=row_spec,
+                     eq_map=a_mat @ c_mat @ e_pinv, inconsistency=inconsistency)
 
 
 # ------------------------------------------------------------------- solving
@@ -413,7 +427,7 @@ def solve_sdp(problem: MomentProblem,
               config: SolverConfig | None = None) -> SDPSolution:
     """Solve the relaxation, maximizing the problem objective."""
     conic = to_conic(problem)
-    sol = solve_conic(conic.a_mat, conic.b, conic.c, conic.cone, config)
+    sol = conic.solve(config)
     blocks = {}
     if sol.x is not None and sol.status in (Status.OPTIMAL, Status.MAX_ITERATIONS):
         mats = conic.cone.mats(sol.x)

@@ -10,14 +10,16 @@ into a separating functional.
 
 The search direction is Nesterov-Todd scaled with a Mehrotra
 predictor-corrector; each iteration factors the dense Schur complement
-A H^{-1} A^T by Cholesky (with a small ridge fallback for rank-deficient
-constraint sets).
+A H^{-1} A^T by Cholesky.  A small ridge is a fallback for rank-deficient
+constraint sets; the moment relaxations reach the solver with rows of full
+rank and never need it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, svd
@@ -31,13 +33,13 @@ class Status(Enum):
     NUMERICAL_TROUBLE = "NumericalTrouble"
 
 
+MAX_ITER = 200
+STEP_FRACTION = 0.99     # of the largest step that stays in the cone
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    tol_feas: float = 1e-8
-    tol_gap: float = 1e-8
-    max_iter: int = 200
-    step_fraction: float = 0.99
-    verbose: bool = False
+    tol: float = 1e-8    # on the relative primal and dual residuals and the gap
 
 
 @dataclass
@@ -60,32 +62,31 @@ class ConicSolution:
 _SQRT2 = np.sqrt(2.0)
 
 
-def svec(mat: np.ndarray) -> np.ndarray:
-    """Upper-triangle (row-major) vectorization with sqrt(2) off-diagonals, so
-    that <X, Y> = svec(X) . svec(Y)."""
-    n = mat.shape[0]
-    out = np.empty(n * (n + 1) // 2)
-    k = 0
-    for i in range(n):
-        out[k] = mat[i, i]
-        k += 1
-        row = mat[i, i + 1:n]
-        out[k:k + n - i - 1] = row * _SQRT2
-        k += n - i - 1
+@cache
+def _triu(n: int) -> tuple:
+    """Upper-triangle indices (row-major) and their svec scale factors."""
+    iu, ju = np.triu_indices(n)
+    off = iu != ju
+    out = (iu, ju, np.where(off, _SQRT2, 1.0), np.where(off, 1.0 / _SQRT2, 1.0))
+    for arr in out:
+        arr.setflags(write=False)    # shared by every caller
     return out
 
 
+def svec(mat: np.ndarray) -> np.ndarray:
+    """Upper-triangle (row-major) vectorization with sqrt(2) off-diagonals, so
+    that <X, Y> = svec(X) . svec(Y).  A stack (..., n, n) gives (..., n(n+1)/2)."""
+    iu, ju, scale, _ = _triu(mat.shape[-1])
+    return mat[..., iu, ju] * scale
+
+
 def smat(vec: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    k = 0
-    inv = 1.0 / _SQRT2
-    for i in range(n):
-        out[i, i] = vec[k]
-        k += 1
-        row = vec[k:k + n - i - 1] * inv
-        out[i, i + 1:n] = row
-        out[i + 1:n, i] = row
-        k += n - i - 1
+    """Inverse of svec, also on a stack (..., n(n+1)/2)."""
+    iu, ju, _, inv = _triu(n)
+    vals = vec * inv
+    out = np.zeros(vec.shape[:-1] + (n, n))
+    out[..., iu, ju] = vals
+    out[..., ju, iu] = vals
     return out
 
 
@@ -251,7 +252,7 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         status = sol.status
         if status is Status.OPTIMAL and not (
-                pres <= 10 * cfg.tol_feas and dres <= 10 * cfg.tol_feas):
+                pres <= 10 * cfg.tol and dres <= 10 * cfg.tol):
             status = Status.MAX_ITERATIONS  # scaling hid a residual; be honest
         return ConicSolution(status=status, x=x, y=y, s=s, primal_value=pobj,
                              dual_value=dobj, primal_residual=pres,
@@ -288,7 +289,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
     best = None        # (metric, solution) over iterates, for stall exits
     stall = 0
     it = 0
-    for it in range(cfg.max_iter):
+    for it in range(MAX_ITER):
         rp = a_mat @ x - b * tau
         rd = -a_mat.T @ y + c * tau - s
         rg = float(b @ y - c @ x - kappa)
@@ -300,11 +301,8 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         pobj = float(c @ xt)
         dobj = float(b @ yt)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if cfg.verbose:
-            print(f"  it {it:3d}  mu {mu:9.2e}  pres {pres:8.1e}  dres {dres:8.1e}"
-                  f"  gap {gap:8.1e}  tau {tau:8.1e}  kappa {kappa:8.1e}")
 
-        if pres <= cfg.tol_feas and dres <= cfg.tol_feas and gap <= cfg.tol_gap:
+        if pres <= cfg.tol and dres <= cfg.tol and gap <= cfg.tol:
             return ConicSolution(status=Status.OPTIMAL, x=xt, y=yt, s=st,
                                  primal_value=pobj, dual_value=dobj,
                                  primal_residual=pres, dual_residual=dres,
@@ -323,14 +321,14 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         by = float(b @ y)
         if by > 0:
             yc, sc = y / by, s / by
-            if float(np.linalg.norm(a_mat.T @ yc + sc, np.inf)) <= cfg.tol_feas:
+            if float(np.linalg.norm(a_mat.T @ yc + sc, np.inf)) <= cfg.tol:
                 return ConicSolution(status=Status.PRIMAL_INFEASIBLE, y=yc, s=sc,
                                      iterations=it, certificate=yc)
         cx = float(c @ x)
         if -cx > 0:
             xc = x / (-cx)
-            if float(np.linalg.norm(a_mat @ xc, np.inf)) <= cfg.tol_feas \
-                    and cone.min_eig(xc) >= -cfg.tol_feas:
+            if float(np.linalg.norm(a_mat @ xc, np.inf)) <= cfg.tol \
+                    and cone.min_eig(xc) >= -cfg.tol:
                 return ConicSolution(status=Status.DUAL_INFEASIBLE, x=xc,
                                      iterations=it, certificate=xc)
 
@@ -408,7 +406,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         alpha = min(_max_step(cone, x, dx), _max_step(cone, s, ds),
                     np.inf if dtau >= 0 else -tau / dtau,
                     np.inf if dkappa >= 0 else -kappa / dkappa)
-        alpha = min(1.0, cfg.step_fraction * alpha)
+        alpha = min(1.0, STEP_FRACTION * alpha)
         mu_aff = ((x + alpha * dx) @ (s + alpha * ds)
                   + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (cone.nu + 1)
         sigma = float(np.clip(mu_aff / mu, 0.0, 1.0)) ** 3
@@ -422,7 +420,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         alpha = min(_max_step(cone, x, dx), _max_step(cone, s, ds),
                     np.inf if dtau >= 0 else -tau / dtau,
                     np.inf if dkappa >= 0 else -kappa / dkappa)
-        alpha = min(1.0, cfg.step_fraction * alpha)
+        alpha = min(1.0, STEP_FRACTION * alpha)
         if not np.isfinite(alpha) or alpha <= 0:
             return ConicSolution(status=Status.NUMERICAL_TROUBLE, iterations=it)
 
@@ -434,4 +432,4 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
 
     xt = x / tau if tau > 0 else x
     return ConicSolution(status=Status.MAX_ITERATIONS, x=xt, y=y / tau if tau > 0 else y,
-                         primal_value=float(c @ xt), iterations=cfg.max_iter)
+                         primal_value=float(c @ xt), iterations=MAX_ITER)

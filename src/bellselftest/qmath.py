@@ -167,14 +167,6 @@ class ProjectiveMeasurement:
                    effects=tuple(matrix_from_json(e) for e in obj["effects"]))
 
 
-def measurement_from_vectors(vectors) -> ProjectiveMeasurement:
-    """Rank-1 projective measurement from an orthonormal family of vectors."""
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    dim = len(vecs[0])
-    effects = [np.outer(v, np.conj(v)) for v in vecs]
-    return ProjectiveMeasurement(dim=dim, effects=tuple(effects))
-
-
 def dichotomic_qubit_measurement(angle: float, dim: int = 2, span: tuple[int, int] = (0, 1),
                                  pad_outcomes: int = 2) -> ProjectiveMeasurement:
     """Two-outcome measurement whose outcome-0 effect projects onto

@@ -10,7 +10,7 @@ import pytest
 
 from bellselftest import _jsonio
 from bellselftest.qmath import matrix_to_json
-from bellselftest.scenario import Behavior, ScenarioShape, behavior_of
+from bellselftest.scenario import Behavior, Realization, ScenarioShape, behavior_of
 from bellselftest.selftest import canonical_qudit_realization
 from bellselftest.tree import SchmidtVector, protocol_of
 
@@ -89,6 +89,21 @@ class TestGoldenBytes:
                "scalar": np.array(x[3]), "list": list(x[:50]), "slice": x[::7],
                "empty": np.zeros((2, 0))}
         assert_same_text(_jsonio.dumps(obj), reference_format(obj))
+
+
+class TestRoundTrip:
+    def test_reloaded_realization_keeps_its_bytes(self):
+        text = _jsonio.dumps(canonical_device(6).to_json())
+        assert '-0,' in text or '-0]' in text
+        again = _jsonio.dumps(Realization.from_json(_jsonio.loads(text)).to_json())
+        assert_same_text(again, text)
+
+    def test_signed_zero_and_integers(self):
+        obj = _jsonio.loads('{"z":-0,"n":3,"m":-3,"x":-0.0,"zero":0}')
+        assert math.copysign(1.0, obj["z"]) < 0 and isinstance(obj["z"], float)
+        assert obj["n"] == 3 and isinstance(obj["n"], int) and obj["m"] == -3
+        assert obj["zero"] == 0 and isinstance(obj["zero"], int)
+        assert _jsonio.dumps(obj) == '{"m":-3,"n":3,"x":-0,"z":-0,"zero":0}'
 
 
 class TestNonFinite:

@@ -72,6 +72,22 @@ class TestPrBox:
             worst = min(worst, cert.evaluate(o))
         assert worst >= -1e-12
 
+    def test_unequal_weights_certified_without_a_solve(self):
+        # l = u = 1/4 forces every source weight to 1/4, a linear condition
+        # the pinned data contradicts, so no interior-point iteration runs
+        weights = np.array([[0.4, 0.2], [0.2, 0.2]])
+        table = np.ones((2, 2, 2, 2)) * weights[:, :, None, None] / 4
+        skewed = ObservedBehavior(shape=pr_box_observed().shape, table=table)
+        res = membership_test(skewed, level=1, residual_bounds=(0.25, 0.25))
+        assert res.status is MembershipStatus.INFEASIBLE
+        assert res.iterations == 0
+        cert = res.certificate
+        assert cert.evaluate(skewed) == pytest.approx(-1.0, abs=1e-12)
+        rng = np.random.default_rng(107)
+        for _ in range(200):
+            o = observed(behavior_of(random_source_independent(rng)))
+            assert cert.evaluate(o) >= -1e-12
+
     def test_certificate_json(self):
         res = membership_test(pr_box_observed(), level=1,
                               residual_bounds=(0.25, 0.25))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellselftest import hardy
-from bellselftest.npa import moments
+from bellselftest.npa import membership, moments, sdp
 from bellselftest.npa.sdp import Status
 from bellselftest.scenario import CHSH_SHAPE, SINGLE_SOURCE_CHSH_SHAPE
 
@@ -81,12 +81,13 @@ class TestResidualBounds:
         assert vals[0] <= vals[1] + 1e-7
         assert vals[1] <= vals[2] + 1e-7
 
-    def test_tight_bounds_recover_tsirelson(self):
-        basis = moments.MomentBasis(CHSH_SHAPE, 1)
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_tight_bounds_recover_tsirelson(self, level):
+        basis = moments.MomentBasis(CHSH_SHAPE, level)
         obj = moments.chsh_objective(basis)
-        val, sol = moments.max_value(CHSH_SHAPE, 1, obj, weights=None,
+        val, sol = moments.max_value(CHSH_SHAPE, level, obj, weights=None,
                                      residual_bounds=(0.25, 0.25))
-        assert val == pytest.approx(1 / np.sqrt(2), abs=1e-6)
+        assert val == pytest.approx(1 / np.sqrt(2), abs=2e-8)
 
     def test_weights_confined_by_bounds(self):
         # with free weights and bounds (0.2, 0.3), block normalizations at any
@@ -123,6 +124,7 @@ class TestProblemAssembly:
             value_constraints=[(expr, 2.0)])
         sol = moments.solve_sdp(problem)
         assert sol.status is Status.PRIMAL_INFEASIBLE
+        assert sol.iterations == 0     # linearly inconsistent: no solve
 
     def test_facial_reduction_kills_zero_entries(self):
         problem = moments.build_moment_problem(
@@ -150,3 +152,65 @@ class TestProblemAssembly:
         assert obj["version"] == "sdp.v1"
         assert obj["level"] == 2
         assert len(obj["zeros"]) == 3
+
+
+def _hardy_problem(shape, level):
+    weights = {(s, t): 1.0 / (shape.ns * shape.nt)
+               for s in range(shape.ns) for t in range(shape.nt)}
+    basis = moments.MomentBasis(shape, level)
+    return moments.build_moment_problem(
+        shape, level, weights=weights, zeros=moments.hardy_zero_events(shape),
+        objective=moments.tilted_hardy_objective(basis, 0.75))
+
+
+def _chsh_problem():
+    basis = moments.MomentBasis(CHSH_SHAPE, 2)
+    return moments.build_moment_problem(CHSH_SHAPE, 2,
+                                        objective=moments.chsh_objective(basis),
+                                        residual_bounds=(0.2, 0.3))
+
+
+def _membership_problem(level):
+    return membership.membership_problem(membership.pr_box_observed(), level,
+                                         residual_bounds=(0.25, 0.25))
+
+
+class TestConicStructure:
+    """Every constraint is a row over the moments and A has full row rank, so
+    the Schur complement never needs the solver's ridge."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 2),
+        lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 3),
+        lambda: _hardy_problem(CHSH_SHAPE, 2),
+        _chsh_problem,
+        lambda: _membership_problem(1),
+        lambda: _membership_problem(2),
+    ], ids=["hardy_l2", "hardy_l3", "fourblock_l2", "chsh_l2", "member_l1", "member_l2"])
+    def test_full_row_rank_and_no_cholesky_failure(self, make, monkeypatch):
+        failures = []
+        original = sdp.cho_factor
+
+        def counted(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(sdp, "cho_factor", counted)
+        conic = moments.to_conic(make())
+        assert conic.inconsistency is None
+        assert np.linalg.matrix_rank(conic.a_mat) == conic.a_mat.shape[0]
+        sol = conic.solve()
+        assert sol.status in (Status.OPTIMAL, Status.PRIMAL_INFEASIBLE)
+        assert sol.iterations > 0
+        assert failures == []
+
+    def test_equal_residual_bounds_are_equalities(self):
+        basis = moments.MomentBasis(CHSH_SHAPE, 1)
+        problem = moments.build_moment_problem(
+            CHSH_SHAPE, 1, objective=moments.chsh_objective(basis),
+            residual_bounds=(0.25, 0.25))
+        assert problem.inequalities == ()
+        assert moments.to_conic(problem).cone.n_lin == 0

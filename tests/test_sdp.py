@@ -28,6 +28,42 @@ class TestSvec:
     def test_dim(self):
         assert svec_dim(5) == 15
 
+    @staticmethod
+    def loop_svec(mat):
+        """Row-by-row reference."""
+        n = mat.shape[0]
+        out = np.empty(svec_dim(n))
+        k = 0
+        for i in range(n):
+            out[k] = mat[i, i]
+            out[k + 1:k + n - i] = mat[i, i + 1:] * np.sqrt(2.0)
+            k += n - i
+        return out
+
+    @staticmethod
+    def loop_smat(vec, n):
+        out = np.zeros((n, n))
+        k = 0
+        for i in range(n):
+            out[i, i] = vec[k]
+            row = vec[k + 1:k + n - i] * (1.0 / np.sqrt(2.0))
+            out[i, i + 1:] = row
+            out[i + 1:, i] = row
+            k += n - i
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_matches_row_loop_on_stacks(self, rng, n):
+        mats = rng.standard_normal((3, 2, n, n))
+        mats = mats + np.swapaxes(mats, -1, -2)
+        vecs = svec(mats)
+        assert vecs.shape == (3, 2, svec_dim(n))
+        back = smat(vecs, n)
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(vecs[i, j], self.loop_svec(mats[i, j]))
+                assert np.array_equal(back[i, j], self.loop_smat(vecs[i, j], n))
+
 
 class TestLinearPrograms:
     def test_simple_lp(self):
@@ -138,7 +174,7 @@ class TestCalibration:
             SINGLE_SOURCE_CHSH_SHAPE, 2, weights={(0, 0): 1.0},
             zeros=moments.hardy_zero_events(SINGLE_SOURCE_CHSH_SHAPE),
             objective=obj)
-        sol = moments.solve_sdp(problem, SolverConfig(tol_feas=1e-8, tol_gap=1e-8))
+        sol = moments.solve_sdp(problem, SolverConfig(tol=1e-8))
         assert sol.status is Status.OPTIMAL
         assert sol.primal_residual <= 1e-8
         assert sol.dual_residual <= 1e-8
