@@ -38,18 +38,20 @@ class StructuralError(ValueError):
 
 
 def _num_threads() -> int:
+    """Sweep workers: SELFTEST_NUM_THREADS, else 1.  The rows are mostly
+    Python holding the interpreter lock, so more workers have not been faster."""
     raw = os.environ.get("SELFTEST_NUM_THREADS", "")
     if raw.strip():
         try:
             return max(1, int(raw))
         except ValueError as exc:
             raise StructuralError(f"SELFTEST_NUM_THREADS={raw!r} is not an integer") from exc
-    return min(4, os.cpu_count() or 1)
+    return 1
 
 
 def _sweep(fn, items):
-    """Deterministic parallel map: worker count capped by SELFTEST_NUM_THREADS,
-    results collected in input order."""
+    """Deterministic map over _num_threads() workers, results collected in
+    input order."""
     n = _num_threads()
     if n == 1 or len(items) <= 1:
         return [fn(it) for it in items]

@@ -28,7 +28,16 @@ from scipy.linalg import qr
 
 from ..scenario import ScenarioShape
 from . import monomials as mono
-from .sdp import Cone, ConicSolution, SolverConfig, Status, solve_conic, svec, svec_dim
+from .sdp import (
+    Cone,
+    ConicSolution,
+    SolverConfig,
+    Status,
+    serial_blas,
+    solve_conic,
+    svec,
+    svec_dim,
+)
 
 _PRUNE_TOL = 1e-12
 _RANK_TOL = 1e-10        # singular values below this fraction of the largest are zero
@@ -304,6 +313,7 @@ def _range_complement(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :rank], u[:, rank:]
 
 
+@serial_blas
 def to_conic(problem: MomentProblem) -> ConicData:
     """Assemble solver data; applies facial reduction per block."""
     basis = problem.basis

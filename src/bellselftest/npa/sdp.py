@@ -12,14 +12,23 @@ The search direction is Nesterov-Todd scaled with a Mehrotra
 predictor-corrector; each iteration factors the dense Schur complement
 A H^{-1} A^T by Cholesky.  A small ridge is a fallback for rank-deficient
 constraint sets; the moment relaxations reach the solver with rows of full
-rank and never need it.
+rank and never need it.  The Schur complement is built as one stacked product
+S = A (W A_i W)^T over all rows at once (Fujisawa-Kojima-Nakata).
+
+BLAS runs on one thread inside ``to_conic`` and ``solve_conic``: every loaded
+OpenBLAS is set to one thread on entry and back to the caller's count on exit.
+The problems are small (a few hundred rows, blocks of at most 16x16), where
+BLAS threads cost more than they save, and a fixed thread count also keeps
+the iterates bit for bit the same on every host.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, wraps
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, svd
@@ -55,6 +64,85 @@ class ConicSolution:
     gap: float = np.nan
     iterations: int = 0
     certificate: np.ndarray | None = None  # Farkas y for infeasible problems
+
+
+# ------------------------------------------------------------- BLAS threads
+
+# (get, set) symbol pairs: numpy's and scipy's wheels, then system builds
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_controls(path: str):
+    """(get, set) thread-count functions of the OpenBLAS at path, or None."""
+    lib = ctypes.CDLL(path)
+    for get_sym, set_sym in _OPENBLAS_SYMBOLS:
+        get, put = getattr(lib, get_sym, None), getattr(lib, set_sym, None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@cache
+def _loaded_openblas() -> tuple:
+    """(get, set) pairs of every OpenBLAS mapped into this process; none when
+    /proc/self/maps cannot be read.  Looked up once: numpy's and scipy's
+    copies are both loaded by this module's imports, and reading the map
+    costs about a millisecond."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    return tuple(ctl for ctl in map(_openblas_controls, paths) if ctl is not None)
+
+
+class _SerialBlas:
+    """Holds every loaded OpenBLAS at one thread while any guarded call runs.
+
+    The thread count is process-wide, so the guard is too: the first entrant
+    saves the counts and sets 1, the last one out restores them, and nested
+    or concurrent calls never run on more than one thread."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(put, get()) for get, put in _loaded_openblas()]
+                for put, _ in self._saved:
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for put, count in self._saved:
+                    put(count)
+                self._saved = []
+
+
+_SERIAL_BLAS = _SerialBlas()
+
+
+def serial_blas(fn):
+    """Run fn with every loaded OpenBLAS on one thread."""
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        with _SERIAL_BLAS:
+            return fn(*args, **kwargs)
+    return wrapper
 
 
 # ------------------------------------------------------------- vectorization
@@ -147,6 +235,7 @@ class _Scaling:
         self.G = []
         self.Ginv = []
         self.W = []
+        self.Winv = []
         self.lam = []
         for xm, sm in zip(cone.mats(x), cone.mats(s)):
             lx = _factor_psd(xm)
@@ -158,16 +247,18 @@ class _Scaling:
             self.G.append(g)
             self.Ginv.append(ginv)
             self.W.append(g @ g.T)
+            self.Winv.append(ginv.T @ ginv)
             self.lam.append(sig)
 
     def apply_hinv(self, v: np.ndarray) -> np.ndarray:
-        """H^{-1} v: multiply by x/s on the orthant, W (.) W on PSD blocks."""
+        """H^{-1} v: multiply by x/s on the orthant, W (.) W on PSD blocks.
+        A stack (r, dim) is mapped row by row in one product per block."""
         out = np.empty_like(v)
         c = self.cone
-        out[:c.n_lin] = (self.w_lin ** 2) * v[:c.n_lin]
+        out[..., :c.n_lin] = (self.w_lin ** 2) * v[..., :c.n_lin]
         for k, (n, off) in enumerate(zip(c.blocks, c.offsets)):
-            m = smat(v[off:off + svec_dim(n)], n)
-            out[off:off + svec_dim(n)] = svec(self.W[k] @ m @ self.W[k])
+            m = smat(v[..., off:off + svec_dim(n)], n)
+            out[..., off:off + svec_dim(n)] = svec(self.W[k] @ m @ self.W[k])
         return out
 
     def scaled_pair(self, dx: np.ndarray, ds: np.ndarray):
@@ -218,6 +309,7 @@ def _max_step(cone: Cone, x: np.ndarray, dx: np.ndarray) -> float:
     return alpha
 
 
+@serial_blas
 def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
                 config: SolverConfig | None = None) -> ConicSolution:
     """Homogeneous self-dual interior-point solve of min c.x, Ax=b, x in K.
@@ -337,9 +429,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         except np.linalg.LinAlgError:
             return ConicSolution(status=Status.NUMERICAL_TROUBLE, iterations=it)
 
-        ahi = np.empty((m, n))
-        for i in range(m):
-            ahi[i] = scal.apply_hinv(a_mat[i])
+        ahi = scal.apply_hinv(a_mat)
         schur = ahi @ a_mat.T
         schur = 0.5 * (schur + schur.T)
         ridge = 0.0
@@ -360,8 +450,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
             out[:nl] = vec[:nl] / (scal.w_lin ** 2)
             for k, (nb, off) in enumerate(zip(cone.blocks, cone.offsets)):
                 m = smat(vec[off:off + svec_dim(nb)], nb)
-                winv = scal.Ginv[k].T @ scal.Ginv[k]
-                out[off:off + svec_dim(nb)] = svec(winv @ m @ winv)
+                out[off:off + svec_dim(nb)] = svec(scal.Winv[k] @ m @ scal.Winv[k])
             return out
 
         def solve_kkt(f: np.ndarray, g: np.ndarray):

@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellselftest
 from bellselftest import _jsonio, hardy
 from bellselftest.cli import main, read_csv
 from bellselftest.npa.membership import pr_box_observed
@@ -246,6 +250,26 @@ class TestDemos:
         rc = main(["demo", "chsh-counterexample", "--out", str(tmp_path),
                    "--grid", "5"])
         assert rc == 0
+
+    def test_bound_independent_of_blas_threads(self, tmp_path):
+        """The solver runs on one BLAS thread whatever the caller's setting,
+        so the printed bound and the dump carry the same bits."""
+        src = str(Path(bellselftest.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            dump = tmp_path / f"dump{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from bellselftest.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "bound", "--preset", "chsh", "--level", "2",
+                 "--l", "0.18913474246943984", "--u", "0.3098686750156434",
+                 "--out", str(dump)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((proc.stdout, dump.read_bytes()))
+        assert outs[0][0].strip() == "0.77740716"
+        assert outs[0] == outs[1]
 
     def test_demo_csv_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

@@ -1,10 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
+from bellselftest.npa import sdp
 from bellselftest.npa.sdp import (
     Cone,
     SolverConfig,
     Status,
+    serial_blas,
     smat,
     solve_conic,
     svec,
@@ -179,3 +183,155 @@ class TestCalibration:
         assert sol.primal_residual <= 1e-8
         assert sol.dual_residual <= 1e-8
         assert sol.gap <= 1e-8
+
+
+class TestStackedSchur:
+    """The Schur build maps all rows of A through H^{-1} in one stacked call;
+    the per-row loop it replaced is the reference, compared bit for bit at
+    every iteration."""
+
+    @staticmethod
+    def loop_apply_hinv(scal, a_mat):
+        ahi = np.empty_like(a_mat)
+        c = scal.cone
+        for i, v in enumerate(a_mat):
+            ahi[i, :c.n_lin] = (scal.w_lin ** 2) * v[:c.n_lin]
+            for k, (n, off) in enumerate(zip(c.blocks, c.offsets)):
+                m = smat(v[off:off + svec_dim(n)], n)
+                ahi[i, off:off + svec_dim(n)] = svec(scal.W[k] @ m @ scal.W[k])
+        return ahi
+
+    @staticmethod
+    def stacked_calls(monkeypatch, solve):
+        calls, scalings = [], []
+
+        class Recording(sdp._Scaling):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scalings.append(self)
+
+            def apply_hinv(self, v):
+                out = super().apply_hinv(v)
+                if v.ndim == 2:
+                    calls.append((self, v.copy(), out))
+                return out
+
+        monkeypatch.setattr(sdp, "_Scaling", Recording)
+        solve()
+        assert len(calls) == len(scalings) > 0     # one stacked build per iteration
+        return calls
+
+    def chsh_l2(self):
+        from bellselftest.npa import moments
+        from bellselftest.scenario import CHSH_SHAPE
+        basis = moments.MomentBasis(CHSH_SHAPE, 2)
+        moments.max_value(CHSH_SHAPE, 2, moments.chsh_objective(basis),
+                          residual_bounds=(0.2, 0.3))
+
+    def hardy_l3(self):
+        from bellselftest.npa import moments
+        from bellselftest.scenario import SINGLE_SOURCE_CHSH_SHAPE
+        shape = SINGLE_SOURCE_CHSH_SHAPE
+        basis = moments.MomentBasis(shape, 3)
+        moments.max_value(shape, 3, moments.tilted_hardy_objective(basis, 0.4),
+                          zeros=moments.hardy_zero_events(shape), weights={(0, 0): 1.0})
+
+    def membership_l1(self):
+        from bellselftest.npa.membership import membership_test, pr_box_observed
+        membership_test(pr_box_observed(), level=1, residual_bounds=(0.2, 0.3))
+
+    @pytest.mark.parametrize("problem, blocks, orthant", [
+        ("chsh_l2", [13] * 4, True), ("hardy_l3", [16], False),
+        ("membership_l1", [5] * 4, True)], ids=["chsh_l2", "hardy_l3", "membership_l1"])
+    def test_matches_row_loop(self, monkeypatch, problem, blocks, orthant):
+        calls = self.stacked_calls(monkeypatch, getattr(self, problem))
+        cone = calls[0][0].cone
+        assert cone.blocks == blocks and (cone.n_lin > 0) == orthant
+        for scal, a_mat, ahi in calls:
+            assert np.array_equal(ahi, self.loop_apply_hinv(scal, a_mat))
+
+
+def _blas_counts() -> list:
+    return [get() for get, _ in sdp._loaded_openblas()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS set to two threads; the counts it reports then
+    (the library may cap them) are the fixture's value.  The caller's counts
+    are put back afterwards."""
+    controls = sdp._loaded_openblas()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        yield _blas_counts()
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+
+class TestSerialBlas:
+    A, B, C = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0])
+
+    def solve(self):
+        return solve_conic(self.A, self.B, self.C, Cone(2, []))
+
+    def test_one_thread_inside_and_restored_after(self, monkeypatch, two_blas_threads):
+        inside = []
+        core = sdp._solve_core
+
+        def probe(*args):
+            inside.append(_blas_counts())
+            return core(*args)
+
+        monkeypatch.setattr(sdp, "_solve_core", probe)
+        assert self.solve().status is Status.OPTIMAL
+        assert inside == [[1] * len(two_blas_threads)]
+        assert _blas_counts() == two_blas_threads
+
+    def test_nested_calls_stay_serial(self, two_blas_threads):
+        @serial_blas
+        def outer():
+            self.solve()
+            return _blas_counts()
+
+        assert outer() == [1] * len(two_blas_threads)
+        assert _blas_counts() == two_blas_threads
+
+    def test_restored_when_the_call_raises(self, monkeypatch, two_blas_threads):
+        def boom(*args):
+            raise RuntimeError("inside the solve")
+
+        monkeypatch.setattr(sdp, "_solve_core", boom)
+        with pytest.raises(RuntimeError):
+            self.solve()
+        assert _blas_counts() == two_blas_threads
+        with pytest.raises(ValueError):     # cone dimension mismatch
+            solve_conic(self.A, self.B, self.C, Cone(3, []))
+        assert _blas_counts() == two_blas_threads
+
+    def test_concurrent_solves(self, monkeypatch, two_blas_threads):
+        barrier = threading.Barrier(2, timeout=30)
+        inside, results = [], []
+        core = sdp._solve_core
+
+        def probe(*args):
+            barrier.wait()              # both threads are inside the guard
+            inside.append(_blas_counts())
+            barrier.wait()              # neither has left before both have read
+            return core(*args)
+
+        monkeypatch.setattr(sdp, "_solve_core", probe)
+        workers = [threading.Thread(target=lambda: results.append(self.solve()))
+                   for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert [r.status for r in results] == [Status.OPTIMAL] * 2
+        assert inside == [[1] * len(two_blas_threads)] * 2
+        assert _blas_counts() == two_blas_threads
