@@ -281,7 +281,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    obs = scenario.ObservedBehavior.from_json(_load_json(args.observed, "observed.v1"))
+    obj = _load_json(args.observed, "observed.v1")
+    try:
+        obs = scenario.ObservedBehavior.from_json(obj)
+    except ValueError as exc:
+        raise StructuralError(f"{args.observed}: {exc}") from exc
     bounds = _check_bounds(args.l, args.u)
     config = SolverConfig(tol=args.tol)
     result = npa_membership.membership_test(obs, args.level, residual_bounds=bounds,

@@ -13,6 +13,7 @@ every two-qubit Schmidt angle in (0, pi/4) corresponds to exactly one w in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,38 @@ def tilted_value(w: float, theta: float, t1: float) -> float:
     return float(amp00 * amp00 + w * amp11 * amp11)
 
 
+def tilted_value_grad(w: float, theta: float, t1: float) -> tuple[float, float, float]:
+    """Closed form of ``tilted_value`` and its partial derivatives in theta and t1.
+
+    With r = cot(theta) the zeros give tan(alpha_0) tan(beta_0) = -r^3, so both
+    amplitudes share the factor cos(alpha_0) cos(beta_0), whose square is 1/D:
+
+        f = (P^2 + w Q^2) / D,   P = cos(theta) - sin(theta) r^3,
+        Q = sin(theta) - cos(theta) r^3,   D = 1 + r^2 t1^2 + r^4/t1^2 + r^6.
+
+    Returns (f, df/dtheta, df/dt1).  ``tilted_value`` stays the angle-form
+    reference this is tested against.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    r = c / s
+    r2 = r * r
+    r3 = r2 * r
+    dr = -(1.0 + r2)  # d cot(theta) / d theta
+    t2 = t1 * t1
+    p = c - s * r3
+    q = s - c * r3
+    dp = -s - c * r3 - 3.0 * s * r2 * dr
+    dq = c + s * r3 - 3.0 * c * r2 * dr
+    num = p * p + w * q * q
+    den = 1.0 + r2 * t2 + r2 * r2 / t2 + r2 * r2 * r2
+    f = num / den
+    dden_dr = 2.0 * r * t2 + 4.0 * r3 / t2 + 6.0 * r3 * r2
+    dden_dt = 2.0 * r2 * t1 - 2.0 * r2 * r2 / (t2 * t1)
+    df_dtheta = (2.0 * (p * dp + w * q * dq) - f * dden_dr * dr) / den
+    df_dt = -f * dden_dt / den
+    return f, df_dtheta, df_dt
+
+
 def stationary_point(w: float) -> tuple[float, float]:
     """Closed-form maximizer (theta, t1) of the exact-zero family.
 
@@ -135,6 +168,11 @@ def stationary_point(w: float) -> tuple[float, float]:
     return theta, float(np.sqrt(1.0 / np.tan(theta)))
 
 
+def _negated_value_grad(v: np.ndarray, w: float) -> tuple[float, np.ndarray]:
+    f, df_dtheta, df_dt = tilted_value_grad(w, v[0], v[1])
+    return -f, np.array([-df_dtheta, -df_dt])
+
+
 def maximize_tilted(w: float, restarts: int = 50,
                     seed: int = 7) -> tuple[float, float, float]:
     """Best (value, theta, t1) over the exact-zero family, seeded restarts.
@@ -143,6 +181,13 @@ def maximize_tilted(w: float, restarts: int = 50,
     t1 = sqrt(cot theta) is included: the zero relations make that the
     stationary branch, which keeps the search reliable near the w -> 1
     product-state corner where the landscape flattens.
+
+    Each start runs one L-BFGS-B search over (theta, |t1|) with the exact
+    gradient of ``tilted_value_grad``.  The value is even in t1 (negating t1
+    negates alpha_0 and beta_0 and leaves both amplitudes unchanged), so a
+    mirrored search over t1 < 0 would retrace the same path and never win;
+    the returned t1 is positive.  The random starts still draw a sign, which
+    keeps the seeded stream of starts as it was.
     """
     rng = np.random.default_rng(seed)
     theta_lo, theta_hi = 1e-5, np.pi / 4 - 1e-9
@@ -154,17 +199,16 @@ def maximize_tilted(w: float, restarts: int = 50,
                        rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0)))
     best = (-np.inf, None, None)
     for th0, t10 in starts:
-        for sign in (1.0, -1.0):
-            res = optimize.minimize(
-                lambda v: -tilted_value(w, v[0], sign * abs(v[1])),
-                x0=[min(max(th0, theta_lo), theta_hi), min(abs(t10), 199.0)],
-                method="L-BFGS-B",
-                bounds=[(theta_lo, theta_hi), (1e-6, 200.0)],
-                options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500},
-            )
-            val = -float(res.fun)
-            if val > best[0]:
-                best = (val, float(res.x[0]), sign * abs(float(res.x[1])))
+        res = optimize.minimize(
+            _negated_value_grad, args=(w,), jac=True,
+            x0=[min(max(th0, theta_lo), theta_hi), min(abs(t10), 199.0)],
+            method="L-BFGS-B",
+            bounds=[(theta_lo, theta_hi), (1e-6, 200.0)],
+            options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500},
+        )
+        val = -float(res.fun)
+        if val > best[0]:
+            best = (val, float(res.x[0]), float(res.x[1]))
     return best
 
 

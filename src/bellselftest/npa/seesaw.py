@@ -3,9 +3,13 @@
 The lower bound is the best value found over the exact-zero two-parameter
 family: for a Schmidt angle theta and t1 = tan(alpha_1) the three zeros fix
 the remaining measurement angles in closed form, and ``hardy.maximize_tilted``
-searches (theta, t1) with seeded restarts.  The search never consults the
+searches (theta, t1) with seeded restarts: one L-BFGS-B run per start with the
+exact gradient, over t1 > 0 only, because the value is even in t1 and a run
+over t1 < 0 would repeat the same path.  The search never consults the
 closed-form maximizer or q(w); the reported value and zero residual are
-evaluated on the behavior of the realization it found.
+evaluated on the behavior of the realization it found.  The search is called
+as ``hardy.maximize_tilted``, through the module, so a wrapper installed there
+(the benchmark's tracer, a test's stub) sees every call.
 """
 
 from __future__ import annotations

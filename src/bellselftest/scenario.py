@@ -143,6 +143,17 @@ class Realization:
         return cls(cq=cq, alice=alice, bob=bob)
 
 
+def _finite_array(values, name: str) -> np.ndarray:
+    """Float array of ``values``; a JSON null (read as NaN) or an infinite
+    entry raises ``ValueError`` naming its index."""
+    t = np.asarray(values, dtype=float)
+    bad = np.argwhere(~np.isfinite(t))
+    if bad.size:
+        index = ", ".join(str(int(i)) for i in bad[0])
+        raise ValueError(f"non-finite {name} entry at [{index}]")
+    return t
+
+
 @dataclass(frozen=True)
 class Behavior:
     """Full tensor p(stab|xy), indexed [s][t][a][b][x][y]."""
@@ -151,7 +162,7 @@ class Behavior:
     tensor: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=float)
+        t = _finite_array(self.tensor, "tensor")
         sh = self.shape
         expected = (sh.ns, sh.nt, sh.na, sh.nb, sh.nx, sh.ny)
         if t.shape != expected:
@@ -191,7 +202,7 @@ class ObservedBehavior:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
+        t = _finite_array(self.table, "table")
         sh = self.shape
         expected = (sh.ns, sh.nt, sh.na, sh.nb)
         if t.shape != expected:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import bellselftest
 from bellselftest import _jsonio, hardy
 from bellselftest.cli import main, read_csv
+from bellselftest.npa import membership
 from bellselftest.npa.membership import pr_box_observed
 from bellselftest.scenario import CHSH_SHAPE, behavior_of, observed, source_independent
 from bellselftest.tree import QuditProtocol
@@ -189,6 +191,20 @@ class TestMembershipCommand:
         _jsonio.dump(pr_box_observed().to_json(), opath)
         assert main(["membership", "--observed", str(opath), "--level", "7"]) == 2
 
+    def test_null_entry_exits_2_before_assembly(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("membership_test reached with a non-finite table")
+
+        monkeypatch.setattr(membership, "membership_test", unreachable)
+        obj = pr_box_observed().to_json()
+        table = obj["table"].tolist()
+        table[1][1][0][1] = None
+        opath = tmp_path / "null.json"
+        _jsonio.dump({**obj, "table": table}, opath)
+        assert main(["membership", "--observed", str(opath), "--level", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{opath}: non-finite table entry at [1, 1, 0, 1]" in err
+
 
 class TestDemos:
     def test_chsh_counterexample_demo(self, tmp_path):
@@ -223,6 +239,13 @@ class TestDemos:
             assert row[2] == pytest.approx(hardy.q_of_w(w), abs=1e-6)
             assert row[3] >= hardy.q_of_w(w) - 1e-7
             assert row[4] == "true"
+
+    def test_hardy_selftest_default_csv_golden(self, tmp_path):
+        """Default grid, seed 7: the see-saw, q(w) and NPA columns to 8 decimals."""
+        assert main(["demo", "hardy-selftest", "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "hardy_selftest.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "92a5c751a3166a172923ad37b7e822105725ae7e57072d2b7a5afcc3e59dd99e")
 
     def test_hardy_selftest_w_out_of_range_exits_2(self, tmp_path):
         assert main(["demo", "hardy-selftest", "--out", str(tmp_path),

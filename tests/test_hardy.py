@@ -199,7 +199,66 @@ class TestStationaryPoint:
             for (a, b, x, y) in hardy.ZERO_TRIPLES:
                 assert abs(beh.tensor[0, 0, a, b, x, y]) <= 1e-14
 
+    @pytest.mark.parametrize("w", [0.95, 0.97, 0.99])
+    def test_optimizer_reaches_corner(self, w):
+        # the landscape flattens as w -> 1, where a search on
+        # finite-difference gradients stops short of q(w)
+        val, _, _ = hardy.maximize_tilted(w, restarts=8, seed=5)
+        assert abs(val - q_of_w(w)) <= 1e-12
+
     def test_domain(self):
         for w in (-0.25, 1.0):
             with pytest.raises(ValueError):
                 hardy.stationary_point(w)
+
+
+def _samples(seed, n, theta=(1e-4, np.pi / 4), t1=(1e-3, 200.0)):
+    """Seeded (w, theta, t1), t1 of either sign."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield (rng.uniform(-0.25, 1.0), rng.uniform(*theta),
+               rng.choice([-1.0, 1.0]) * rng.uniform(*t1))
+
+
+class TestTiltedValueGrad:
+    def test_value_matches_angle_form(self):
+        for w, theta, t1 in _samples(11, 5000):
+            f, _, _ = hardy.tilted_value_grad(w, theta, t1)
+            assert abs(f - hardy.tilted_value(w, theta, t1)) <= 1e-14
+
+    def test_gradient_matches_central_differences(self):
+        h = 1e-6
+        for w, theta, t1 in _samples(12, 500, theta=(0.01, np.pi / 4 - 0.01),
+                                     t1=(0.05, 5.0)):
+            _, d_theta, d_t = hardy.tilted_value_grad(w, theta, t1)
+            fd_theta = (hardy.tilted_value(w, theta + h, t1)
+                        - hardy.tilted_value(w, theta - h, t1)) / (2 * h)
+            fd_t = (hardy.tilted_value(w, theta, t1 + h)
+                    - hardy.tilted_value(w, theta, t1 - h)) / (2 * h)
+            assert abs(d_theta - fd_theta) <= 1e-7 * (1 + abs(d_theta))
+            assert abs(d_t - fd_t) <= 1e-7 * (1 + abs(d_t))
+
+    def test_value_exactly_even_in_t1(self):
+        # why maximize_tilted searches t1 > 0 only: a run over -t1 retraces
+        # the same path bit for bit
+        for w, theta, t1 in _samples(13, 5000):
+            assert hardy.tilted_value(w, theta, -t1) == hardy.tilted_value(w, theta, t1)
+
+
+class TestMaximizeTilted:
+    def test_returns_positive_t1(self):
+        for w in (-0.2, 0.3, 0.9):
+            _, _, t1 = hardy.maximize_tilted(w, restarts=4, seed=2)
+            assert t1 > 0
+
+    def test_one_exact_gradient_run_per_start(self, monkeypatch):
+        minimize, calls = hardy.optimize.minimize, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("jac"))
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(hardy.optimize, "minimize", counting)
+        restarts = 6
+        hardy.maximize_tilted(0.4, restarts=restarts, seed=3)
+        assert calls == [True] * (15 + restarts)

@@ -4,7 +4,7 @@ import importlib
 from pathlib import Path
 
 from bellselftest import cli, hardy
-from bellselftest.npa import moments, sdp
+from bellselftest.npa import moments, sdp, seesaw
 from bellselftest.scenario import SINGLE_SOURCE_CHSH_SHAPE
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,3 +49,17 @@ def test_traced_solve_records_each_layer(monkeypatch):
     assert names.count("sdp.solve") == 1
     assert factored
     assert sdp.cho_factor is counting
+
+
+def test_traced_seesaw_records_its_search(monkeypatch):
+    """The see-saw must call the search through ``hardy.maximize_tilted``, or
+    the tracer's ``hardy.maximize_s`` reads 0 without any error."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        seesaw.seesaw_tilted_hardy(0.3, restarts=2)
+    finally:
+        tracer.uninstall()
+    assert [sp.name for sp in tracer.spans].count("hardy.maximize") == 1

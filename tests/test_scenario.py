@@ -8,6 +8,7 @@ from bellselftest.scenario import (
     CHSH_SHAPE,
     Behavior,
     ClassicalQuantumState,
+    ObservedBehavior,
     Realization,
     ScenarioShape,
     behavior_of,
@@ -269,3 +270,19 @@ class TestJsonRoundTrip:
         beh = behavior_of(random_untrusted(rng))
         beh2 = Behavior.from_json(beh.to_json())
         assert np.array_equal(beh.tensor, beh2.tensor)
+
+    def test_behavior_rejects_non_finite_entry(self, rng):
+        obj = behavior_of(random_untrusted(rng)).to_json()
+        for bad in (None, float("inf")):
+            tensor = obj["tensor"].tolist()
+            tensor[1][0][1][0][0][1] = bad
+            with pytest.raises(ValueError, match=r"tensor entry at \[1, 0, 1, 0, 0, 1\]"):
+                Behavior.from_json({**obj, "tensor": tensor})
+
+    def test_observed_rejects_non_finite_entry(self, rng):
+        obj = observed(behavior_of(random_untrusted(rng))).to_json()
+        for bad in (None, float("-inf")):
+            table = obj["table"].tolist()
+            table[0][1][1][0] = bad
+            with pytest.raises(ValueError, match=r"table entry at \[0, 1, 1, 0\]"):
+                ObservedBehavior.from_json({**obj, "table": table})
