@@ -12,7 +12,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -38,25 +37,15 @@ class StructuralError(ValueError):
 
 
 def _num_threads() -> int:
-    """Sweep workers: SELFTEST_NUM_THREADS, else 1.  The rows are mostly
-    Python holding the interpreter lock, so more workers have not been faster."""
-    raw = os.environ.get("SELFTEST_NUM_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise StructuralError(f"SELFTEST_NUM_THREADS={raw!r} is not an integer") from exc
+    """Sweep workers: always 1, since demo rows run one at a time in the
+    calling thread.  Kept because the benchmark records it."""
     return 1
 
 
 def _sweep(fn, items):
-    """Deterministic map over _num_threads() workers, results collected in
-    input order."""
-    n = _num_threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """In-order map of fn over items.  Kept as a function because the
+    benchmark's tracer wraps it."""
+    return [fn(it) for it in items]
 
 
 def _parse_coeffs(text: str) -> np.ndarray:

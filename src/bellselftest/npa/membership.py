@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..scenario import ObservedBehavior, ScenarioShape
+from ..scenario import CHSH_SHAPE, ObservedBehavior, ScenarioShape
 from .moments import MomentProblem, build_moment_problem, to_conic, zero_expr
 from .sdp import SolverConfig, Status
 
@@ -110,9 +110,8 @@ def membership_test(o: ObservedBehavior, level: int, residual_bounds=None,
                             solver_status=sol.status, iterations=sol.iterations)
 
 
-def pr_box_observed(shape: ScenarioShape | None = None) -> ObservedBehavior:
+def pr_box_observed() -> ObservedBehavior:
     """PR-box pattern as an observed table: p(stab|st) = 1/8 iff a xor b = s*t."""
-    sh = shape or ScenarioShape(2, 2, 2, 2, 2, 2)
     table = np.zeros((2, 2, 2, 2))
     for s in range(2):
         for t in range(2):
@@ -120,4 +119,4 @@ def pr_box_observed(shape: ScenarioShape | None = None) -> ObservedBehavior:
                 for b in range(2):
                     if (a + b) % 2 == (s * t) % 2:
                         table[s, t, a, b] = 0.125
-    return ObservedBehavior(shape=sh, table=table)
+    return ObservedBehavior(shape=CHSH_SHAPE, table=table)

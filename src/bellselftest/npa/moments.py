@@ -483,33 +483,24 @@ def correlator_expr(basis: MomentBasis, s: int, t: int, x: int, y: int) -> Linea
     return e
 
 
-def chsh_objective(basis: MomentBasis, observed_only: bool = True) -> LinearExpr:
+def chsh_objective(basis: MomentBasis) -> LinearExpr:
     """Normalized CHSH with untrusted sources, from observed slices:
     sum_xy (-1)^{xy} <A_x B_y>_{st=xy}."""
     e = zero_expr()
     for x in range(2):
         for y in range(2):
             sgn = -1.0 if x * y else 1.0
-            if observed_only:
-                e = e + sgn * correlator_expr(basis, x, y, x, y)
-            else:
-                e = e + sgn * correlator_expr(basis, 0, 0, x, y)
+            e = e + sgn * correlator_expr(basis, x, y, x, y)
     return e
 
 
-def tilted_hardy_objective(basis: MomentBasis, w: float,
-                           s: int = 0, t: int = 0) -> LinearExpr:
-    """p(st00|00) + w p(st11|00) on the violation slice."""
-    return basis.prob_expr(s, t, 0, 0, 0, 0) + w * basis.prob_expr(s, t, 1, 1, 0, 0)
+def tilted_hardy_objective(basis: MomentBasis, w: float) -> LinearExpr:
+    """p(00|00) + w p(11|00) on the violation slice of source pair (0, 0)."""
+    return basis.prob_expr(0, 0, 0, 0, 0, 0) + w * basis.prob_expr(0, 0, 1, 1, 0, 0)
 
 
-def hardy_zero_events(shape: ScenarioShape, all_sources: bool = True):
-    """The three zero events, for every (s, t) when all_sources is set."""
-    zeros = []
+def hardy_zero_events(shape: ScenarioShape):
+    """The three zero events, for every (s, t)."""
     triples = ((0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1, 1))
-    sources = [(s, t) for s in range(shape.ns) for t in range(shape.nt)] \
-        if all_sources else [(0, 0)]
-    for (s, t) in sources:
-        for (a, b, x, y) in triples:
-            zeros.append((s, t, a, b, x, y))
-    return zeros
+    return [(s, t, a, b, x, y) for s in range(shape.ns) for t in range(shape.nt)
+            for (a, b, x, y) in triples]

@@ -230,16 +230,21 @@ class _Scaling:
     def __init__(self, cone: Cone, x: np.ndarray, s: np.ndarray):
         self.cone = cone
         nl = cone.n_lin
-        self.w_lin = np.sqrt(x[:nl] / s[:nl]) if nl else np.zeros(0)
-        self.lam_lin = np.sqrt(x[:nl] * s[:nl]) if nl else np.zeros(0)
+        self.x_lin, self.s_lin = x[:nl], s[:nl]
+        self.w_lin = np.sqrt(self.x_lin / self.s_lin) if nl else np.zeros(0)
+        self.lam_lin = np.sqrt(self.x_lin * self.s_lin) if nl else np.zeros(0)
         self.G = []
         self.Ginv = []
         self.W = []
         self.Winv = []
         self.lam = []
+        self.lx_inv = []        # inverses of the square-root factors of x, s
+        self.ls_inv = []
         for xm, sm in zip(cone.mats(x), cone.mats(s)):
             lx = _factor_psd(xm)
             ls = _factor_psd(sm)
+            self.lx_inv.append(np.linalg.inv(lx))
+            self.ls_inv.append(np.linalg.inv(ls))
             u, sig, vt = svd(ls.T @ lx)
             sig = np.clip(sig, 1e-150, None)
             g = lx @ vt.T @ np.diag(sig ** -0.5)
@@ -289,24 +294,23 @@ class _Scaling:
             out[off:off + svec_dim(n)] = svec(0.5 * (m + m.T))
         return out
 
-
-def _max_step(cone: Cone, x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha keeping x + alpha dx in the cone."""
-    alpha = np.inf
-    nl = cone.n_lin
-    if nl:
-        neg = dx[:nl] < 0
-        if neg.any():
-            alpha = min(alpha, float(np.min(-x[:nl][neg] / dx[:nl][neg])))
-    for (n, off), xm, dm in zip(zip(cone.blocks, cone.offsets),
-                                cone.mats(x), cone.mats(dx)):
-        l = _factor_psd(xm)
-        linv = np.linalg.inv(l)
-        m = linv @ dm @ linv.T
-        lmin = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
-        if lmin < 0:
-            alpha = min(alpha, -1.0 / lmin)
-    return alpha
+    def max_step(self, dx: np.ndarray, ds: np.ndarray) -> float:
+        """Largest alpha keeping both x + alpha dx and s + alpha ds in the
+        cone, from the factors of x and s taken at construction."""
+        alpha = np.inf
+        c = self.cone
+        nl = c.n_lin
+        for v, dv in ((self.x_lin, dx[:nl]), (self.s_lin, ds[:nl])):
+            neg = dv < 0
+            if neg.any():
+                alpha = min(alpha, float(np.min(-v[neg] / dv[neg])))
+        for linvs, d in ((self.lx_inv, dx), (self.ls_inv, ds)):
+            for linv, dm in zip(linvs, c.mats(d)):
+                m = linv @ dm @ linv.T
+                lmin = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+                if lmin < 0:
+                    alpha = min(alpha, -1.0 / lmin)
+        return alpha
 
 
 @serial_blas
@@ -490,12 +494,15 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
             dkappa = (tgt_tk - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
+        def step_length(dx, ds, dtau, dkappa) -> float:
+            alpha = min(scal.max_step(dx, ds),
+                        np.inf if dtau >= 0 else -tau / dtau,
+                        np.inf if dkappa >= 0 else -kappa / dkappa)
+            return min(1.0, STEP_FRACTION * alpha)
+
         # predictor
         dx, dy, ds, dtau, dkappa = direction(1.0, 0.0)
-        alpha = min(_max_step(cone, x, dx), _max_step(cone, s, ds),
-                    np.inf if dtau >= 0 else -tau / dtau,
-                    np.inf if dkappa >= 0 else -kappa / dkappa)
-        alpha = min(1.0, STEP_FRACTION * alpha)
+        alpha = step_length(dx, ds, dtau, dkappa)
         mu_aff = ((x + alpha * dx) @ (s + alpha * ds)
                   + (tau + alpha * dtau) * (kappa + alpha * dkappa)) / (cone.nu + 1)
         sigma = float(np.clip(mu_aff / mu, 0.0, 1.0)) ** 3
@@ -506,10 +513,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         corr_mats = [0.5 * (mx @ ms + ms @ mx) for mx, ms in zip(mats_x, mats_s)]
         corr = (corr_lin, corr_mats, dtau * dkappa)
         dx, dy, ds, dtau, dkappa = direction(1.0 - sigma, sigma * mu, corr)
-        alpha = min(_max_step(cone, x, dx), _max_step(cone, s, ds),
-                    np.inf if dtau >= 0 else -tau / dtau,
-                    np.inf if dkappa >= 0 else -kappa / dkappa)
-        alpha = min(1.0, STEP_FRACTION * alpha)
+        alpha = step_length(dx, ds, dtau, dkappa)
         if not np.isfinite(alpha) or alpha <= 0:
             return ConicSolution(status=Status.NUMERICAL_TROUBLE, iterations=it)
 

@@ -6,8 +6,8 @@ structural predicates (Hermitian, unitary, projector), the two decompositions
 the verification machinery relies on (Schmidt, simultaneous Jordan blocks of a
 projector pair), and the JSON matrix encoding shared by the file formats.
 
-All tolerances default to the module constants below and can be overridden per
-call.
+The predicates take a tolerance that defaults to the module constants below;
+validation and the Jordan decomposition use the constants as they are.
 """
 
 from __future__ import annotations
@@ -143,19 +143,19 @@ class ProjectiveMeasurement:
     def n_outcomes(self) -> int:
         return len(self.effects)
 
-    def validate(self, tol: float = PROJECTOR_TOL) -> None:
+    def validate(self) -> None:
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for i, e in enumerate(self.effects):
             if e.shape != (self.dim, self.dim):
                 raise ValueError(f"effect {i} has shape {e.shape}, expected {(self.dim,)*2}")
-            if not is_projector(e, tol):
-                raise ValueError(f"effect {i} is not a projector within {tol}")
+            if not is_projector(e, PROJECTOR_TOL):
+                raise ValueError(f"effect {i} is not a projector within {PROJECTOR_TOL}")
             total += e
-        if np.max(np.abs(total - np.eye(self.dim))) > tol:
+        if np.max(np.abs(total - np.eye(self.dim))) > PROJECTOR_TOL:
             raise ValueError("effects do not sum to the identity")
         for i in range(len(self.effects)):
             for j in range(i + 1, len(self.effects)):
-                if np.max(np.abs(self.effects[i] @ self.effects[j])) > tol:
+                if np.max(np.abs(self.effects[i] @ self.effects[j])) > PROJECTOR_TOL:
                     raise ValueError(f"effects {i} and {j} are not orthogonal")
 
     def to_json(self) -> dict:
@@ -232,8 +232,7 @@ class JordanDecomposition:
             off += blk.size
 
 
-def jordan_blocks(p: np.ndarray, q: np.ndarray, tol: float = PROJECTOR_TOL,
-                  cluster_tol: float = CLUSTER_TOL) -> JordanDecomposition:
+def jordan_blocks(p: np.ndarray, q: np.ndarray) -> JordanDecomposition:
     """Simultaneously block-diagonalize two projectors into blocks of size <= 2.
 
     Diagonalizes P + Q; eigenvalues 0, 1, 2 give one-dimensional invariant
@@ -243,17 +242,17 @@ def jordan_blocks(p: np.ndarray, q: np.ndarray, tol: float = PROJECTOR_TOL,
     """
     p = as_matrix(p)
     q = as_matrix(q)
-    if not is_projector(p, tol):
+    if not is_projector(p):
         raise ValueError("first input is not a projector within tolerance")
-    if not is_projector(q, tol):
+    if not is_projector(q):
         raise ValueError("second input is not a projector within tolerance")
     n = p.shape[0]
-    vals, vecs = eig_hermitian(p + q, tol=10 * tol)
+    vals, vecs = eig_hermitian(p + q, tol=10 * PROJECTOR_TOL)
 
-    # cluster eigenvalues within cluster_tol
+    # cluster eigenvalues within CLUSTER_TOL
     clusters: list[list[int]] = []
     for i in range(n):
-        if clusters and vals[i] - vals[clusters[-1][0]] < cluster_tol:
+        if clusters and vals[i] - vals[clusters[-1][0]] < CLUSTER_TOL:
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -280,7 +279,7 @@ def jordan_blocks(p: np.ndarray, q: np.ndarray, tol: float = PROJECTOR_TOL,
             continue
         lam = float(np.mean(vals[cl]))
         cols = vecs[:, cl]
-        if lam < cluster_tol or lam > 2 - cluster_tol or abs(lam - 1) < cluster_tol:
+        if lam < CLUSTER_TOL or lam > 2 - CLUSTER_TOL or abs(lam - 1) < CLUSTER_TOL:
             # commuting sector: split by P
             for v in rotate_by_p(cols).T:
                 add_1x1(v)
@@ -291,7 +290,7 @@ def jordan_blocks(p: np.ndarray, q: np.ndarray, tol: float = PROJECTOR_TOL,
                 u1 = p @ v
                 u2 = v - u1
                 n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
-                if n1 < cluster_tol or n2 < cluster_tol:
+                if n1 < CLUSTER_TOL or n2 < CLUSTER_TOL:
                     add_1x1(v)
                     continue
                 u1, u2 = u1 / n1, u2 / n2
@@ -306,20 +305,20 @@ def jordan_blocks(p: np.ndarray, q: np.ndarray, tol: float = PROJECTOR_TOL,
             # the mirror cluster 1 - c is spanned by the second block vectors
             mirror = 2.0 - lam
             for cl2 in clusters:
-                if abs(vals[cl2[0]] - mirror) < cluster_tol:
+                if abs(vals[cl2[0]] - mirror) < CLUSTER_TOL:
                     consumed[cl2] = True
         # lam < 1 clusters are consumed as mirrors of their 1 + c partners
 
     basis = np.column_stack(basis_cols)
     dec = JordanDecomposition(block_basis=basis, blocks=tuple(blocks))
 
-    if not is_unitary(basis, 100 * tol):
+    if not is_unitary(basis, 100 * PROJECTOR_TOL):
         raise ValueError("block basis failed unitarity; degenerate eigenstructure")
     for mat, attr in ((p, "p_block"), (q, "q_block")):
         rec = np.zeros((n, n), dtype=complex)
         for blk, sl in dec.block_slices():
             cols = basis[:, sl]
             rec += cols @ getattr(blk, attr) @ dag(cols)
-        if np.max(np.abs(rec - mat)) > 1000 * tol:
+        if np.max(np.abs(rec - mat)) > 1000 * PROJECTOR_TOL:
             raise ValueError("block reconstruction failed; degenerate eigenstructure")
     return dec

@@ -64,12 +64,7 @@ class ClassicalQuantumState:
     def weight(self, s: int, t: int) -> float:
         return float(np.real(np.trace(self.states[(s, t)])))
 
-    @property
-    def weights(self) -> dict:
-        return {(s, t): self.weight(s, t)
-                for s in range(self.shape.ns) for t in range(self.shape.nt)}
-
-    def validate(self, tol: float = PSD_TOL) -> None:
+    def validate(self) -> None:
         total = 0.0
         da, db = self.dims
         for s in range(self.shape.ns):
@@ -77,10 +72,10 @@ class ClassicalQuantumState:
                 rho = as_matrix(self.states[(s, t)])
                 if rho.shape != (da * db, da * db):
                     raise ValueError(f"rho_{s}{t} has shape {rho.shape}")
-                if not qmath.is_psd(rho, tol):
+                if not qmath.is_psd(rho, PSD_TOL):
                     raise ValueError(f"rho_{s}{t} is not Hermitian PSD")
                 total += self.weight(s, t)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > PSD_TOL:
             raise ValueError(f"source weights sum to {total}, expected 1")
 
 
@@ -96,8 +91,8 @@ class Realization:
         object.__setattr__(self, "alice", tuple(self.alice))
         object.__setattr__(self, "bob", tuple(self.bob))
 
-    def validate(self, tol: float = PSD_TOL) -> None:
-        self.cq.validate(tol)
+    def validate(self) -> None:
+        self.cq.validate()
         sh = self.shape
         da, db = self.cq.dims
         if len(self.alice) != sh.nx or len(self.bob) != sh.ny:
@@ -105,11 +100,11 @@ class Realization:
         for m in self.alice:
             if m.dim != da or m.n_outcomes != sh.na:
                 raise ValueError("Alice measurement dimension/outcome mismatch")
-            m.validate(tol)
+            m.validate()
         for m in self.bob:
             if m.dim != db or m.n_outcomes != sh.nb:
                 raise ValueError("Bob measurement dimension/outcome mismatch")
-            m.validate(tol)
+            m.validate()
 
     @property
     def shape(self) -> ScenarioShape:
@@ -169,20 +164,16 @@ class Behavior:
             raise ValueError(f"tensor shape {t.shape}, expected {expected}")
         object.__setattr__(self, "tensor", t)
 
-    def validate(self, tol: float = SUM_TOL) -> None:
+    def validate(self) -> None:
         if self.tensor.min() < -ENTRY_TOL:
             raise ValueError("negative probability entry")
         slice_sums = self.tensor.sum(axis=(2, 3))  # [s][t][x][y]
         ref = slice_sums[..., 0, 0]
-        if np.max(np.abs(slice_sums - ref[..., None, None])) > tol:
+        if np.max(np.abs(slice_sums - ref[..., None, None])) > SUM_TOL:
             raise ValueError("slice sums depend on the settings")
         totals = self.tensor.sum(axis=(0, 1, 2, 3))
-        if np.max(np.abs(totals - 1.0)) > tol:
+        if np.max(np.abs(totals - 1.0)) > SUM_TOL:
             raise ValueError("probabilities do not sum to 1 at fixed settings")
-
-    def source_weights(self) -> np.ndarray:
-        """p(st) recovered as setting-independent slice sums."""
-        return self.tensor.sum(axis=(2, 3))[..., 0, 0]
 
     def to_json(self) -> dict:
         return {"version": "behavior.v1", "shape": self.shape.to_json(),
@@ -208,9 +199,6 @@ class ObservedBehavior:
         if t.shape != expected:
             raise ValueError(f"table shape {t.shape}, expected {expected}")
         object.__setattr__(self, "table", t)
-
-    def weights(self) -> np.ndarray:
-        return self.table.sum(axis=(2, 3))
 
     def to_json(self) -> dict:
         return {"version": "observed.v1", "shape": self.shape.to_json(),
@@ -255,10 +243,8 @@ def observed(b: Behavior) -> ObservedBehavior:
     return ObservedBehavior(shape=sh, table=table)
 
 
-def residual_bounds(b: Behavior, eps: float = EVENT_FLOOR) -> tuple[float, float]:
-    """(min, max) of p(st|abxy) over events with p(ab|xy) > eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def residual_bounds(b: Behavior) -> tuple[float, float]:
+    """(min, max) of p(st|abxy) over events with p(ab|xy) > EVENT_FLOOR."""
     marg = b.tensor.sum(axis=(0, 1))  # p(ab|xy), indexed [a][b][x][y]
     lo, hi = np.inf, -np.inf
     sh = b.shape
@@ -267,7 +253,7 @@ def residual_bounds(b: Behavior, eps: float = EVENT_FLOOR) -> tuple[float, float
             for x in range(sh.nx):
                 for y in range(sh.ny):
                     m = marg[a, bb, x, y]
-                    if m <= eps:
+                    if m <= EVENT_FLOOR:
                         continue
                     ratios = b.tensor[:, :, a, bb, x, y] / m
                     lo = min(lo, float(ratios.min()))

@@ -33,8 +33,6 @@ from .scenario import (
 )
 from .tree import QuditProtocol, root_path
 
-RANK_TOL_FACTOR = 1.0  # second eigenvalue <= tol * trace counts as rank one
-
 
 class DegenerateBlockError(ValueError):
     """Jordan pair has no two-dimensional block to flip."""
@@ -49,17 +47,6 @@ class VerificationReport:
     max_deviation: float
     passed: bool
     warnings: tuple = ()
-
-    def worst_residual(self) -> float:
-        worst = 0.0
-        for per_edge in self.condition_residuals.values():
-            for res in per_edge.values():
-                worst = max(worst, max(res["zeros"]), res["normalization"],
-                            res.get("violation") or 0.0)
-        for rs in self.isometry_residuals.values():
-            worst = max(worst, max(rs["premise1"], default=0.0),
-                        max(rs["premise2"], default=0.0))
-        return worst
 
     def to_json(self) -> dict:
         return {

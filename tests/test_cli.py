@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -268,11 +269,29 @@ class TestDemos:
         assert [_jsonio.loads(b)["version"] for b in runs[0]] == [
             "protocol.v1", "realization.v1", "report.v1"]
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SELFTEST_NUM_THREADS", "1")
-        rc = main(["demo", "chsh-counterexample", "--out", str(tmp_path),
-                   "--grid", "5"])
-        assert rc == 0
+    def test_demo_rows_run_on_calling_thread(self, tmp_path, monkeypatch):
+        """Demo rows run one at a time in the calling thread; the environment
+        variable that once sized a worker pool changes nothing."""
+        build = hardy.canonical_realization
+        idents = []
+
+        def recording(w):
+            idents.append(threading.get_ident())
+            return build(w)
+
+        monkeypatch.setattr(hardy, "canonical_realization", recording)
+        csvs = []
+        for threads in ("2", None):
+            if threads is None:
+                monkeypatch.delenv("SELFTEST_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("SELFTEST_NUM_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert main(["demo", "hardy-selftest", "--out", str(out),
+                         "--w-grid", "0,0.25,0.5"]) == 0
+            csvs.append((out / "hardy_selftest.csv").read_bytes())
+        assert idents == [threading.get_ident()] * 6
+        assert csvs[0] == csvs[1]
 
     def test_bound_independent_of_blas_threads(self, tmp_path):
         """The solver runs on one BLAS thread whatever the caller's setting,

@@ -185,6 +185,31 @@ class TestCalibration:
         assert sol.gap <= 1e-8
 
 
+def _chsh_l2():
+    from bellselftest.npa import moments
+    from bellselftest.scenario import CHSH_SHAPE
+    basis = moments.MomentBasis(CHSH_SHAPE, 2)
+    moments.max_value(CHSH_SHAPE, 2, moments.chsh_objective(basis),
+                      residual_bounds=(0.2, 0.3))
+
+
+def _hardy_l3():
+    from bellselftest.npa import moments
+    from bellselftest.scenario import SINGLE_SOURCE_CHSH_SHAPE
+    shape = SINGLE_SOURCE_CHSH_SHAPE
+    basis = moments.MomentBasis(shape, 3)
+    moments.max_value(shape, 3, moments.tilted_hardy_objective(basis, 0.4),
+                      zeros=moments.hardy_zero_events(shape), weights={(0, 0): 1.0})
+
+
+def _membership_l1():
+    from bellselftest.npa.membership import membership_test, pr_box_observed
+    membership_test(pr_box_observed(), level=1, residual_bounds=(0.2, 0.3))
+
+
+SOLVES = {"chsh_l2": _chsh_l2, "hardy_l3": _hardy_l3, "membership_l1": _membership_l1}
+
+
 class TestStackedSchur:
     """The Schur build maps all rows of A through H^{-1} in one stacked call;
     the per-row loop it replaced is the reference, compared bit for bit at
@@ -221,34 +246,59 @@ class TestStackedSchur:
         assert len(calls) == len(scalings) > 0     # one stacked build per iteration
         return calls
 
-    def chsh_l2(self):
-        from bellselftest.npa import moments
-        from bellselftest.scenario import CHSH_SHAPE
-        basis = moments.MomentBasis(CHSH_SHAPE, 2)
-        moments.max_value(CHSH_SHAPE, 2, moments.chsh_objective(basis),
-                          residual_bounds=(0.2, 0.3))
-
-    def hardy_l3(self):
-        from bellselftest.npa import moments
-        from bellselftest.scenario import SINGLE_SOURCE_CHSH_SHAPE
-        shape = SINGLE_SOURCE_CHSH_SHAPE
-        basis = moments.MomentBasis(shape, 3)
-        moments.max_value(shape, 3, moments.tilted_hardy_objective(basis, 0.4),
-                          zeros=moments.hardy_zero_events(shape), weights={(0, 0): 1.0})
-
-    def membership_l1(self):
-        from bellselftest.npa.membership import membership_test, pr_box_observed
-        membership_test(pr_box_observed(), level=1, residual_bounds=(0.2, 0.3))
-
     @pytest.mark.parametrize("problem, blocks, orthant", [
         ("chsh_l2", [13] * 4, True), ("hardy_l3", [16], False),
         ("membership_l1", [5] * 4, True)], ids=["chsh_l2", "hardy_l3", "membership_l1"])
     def test_matches_row_loop(self, monkeypatch, problem, blocks, orthant):
-        calls = self.stacked_calls(monkeypatch, getattr(self, problem))
+        calls = self.stacked_calls(monkeypatch, SOLVES[problem])
         cone = calls[0][0].cone
         assert cone.blocks == blocks and (cone.n_lin > 0) == orthant
         for scal, a_mat, ahi in calls:
             assert np.array_equal(ahi, self.loop_apply_hinv(scal, a_mat))
+
+
+class TestMaxStep:
+    """The step length reuses the factors of x and s that the scaling took;
+    the per-point routine it replaced, which factors again, is the
+    reference, compared exactly at every predictor and corrector step."""
+
+    @staticmethod
+    def reference_max_step(cone, x, dx):
+        alpha = np.inf
+        nl = cone.n_lin
+        if nl:
+            neg = dx[:nl] < 0
+            if neg.any():
+                alpha = min(alpha, float(np.min(-x[:nl][neg] / dx[:nl][neg])))
+        for xm, dm in zip(cone.mats(x), cone.mats(dx)):
+            linv = np.linalg.inv(sdp._factor_psd(xm))
+            m = linv @ dm @ linv.T
+            lmin = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+            if lmin < 0:
+                alpha = min(alpha, -1.0 / lmin)
+        return alpha
+
+    @pytest.mark.parametrize("problem", sorted(SOLVES))
+    def test_matches_reference(self, monkeypatch, problem):
+        calls = []
+
+        class Recording(sdp._Scaling):
+            def __init__(self, cone, x, s):
+                super().__init__(cone, x, s)
+                self.point = (x.copy(), s.copy())
+
+            def max_step(self, dx, ds):
+                out = super().max_step(dx, ds)
+                calls.append((self, dx.copy(), ds.copy(), out))
+                return out
+
+        monkeypatch.setattr(sdp, "_Scaling", Recording)
+        SOLVES[problem]()
+        assert calls and len(calls) % 2 == 0        # predictor and corrector
+        for scal, dx, ds, out in calls:
+            x, s = scal.point
+            assert out == min(self.reference_max_step(scal.cone, x, dx),
+                              self.reference_max_step(scal.cone, s, ds))
 
 
 def _blas_counts() -> list:
