@@ -19,7 +19,7 @@ import numpy as np
 from . import _jsonio, hardy, scenario, selftest, tree
 from .npa import membership as npa_membership
 from .npa import moments, seesaw
-from .npa.sdp import SolverConfig, Status
+from .npa.sdp import Status
 from .scenario import (
     CHSH_SHAPE,
     SINGLE_SOURCE_CHSH_SHAPE,
@@ -58,18 +58,15 @@ def _parse_coeffs(text: str) -> np.ndarray:
             vals.append(float(Fraction(part)))
         except (ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"bad coefficient {part!r}") from exc
-    if len(vals) < 2:
-        raise StructuralError("need at least two coefficients")
     return np.array(vals)
 
 
 def _check_bounds(lo, up):
+    """(l, u) or None; the range is checked by ``build_moment_problem``."""
     if lo is None and up is None:
         return None
     if lo is None or up is None:
         raise StructuralError("provide both --l and --u or neither")
-    if not (0.0 < lo <= up < 1.0):
-        raise StructuralError(f"need 0 < l <= u < 1, got l={lo}, u={up}")
     return (float(lo), float(up))
 
 
@@ -175,9 +172,9 @@ def cmd_verify(args) -> int:
         raise StructuralError("provide exactly one of --protocol or --w")
     if args.protocol:
         proto = tree.QuditProtocol.from_json(_load_json(args.protocol, "protocol.v1"))
-        report = selftest.verify_qudit(r, proto, tol=args.tol)
+        report = selftest.verify_qudit(r, proto)
     else:
-        report = selftest.verify_qubit(r, args.w, tol=args.tol)
+        report = selftest.verify_qubit(r, args.w)
     _write_json(report.to_json(), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -212,6 +209,8 @@ def _problem_from_spec(obj: dict) -> moments.MomentProblem:
 def _preset_problem(name: str, w: float | None, level: int,
                     bounds) -> moments.MomentProblem:
     if name == "chsh":
+        if w is not None:
+            raise StructuralError("--w has no effect with preset chsh")
         if bounds is None:
             shape = SINGLE_SOURCE_CHSH_SHAPE
             basis = moments.MomentBasis(shape, level)
@@ -254,11 +253,14 @@ def cmd_bound(args) -> int:
     if (args.preset is None) == (args.problem is None):
         raise StructuralError("provide exactly one of --preset or --problem")
     if args.problem:
+        for flag, value in (("--l/--u", bounds), ("--w", args.w)):
+            if value is not None:
+                raise StructuralError(
+                    f"{flag} has no effect with --problem; set it in the problem file")
         problem = _problem_from_spec(_load_json(args.problem))
     else:
         problem = _preset_problem(args.preset, args.w, args.level, bounds)
-    config = SolverConfig(tol=args.tol)
-    sol = moments.solve_sdp(problem, config)
+    sol = moments.solve_sdp(problem)
     if sol.status is not Status.OPTIMAL:
         print(f"solver status: {sol.status.value}", file=sys.stderr)
         return EXIT_ERROR
@@ -276,9 +278,7 @@ def cmd_membership(args) -> int:
     except ValueError as exc:
         raise StructuralError(f"{args.observed}: {exc}") from exc
     bounds = _check_bounds(args.l, args.u)
-    config = SolverConfig(tol=args.tol)
-    result = npa_membership.membership_test(obs, args.level, residual_bounds=bounds,
-                                            config=config)
+    result = npa_membership.membership_test(obs, args.level, residual_bounds=bounds)
     print(result.status.value)
     if result.status is npa_membership.MembershipStatus.INFEASIBLE:
         if args.certificate_out and result.certificate is not None:
@@ -314,9 +314,6 @@ def _demo_hardy(args) -> int:
 
     def row(w):
         r = hardy.canonical_realization(w)
-        beh = behavior_of(r)
-        test = hardy.TiltedHardyTest.for_w(w)
-        rep = hardy.check_conditions(beh, (0, 0), test)
         vrep = selftest.verify_qubit(r, w)
         ss = seesaw.seesaw_tilted_hardy(w, restarts=10, seed=args.seed)
         shape = SINGLE_SOURCE_CHSH_SHAPE
@@ -324,8 +321,8 @@ def _demo_hardy(args) -> int:
         bound, _ = moments.max_value(
             shape, 2, moments.tilted_hardy_objective(basis, w),
             zeros=moments.hardy_zero_events(shape), weights={(0, 0): 1.0})
-        ok = rep.passed and vrep.passed
-        return [float(w), hardy.q_of_w(w), ss.value, bound, "true" if ok else "false"]
+        return [float(w), hardy.q_of_w(w), ss.value, bound,
+                "true" if vrep.passed else "false"]
 
     rows = _sweep(row, ws)
     path = os.path.join(args.out, "hardy_selftest.csv")
@@ -367,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realization", required=True)
     p.add_argument("--protocol", help="protocol.v1 JSON (qudit verification)")
     p.add_argument("--w", type=float, help="tilted Hardy parameter (qubit verification)")
-    p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--out", help="write report.v1 JSON here")
     p.set_defaults(func=cmd_verify)
 
@@ -378,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--l", type=float, default=None)
     p.add_argument("--u", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", help="write sdp.v1 problem/solution dump here")
     p.set_defaults(func=cmd_bound)
 
@@ -387,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--l", type=float, default=None)
     p.add_argument("--u", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--certificate-out")
     p.set_defaults(func=cmd_membership)
 

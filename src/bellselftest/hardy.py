@@ -293,9 +293,9 @@ def _wired_table(o) -> tuple[np.ndarray, ScenarioShape]:
     raise TypeError(f"unsupported input {type(o)!r}")
 
 
-def check_conditions(o, st: tuple[int, int], test: TiltedHardyTest,
-                     tol: float = DEFAULT_VALUE_TOL) -> HardyReport:
-    """Check the three observable zeros and the violation on slice st.
+def check_conditions(o, st: tuple[int, int], test: TiltedHardyTest) -> HardyReport:
+    """Check the three observable zeros and the violation on slice st, each
+    against ``DEFAULT_VALUE_TOL``.
 
     For wired scenarios each zero triple (a,b,x,y) is observed in the slice
     (s,t) = (x,y); the violation uses slice st (normally (0,0)) with weight
@@ -307,6 +307,6 @@ def check_conditions(o, st: tuple[int, int], test: TiltedHardyTest,
     weight = float(table[s0, t0].sum())
     value = float(table[s0, t0, 0, 0] + test.w * table[s0, t0, 1, 1])
     violation = abs(value - weight * test.q_value)
-    passed = max(zeros) <= tol and violation <= tol
+    passed = max(zeros) <= DEFAULT_VALUE_TOL and violation <= DEFAULT_VALUE_TOL
     return HardyReport(w=test.w, q_value=test.q_value, zero_residuals=zeros,
                        violation_residual=float(violation), passed=passed)

@@ -24,7 +24,7 @@ from .moments import (
     zero_expr,
 )
 from .monomials import ZERO, adjoint, adjoint_key, build_basis, canonical_form, symbol
-from .sdp import Cone, ConicSolution, SolverConfig, Status, solve_conic
+from .sdp import Cone, ConicSolution, Status, solve_conic
 from .seesaw import SeesawResult, seesaw_tilted_hardy
 
 __all__ = [
@@ -34,6 +34,6 @@ __all__ = [
     "correlator_expr", "hardy_zero_events", "max_value", "solve_sdp",
     "tilted_hardy_objective", "to_conic", "zero_expr", "ZERO", "adjoint",
     "adjoint_key", "build_basis", "canonical_form", "symbol", "Cone",
-    "ConicSolution", "SolverConfig", "Status", "solve_conic", "SeesawResult",
+    "ConicSolution", "Status", "solve_conic", "SeesawResult",
     "seesaw_tilted_hardy",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..scenario import CHSH_SHAPE, ObservedBehavior, ScenarioShape
 from .moments import MomentProblem, build_moment_problem, to_conic, zero_expr
-from .sdp import SolverConfig, Status
+from .sdp import Status
 
 
 class MembershipStatus(Enum):
@@ -93,12 +93,12 @@ def membership_problem(o: ObservedBehavior, level: int,
     return problem
 
 
-def membership_test(o: ObservedBehavior, level: int, residual_bounds=None,
-                    config: SolverConfig | None = None) -> MembershipResult:
+def membership_test(o: ObservedBehavior, level: int,
+                    residual_bounds=None) -> MembershipResult:
     """Feasibility of the observed table at the given relaxation level."""
     problem = membership_problem(o, level, residual_bounds)
     conic = to_conic(problem)
-    sol = conic.solve(config)
+    sol = conic.solve()
     if sol.status is Status.OPTIMAL:
         return MembershipResult(status=MembershipStatus.FEASIBLE,
                                 solver_status=sol.status, iterations=sol.iterations)

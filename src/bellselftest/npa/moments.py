@@ -31,7 +31,6 @@ from . import monomials as mono
 from .sdp import (
     Cone,
     ConicSolution,
-    SolverConfig,
     Status,
     serial_blas,
     solve_conic,
@@ -203,10 +202,13 @@ def build_moment_problem(shape: ScenarioShape, level: int,
                          value_constraints=(),
                          objective: LinearExpr | None = None,
                          residual_bounds: tuple | None = None) -> MomentProblem:
-    """Assemble the relaxation; raises on inconsistent constant constraints.
+    """Assemble the relaxation; raises unless 0 < l <= u < 1.
 
     value_constraints is a list of (LinearExpr, const); zeros is a list of
-    (s, t, a, b, x, y) events eliminated exactly.
+    (s, t, a, b, x, y) events eliminated exactly.  A value constraint that
+    contradicts a zero event is not rejected here: ``to_conic`` finds the
+    equalities inconsistent and the solve returns PrimalInfeasible with a
+    certificate, without running the interior-point loop.
     """
     basis = MomentBasis(shape, level)
     if residual_bounds is not None:
@@ -214,30 +216,7 @@ def build_moment_problem(shape: ScenarioShape, level: int,
         if not (0.0 < lo <= up < 1.0):
             raise ValueError("residual bounds need 0 < l <= u < 1")
     zeros = tuple(tuple(int(v) for v in z) for z in zeros)
-    zero_set = set(zeros)
-    def _proportional(terms_a: dict, terms_b: dict) -> float | None:
-        """Factor lam with terms_a = lam * terms_b, or None."""
-        if set(terms_a) != set(terms_b) or not terms_b:
-            return None
-        key = next(iter(terms_b))
-        lam = terms_a[key] / terms_b[key]
-        for k, vb in terms_b.items():
-            if abs(terms_a[k] - lam * vb) > 1e-12:
-                return None
-        return lam
-
-    eqs = []
-    for expr, const in value_constraints:
-        eqs.append((expr, float(const), None))
-        # a value constraint pinning a zeroed event to a nonzero constant is
-        # structurally inconsistent; detect it before the solver sees it
-        if abs(const) > _PRUNE_TOL:
-            for event in zero_set:
-                zexpr = basis.prob_expr(*event)
-                if _proportional(expr.terms, zexpr.terms) is not None:
-                    raise ValueError(
-                        f"value constraint (= {const}) conflicts with zero "
-                        f"event {event}")
+    eqs = [(expr, float(const), None) for expr, const in value_constraints]
     ineqs = []
     if residual_bounds is not None:
         lo, up = residual_bounds
@@ -292,7 +271,7 @@ class ConicData:
         q = self.faces[key]
         return q @ reduced @ q.T
 
-    def solve(self, config: SolverConfig | None = None) -> ConicSolution:
+    def solve(self) -> ConicSolution:
         """solve_conic on this data.  A PrimalInfeasible certificate is
         returned over the equalities (row_spec), scaled to e . y = 1 (the
         inequalities are homogeneous); a linearly inconsistent E y = e is
@@ -300,7 +279,7 @@ class ConicData:
         if self.inconsistency is not None:
             return ConicSolution(status=Status.PRIMAL_INFEASIBLE,
                                  certificate=self.inconsistency)
-        sol = solve_conic(self.a_mat, self.b, self.c, self.cone, config)
+        sol = solve_conic(self.a_mat, self.b, self.c, self.cone)
         if sol.status is Status.PRIMAL_INFEASIBLE:
             sol = replace(sol, certificate=self.eq_map.T @ sol.certificate)
         return sol
@@ -416,8 +395,6 @@ class SDPSolution:
     dual_residual: float
     gap: float
     iterations: int
-    conic: ConicData | None = None
-    raw: ConicSolution | None = None
 
     def to_json(self) -> dict:
         return {
@@ -433,11 +410,10 @@ class SDPSolution:
         }
 
 
-def solve_sdp(problem: MomentProblem,
-              config: SolverConfig | None = None) -> SDPSolution:
+def solve_sdp(problem: MomentProblem) -> SDPSolution:
     """Solve the relaxation, maximizing the problem objective."""
     conic = to_conic(problem)
-    sol = conic.solve(config)
+    sol = conic.solve()
     blocks = {}
     if sol.x is not None and sol.status in (Status.OPTIMAL, Status.MAX_ITERATIONS):
         mats = conic.cone.mats(sol.x)
@@ -456,19 +432,18 @@ def solve_sdp(problem: MomentProblem,
                        block_matrices=blocks,
                        primal_residual=sol.primal_residual,
                        dual_residual=sol.dual_residual, gap=sol.gap,
-                       iterations=sol.iterations, conic=conic, raw=sol)
+                       iterations=sol.iterations)
 
 
 def max_value(shape: ScenarioShape, level: int, objective: LinearExpr,
               zeros=(), residual_bounds=None, weights=None,
-              value_constraints=(),
-              config: SolverConfig | None = None) -> tuple[float, SDPSolution]:
+              value_constraints=()) -> tuple[float, SDPSolution]:
     """Upper bound on a Bell expression under the given constraints."""
     problem = build_moment_problem(shape, level, weights=weights, zeros=zeros,
                                    value_constraints=value_constraints,
                                    objective=objective,
                                    residual_bounds=residual_bounds)
-    sol = solve_sdp(problem, config)
+    sol = solve_sdp(problem)
     return sol.value, sol
 
 

@@ -44,11 +44,7 @@ class Status(Enum):
 
 MAX_ITER = 200
 STEP_FRACTION = 0.99     # of the largest step that stays in the cone
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-8    # on the relative primal and dual residuals and the gap
+TOL = 1e-8               # on the relative primal and dual residuals and the gap
 
 
 @dataclass
@@ -314,15 +310,14 @@ class _Scaling:
 
 
 @serial_blas
-def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
-                config: SolverConfig | None = None) -> ConicSolution:
+def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
+                cone: Cone) -> ConicSolution:
     """Homogeneous self-dual interior-point solve of min c.x, Ax=b, x in K.
 
     Rows of A are equilibrated to unit norm and c is scaled to unit magnitude
     before the interior-point loop; solutions, certificates and reported
     residuals refer to the original data.
     """
-    cfg = config or SolverConfig()
     a_mat = np.ascontiguousarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -333,7 +328,7 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
     row_norms = np.linalg.norm(a_mat, axis=1) if m else np.zeros(0)
     d = 1.0 / np.where(row_norms > 1e-12, row_norms, 1.0)
     sigma_c = max(1.0, float(np.linalg.norm(c, np.inf)))
-    sol = _solve_core(a_mat * d[:, None], b * d, c / sigma_c, cone, cfg)
+    sol = _solve_core(a_mat * d[:, None], b * d, c / sigma_c, cone)
 
     bn = 1.0 + float(np.linalg.norm(b, np.inf)) if m else 1.0
     cn = 1.0 + float(np.linalg.norm(c, np.inf))
@@ -348,7 +343,7 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         status = sol.status
         if status is Status.OPTIMAL and not (
-                pres <= 10 * cfg.tol and dres <= 10 * cfg.tol):
+                pres <= 10 * TOL and dres <= 10 * TOL):
             status = Status.MAX_ITERATIONS  # scaling hid a residual; be honest
         return ConicSolution(status=status, x=x, y=y, s=s, primal_value=pobj,
                              dual_value=dobj, primal_residual=pres,
@@ -371,8 +366,8 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
     return sol
 
 
-def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
-                cfg: SolverConfig) -> ConicSolution:
+def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
+                cone: Cone) -> ConicSolution:
     m, n = a_mat.shape
 
     x = cone.identity()
@@ -398,7 +393,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         dobj = float(b @ yt)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
-        if pres <= cfg.tol and dres <= cfg.tol and gap <= cfg.tol:
+        if pres <= TOL and dres <= TOL and gap <= TOL:
             return ConicSolution(status=Status.OPTIMAL, x=xt, y=yt, s=st,
                                  primal_value=pobj, dual_value=dobj,
                                  primal_residual=pres, dual_residual=dres,
@@ -417,14 +412,14 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray, cone: Cone,
         by = float(b @ y)
         if by > 0:
             yc, sc = y / by, s / by
-            if float(np.linalg.norm(a_mat.T @ yc + sc, np.inf)) <= cfg.tol:
+            if float(np.linalg.norm(a_mat.T @ yc + sc, np.inf)) <= TOL:
                 return ConicSolution(status=Status.PRIMAL_INFEASIBLE, y=yc, s=sc,
                                      iterations=it, certificate=yc)
         cx = float(c @ x)
         if -cx > 0:
             xc = x / (-cx)
-            if float(np.linalg.norm(a_mat @ xc, np.inf)) <= cfg.tol \
-                    and cone.min_eig(xc) >= -cfg.tol:
+            if float(np.linalg.norm(a_mat @ xc, np.inf)) <= TOL \
+                    and cone.min_eig(xc) >= -TOL:
                 return ConicSolution(status=Status.DUAL_INFEASIBLE, x=xc,
                                      iterations=it, certificate=xc)
 

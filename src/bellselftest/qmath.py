@@ -19,7 +19,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-10
 NORM_TOL = 1e-12
 CLUSTER_TOL = 1e-8  # eigenvalue clustering threshold for Jordan blocks
 

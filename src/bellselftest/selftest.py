@@ -137,9 +137,9 @@ def flip_unitaries(r: Realization, proto: QuditProtocol) -> list:
 
 # ------------------------------------------------------------- qudit verifier
 
-def verify_qudit(r: Realization, proto: QuditProtocol,
-                 tol: float = 1e-7) -> VerificationReport:
-    """Check all observable conditions and the isometry premises.
+def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
+    """Check all observable conditions and the isometry premises, each
+    residual against ``hardy.DEFAULT_VALUE_TOL``.
 
     The realization must supply, per party, the d-outcome measurement at
     setting 0 and two dichotomic settings per edge (the protocol's layout).
@@ -152,6 +152,7 @@ def verify_qudit(r: Realization, proto: QuditProtocol,
             f"{proto.n_settings}")
     coeffs = proto.coeffs
     root = proto.tree.root
+    tol = hardy.DEFAULT_VALUE_TOL
     warnings: list[str] = []
 
     try:
@@ -250,12 +251,13 @@ def verify_qudit(r: Realization, proto: QuditProtocol,
 
 # ------------------------------------------------------------- qubit verifier
 
-def verify_qubit(r: Realization, w: float, tol: float = 1e-7) -> VerificationReport:
+def verify_qubit(r: Realization, w: float) -> VerificationReport:
     """Tilted Hardy verification of a two-qubit device.
 
     Checks the three zeros for every source slice and the maximal-value
-    equation on the (0,0) slice, then independently extracts each slice's
-    Schmidt coefficients and compares with (cos theta_w, sin theta_w).
+    equation on the (0,0) slice against ``hardy.DEFAULT_VALUE_TOL``, then
+    independently extracts each slice's Schmidt coefficients and compares
+    with (cos theta_w, sin theta_w) within ten times that.
     """
     sh = r.shape
     if (sh.nx, sh.ny, sh.na, sh.nb) != (2, 2, 2, 2):
@@ -265,6 +267,7 @@ def verify_qubit(r: Realization, w: float, tol: float = 1e-7) -> VerificationRep
     test = hardy.TiltedHardyTest.for_w(w)
     target = np.array([np.cos(test.theta), np.sin(test.theta)])
     beh = behavior_of(r)
+    tol = hardy.DEFAULT_VALUE_TOL
 
     cond: dict = {}
     extracted: dict = {}

@@ -18,7 +18,6 @@ import numpy as np
 from . import hardy
 
 EQUAL_TOL = 1e-10  # relative threshold for "equal coefficients"
-NORM_TOL = 1e-10
 
 
 class MaximallyEntangledError(ValueError):

@@ -144,7 +144,7 @@ class TestCriterion6QuditRoundTrip:
         t0 = time.time()
         proto = tree.protocol_of(FIG2)
         dev = selftest.canonical_qudit_realization(FIG2, proto)
-        rep = selftest.verify_qudit(dev, proto, tol=1e-7)
+        rep = selftest.verify_qudit(dev, proto)
         ok = rep.passed and rep.max_deviation <= 1e-7
 
         from test_selftest import _perturb_measurement
@@ -153,10 +153,10 @@ class TestCriterion6QuditRoundTrip:
         for role in (0, 1):
             x = proto.edge_settings(1)[role]
             mut = _perturb_measurement(dev, "alice", x, 1e-3)
-            failures += not selftest.verify_qudit(mut, proto, tol=1e-7).passed
+            failures += not selftest.verify_qudit(mut, proto).passed
         # (c) perturb Bob's x0 of edge 0 (violation)
         mut = _perturb_measurement(dev, "bob", proto.edge_settings(0)[0], 1e-3)
-        failures += not selftest.verify_qudit(mut, proto, tol=1e-7).passed
+        failures += not selftest.verify_qudit(mut, proto).passed
         # (d) perturb the state coefficient c_3 by 1e-3
         coeffs = FIG2.coeffs.copy()
         coeffs[3] += 1e-3
@@ -169,14 +169,14 @@ class TestCriterion6QuditRoundTrip:
         cq = ClassicalQuantumState(shape=dev.shape, dims=(d, d),
                                    states={(0, 0): np.outer(psi, psi.conj())})
         mut = Realization(cq=cq, alice=dev.alice, bob=dev.bob)
-        failures += not selftest.verify_qudit(mut, proto, tol=1e-7).passed
+        failures += not selftest.verify_qudit(mut, proto).passed
         # (e) swap two outcomes of Bob's d-outcome measurement (premise 1)
         ms = list(dev.bob)
         effects = list(ms[0].effects)
         effects[4], effects[5] = effects[5], effects[4]
         ms[0] = qmath.ProjectiveMeasurement(dim=d, effects=tuple(effects))
         mut = Realization(cq=dev.cq, alice=dev.alice, bob=tuple(ms))
-        failures += not selftest.verify_qudit(mut, proto, tol=1e-7).passed
+        failures += not selftest.verify_qudit(mut, proto).passed
 
         ok = ok and failures == 5
         report("criterion 6 (qudit verification round-trip)", ok,

@@ -41,6 +41,11 @@ class TestProtocolCommand:
     def test_bad_coeff_exits_2(self):
         assert main(["protocol", "--coeffs", "1/0,2"]) == 2
 
+    @pytest.mark.parametrize("coeffs", ["1", "", " , "])
+    def test_fewer_than_two_coeffs_exit_2(self, coeffs, capsys):
+        assert main(["protocol", "--coeffs", coeffs]) == 2
+        assert capsys.readouterr().err == "error: need at least two coefficients\n"
+
 
 class TestSimulateVerify:
     def test_round_trip(self, tmp_path):
@@ -131,6 +136,16 @@ class TestSimulateVerify:
         assert "/dims is missing" in capsys.readouterr().err
 
 
+# single-source tilted Hardy at w = 0.5, level 2
+HARDY_SPEC = {
+    "shape": {"nS": 1, "nT": 1, "nX": 2, "nY": 2, "nA": 2, "nB": 2},
+    "level": 2,
+    "weights": {"0,0": 1.0},
+    "zeros": [[0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 1, 1]],
+    "objective": [[[0, 0, 0, 0, 0, 0], 1.0], [[0, 0, 1, 1, 0, 0], 0.5]],
+}
+
+
 class TestBoundCommand:
     def test_chsh_preset_level1(self, capsys):
         rc = main(["bound", "--preset", "chsh", "--level", "1"])
@@ -145,19 +160,39 @@ class TestBoundCommand:
         assert val == pytest.approx(hardy.q_of_w(0.0), abs=1e-4)
 
     def test_problem_file(self, tmp_path, capsys):
-        spec = {
-            "shape": {"nS": 1, "nT": 1, "nX": 2, "nY": 2, "nA": 2, "nB": 2},
-            "level": 2,
-            "weights": {"0,0": 1.0},
-            "zeros": [[0, 0, 0, 1, 0, 1], [0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 1, 1]],
-            "objective": [[[0, 0, 0, 0, 0, 0], 1.0], [[0, 0, 1, 1, 0, 0], 0.5]],
-        }
         path = tmp_path / "problem.json"
-        _jsonio.dump(spec, path)
+        _jsonio.dump(HARDY_SPEC, path)
         rc = main(["bound", "--problem", str(path)])
         assert rc == 0
         val = float(capsys.readouterr().out.strip())
         assert val == pytest.approx(hardy.q_of_w(0.5), abs=1e-4)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--l", "0.2", "--u", "0.3"], "--l/--u"),
+        (["--w", "0.9"], "--w"),
+    ], ids=["l_u", "w"])
+    def test_problem_file_rejects_ignored_flags(self, tmp_path, capsys, flags, named):
+        path = tmp_path / "problem.json"
+        _jsonio.dump(HARDY_SPEC, path)
+        assert main(["bound", "--problem", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} has no effect with --problem")
+
+    def test_chsh_preset_rejects_w(self, capsys):
+        assert main(["bound", "--preset", "chsh", "--w", "0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--w has no effect with preset chsh" in captured.err
+
+    def test_zero_value_conflict_is_infeasible(self, tmp_path, capsys):
+        spec = dict(HARDY_SPEC, valueConstraints=[[[[[0, 0, 0, 1, 0, 1], 1.0]], 0.25]])
+        path = tmp_path / "problem.json"
+        _jsonio.dump(spec, path)
+        assert main(["bound", "--problem", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver status: PrimalInfeasible\n"
 
     def test_bad_level_exits_2(self):
         assert main(["bound", "--preset", "chsh", "--level", "7"]) == 2

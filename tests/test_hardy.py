@@ -113,7 +113,7 @@ class TestCheckConditions:
         lifted = source_independent(CHSH_SHAPE, (2, 2), can.cq.states[(0, 0)],
                                     can.alice, can.bob)
         obs = observed(behavior_of(lifted))
-        rep = check_conditions(obs, (0, 0), TiltedHardyTest.for_w(0.0), tol=1e-7)
+        rep = check_conditions(obs, (0, 0), TiltedHardyTest.for_w(0.0))
         assert rep.passed
         assert max(rep.zero_residuals) < 1e-9
 
@@ -126,7 +126,7 @@ class TestCheckConditions:
         table[0, 1, 0, 1] = 0.01  # p(0101|01) must vanish
         from bellselftest.scenario import ObservedBehavior
         rep = check_conditions(ObservedBehavior(shape=obs.shape, table=table),
-                               (0, 0), TiltedHardyTest.for_w(0.0), tol=1e-7)
+                               (0, 0), TiltedHardyTest.for_w(0.0))
         assert not rep.passed
         assert rep.zero_residuals[0] == pytest.approx(0.01, abs=1e-12)
 
@@ -139,14 +139,13 @@ class TestCheckConditions:
         table[0, 0, 0, 0] *= 0.9
         from bellselftest.scenario import ObservedBehavior
         rep = check_conditions(ObservedBehavior(shape=obs.shape, table=table),
-                               (0, 0), TiltedHardyTest.for_w(0.0), tol=1e-7)
+                               (0, 0), TiltedHardyTest.for_w(0.0))
         assert not rep.passed
         assert rep.violation_residual > 1e-4
 
     def test_single_source_behavior_input(self):
         r = canonical_realization(0.25)
-        rep = check_conditions(behavior_of(r), (0, 0), TiltedHardyTest.for_w(0.25),
-                               tol=1e-7)
+        rep = check_conditions(behavior_of(r), (0, 0), TiltedHardyTest.for_w(0.25))
         assert rep.passed
 
     def test_report_json(self):

@@ -106,14 +106,21 @@ class TestResidualBounds:
 
 
 class TestProblemAssembly:
-    def test_zero_value_conflict_detected(self):
-        basis = moments.MomentBasis(SINGLE_SOURCE_CHSH_SHAPE, 2)
-        zeros = [(0, 0, 0, 1, 0, 1)]
-        pinned = basis.prob_expr(0, 0, 0, 1, 0, 1)
-        with pytest.raises(ValueError):
-            moments.build_moment_problem(
-                SINGLE_SOURCE_CHSH_SHAPE, 2, weights={(0, 0): 1.0}, zeros=zeros,
-                value_constraints=[(pinned, 0.25)])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_zero_value_conflict_detected(self, level):
+        # a zero event pinned to a nonzero value (in any scale) makes the
+        # equalities linearly inconsistent: certified without a solve
+        shape = SINGLE_SOURCE_CHSH_SHAPE
+        basis = moments.MomentBasis(shape, level)
+        for event in moments.hardy_zero_events(shape):
+            for scale in (1.0, -2.0):
+                problem = moments.build_moment_problem(
+                    shape, level, weights={(0, 0): 1.0}, zeros=[event],
+                    value_constraints=[(scale * basis.prob_expr(*event), 0.25)])
+                sol = moments.to_conic(problem).solve()
+                assert sol.status is Status.PRIMAL_INFEASIBLE
+                assert sol.iterations == 0
+                assert sol.certificate is not None
 
     def test_infeasible_duplicate_normalization(self):
         # L(1) pinned to two different constants -> primal infeasible

@@ -3,6 +3,8 @@
 import importlib
 from pathlib import Path
 
+import pytest
+
 from bellselftest import cli, hardy
 from bellselftest.npa import moments, sdp, seesaw
 from bellselftest.scenario import SINGLE_SOURCE_CHSH_SHAPE
@@ -63,3 +65,15 @@ def test_traced_seesaw_records_its_search(monkeypatch):
     finally:
         tracer.uninstall()
     assert [sp.name for sp in tracer.spans].count("hardy.maximize") == 1
+
+
+@pytest.mark.parametrize("name", ["bounds", "membership", "devices"])
+def test_workload_runs_and_checks_clean(monkeypatch, tmp_path, name):
+    """Every benchmark operation runs once against the current signatures and
+    its outputs pass the workload's own checks."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert sorted(workloads.WORKLOADS) == ["bounds", "devices", "membership"]
+    wl = workloads.WORKLOADS[name](0, str(tmp_path))
+    errors = wl.check([op.run() for op in wl.ops()])
+    assert errors and all(e == [] for e in errors), errors

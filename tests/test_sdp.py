@@ -6,7 +6,6 @@ import pytest
 from bellselftest.npa import sdp
 from bellselftest.npa.sdp import (
     Cone,
-    SolverConfig,
     Status,
     serial_blas,
     smat,
@@ -178,7 +177,7 @@ class TestCalibration:
             SINGLE_SOURCE_CHSH_SHAPE, 2, weights={(0, 0): 1.0},
             zeros=moments.hardy_zero_events(SINGLE_SOURCE_CHSH_SHAPE),
             objective=obj)
-        sol = moments.solve_sdp(problem, SolverConfig(tol=1e-8))
+        sol = moments.solve_sdp(problem)
         assert sol.status is Status.OPTIMAL
         assert sol.primal_residual <= 1e-8
         assert sol.dual_residual <= 1e-8

@@ -36,7 +36,7 @@ class TestVerifyQubit:
         can = hardy.canonical_realization(0.0)
         lifted = source_independent(CHSH_SHAPE, (2, 2), can.cq.states[(0, 0)],
                                     can.alice, can.bob)
-        rep = verify_qubit(lifted, 0.0, tol=1e-7)
+        rep = verify_qubit(lifted, 0.0)
         assert rep.passed
         th = hardy.theta_of_w(0.0)
         for st, chat in rep.extracted.items():
@@ -51,8 +51,7 @@ class TestVerifyQubit:
         states = dict(lifted.cq.states)
         states[(1, 1)] = e00  # product state in the (1,1) slice
         cq = ClassicalQuantumState(shape=CHSH_SHAPE, dims=(2, 2), states=states)
-        rep = verify_qubit(Realization(cq=cq, alice=lifted.alice, bob=lifted.bob),
-                           0.0, tol=1e-7)
+        rep = verify_qubit(Realization(cq=cq, alice=lifted.alice, bob=lifted.bob), 0.0)
         assert not rep.passed
         # its zero residuals on the (1,1) slice betray the swap
         assert max(rep.condition_residuals[(1, 1)][0]["zeros"]) > 1e-4
@@ -62,7 +61,7 @@ class TestVerifyQubit:
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         lifted = source_independent(CHSH_SHAPE, (2, 2), np.outer(phi, phi),
                                     can.alice, can.bob)
-        rep = verify_qubit(lifted, 0.0, tol=1e-7)
+        rep = verify_qubit(lifted, 0.0)
         assert not rep.passed
 
     def test_shape_validation(self):
@@ -74,7 +73,7 @@ class TestVerifyQubit:
 
 class TestCanonicalQudit:
     def test_figure2_passes(self, fig2_proto, fig2_device):
-        rep = verify_qudit(fig2_device, fig2_proto, tol=1e-7)
+        rep = verify_qudit(fig2_device, fig2_proto)
         assert rep.passed
         assert rep.max_deviation <= 1e-7
         norm = np.sqrt(np.sum(FIG2.coeffs ** 2))
@@ -86,14 +85,14 @@ class TestCanonicalQudit:
         assert set(map(frozenset, t.edges)) == {frozenset({0, 1}), frozenset({1, 2})}
         proto = protocol_of(c)
         dev = canonical_qudit_realization(c, proto)
-        rep = verify_qudit(dev, proto, tol=1e-7)
+        rep = verify_qudit(dev, proto)
         assert rep.passed
 
     def test_d2_reduces_to_qubit_verification(self):
         c = SchmidtVector(np.array([0.8, 0.6]))
         proto = protocol_of(c)
         dev = canonical_qudit_realization(c, proto)
-        rep = verify_qudit(dev, proto, tol=1e-7)
+        rep = verify_qudit(dev, proto)
         assert rep.passed
 
         w = proto.per_edge[0].w
@@ -103,7 +102,7 @@ class TestCanonicalQudit:
                                     states=dict(dev.cq.states))
         qubit = Realization(cq=cq2, alice=(dev.alice[x0], dev.alice[x1]),
                             bob=(dev.bob[x0], dev.bob[x1]))
-        qrep = verify_qubit(qubit, w, tol=1e-7)
+        qrep = verify_qubit(qubit, w)
         assert qrep.passed
         z_qudit = rep.condition_residuals[(0, 0)][0]["zeros"]
         z_qubit = qrep.condition_residuals[(0, 0)][0]["zeros"]
@@ -164,7 +163,7 @@ class TestMutations:
         states = {(0, 0): np.outer(psi, psi.conj())}
         cq = ClassicalQuantumState(shape=fig2_device.shape, dims=(d, d), states=states)
         mutated = Realization(cq=cq, alice=fig2_device.alice, bob=fig2_device.bob)
-        rep = verify_qudit(mutated, fig2_proto, tol=1e-7)
+        rep = verify_qudit(mutated, fig2_proto)
         assert not rep.passed
         # the violation residual on an edge at vertex 3 must light up
         edge_idx = [i for i, e in enumerate(fig2_proto.tree.edges) if 3 in e]
@@ -176,7 +175,7 @@ class TestMutations:
         x0, x1 = fig2_proto.edge_settings(1)
         setting = (x0, x1)[setting_role]
         mutated = _perturb_measurement(fig2_device, "alice", setting, 1e-3)
-        rep = verify_qudit(mutated, fig2_proto, tol=1e-7)
+        rep = verify_qudit(mutated, fig2_proto)
         assert not rep.passed
         assert max(rep.condition_residuals[(0, 0)][1]["zeros"]) > 1e-7
 
@@ -185,7 +184,7 @@ class TestMutations:
         # equation even where zeros move less
         mutated = _perturb_measurement(fig2_device, "bob",
                                        fig2_proto.edge_settings(0)[0], 1e-3)
-        rep = verify_qudit(mutated, fig2_proto, tol=1e-7)
+        rep = verify_qudit(mutated, fig2_proto)
         assert not rep.passed
 
     def test_dlevel_measurement_perturbation_fails(self, fig2_proto, fig2_device):
@@ -197,7 +196,7 @@ class TestMutations:
         ms[0] = ProjectiveMeasurement(dim=fig2_proto.d, effects=tuple(effects))
         mutated = Realization(cq=fig2_device.cq, alice=fig2_device.alice,
                               bob=tuple(ms))
-        rep = verify_qudit(mutated, fig2_proto, tol=1e-7)
+        rep = verify_qudit(mutated, fig2_proto)
         assert not rep.passed
         assert max(rep.isometry_residuals[(0, 0)]["premise1"]) > 1e-3
 
@@ -215,7 +214,7 @@ class TestMultiSourceQudit:
         shape = ScenarioShape(2, 2, proto.n_settings, proto.n_settings, d, d)
         cq = ClassicalQuantumState(shape=shape, dims=(d, d), states=states)
         lifted = Realization(cq=cq, alice=dev.alice, bob=dev.bob)
-        rep = verify_qudit(lifted, proto, tol=1e-7)
+        rep = verify_qudit(lifted, proto)
         assert rep.passed
         assert set(rep.condition_residuals) == {(s, t) for s in range(2)
                                                 for t in range(2)}
@@ -228,8 +227,7 @@ class TestMultiSourceQudit:
         mixed = 0.999 * rho + 0.001 * np.eye(4) / 4
         cq = ClassicalQuantumState(shape=dev.cq.shape, dims=(2, 2),
                                    states={(0, 0): mixed})
-        rep = verify_qudit(Realization(cq=cq, alice=dev.alice, bob=dev.bob),
-                           proto, tol=1e-7)
+        rep = verify_qudit(Realization(cq=cq, alice=dev.alice, bob=dev.bob), proto)
         assert any("rank one" in w for w in rep.warnings)
 
 
@@ -251,7 +249,7 @@ class TestFlipUnitaries:
             assert np.max(np.abs(sq - np.eye(2))) < 1e-10
 
     def test_ratio_chain_telescopes(self, fig2_proto, fig2_device):
-        rep = verify_qudit(fig2_device, fig2_proto, tol=1e-7)
+        rep = verify_qudit(fig2_device, fig2_proto)
         assert max(rep.isometry_residuals[(0, 0)]["premise2"]) < 1e-8
 
     def test_degenerate_pair_reported(self):
@@ -266,14 +264,14 @@ class TestFlipUnitaries:
             flip_unitaries(broken, proto)
 
     def test_extraction_normalization(self, fig2_proto, fig2_device):
-        rep = verify_qudit(fig2_device, fig2_proto, tol=1e-7)
+        rep = verify_qudit(fig2_device, fig2_proto)
         for st, chat in rep.extracted.items():
             assert abs(np.sum(np.asarray(chat) ** 2) - 1.0) <= 10 * 1e-7
 
 
 class TestReportSerialization:
     def test_report_json(self, fig2_proto, fig2_device):
-        rep = verify_qudit(fig2_device, fig2_proto, tol=1e-7)
+        rep = verify_qudit(fig2_device, fig2_proto)
         obj = rep.to_json()
         assert obj["version"] == "report.v1"
         assert obj["pass"] is True
