@@ -198,12 +198,11 @@ def _problem_from_spec(obj: dict) -> moments.MomentProblem:
             s, t, a, b, x, y = (int(v) for v in event)
             expr = expr + float(coeff) * basis.prob_expr(s, t, a, b, x, y)
         value_constraints.append((expr, float(const)))
-    bounds = obj.get("residualBounds")
     return moments.build_moment_problem(
         shape, level, weights=weights,
         zeros=[tuple(int(v) for v in z) for z in obj.get("zeros", [])],
         value_constraints=value_constraints, objective=objective,
-        residual_bounds=None if bounds is None else tuple(bounds))
+        residual_bounds=obj.get("residualBounds"))
 
 
 def _preset_problem(name: str, w: float | None, level: int,

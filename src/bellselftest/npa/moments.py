@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import qr
@@ -29,6 +30,7 @@ from scipy.linalg import qr
 from ..scenario import ScenarioShape
 from . import monomials as mono
 from .sdp import (
+    RANK_TOL,
     Cone,
     ConicSolution,
     Status,
@@ -39,7 +41,6 @@ from .sdp import (
 )
 
 _PRUNE_TOL = 1e-12
-_RANK_TOL = 1e-10        # singular values below this fraction of the largest are zero
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,8 @@ def build_moment_problem(shape: ScenarioShape, level: int,
                          value_constraints=(),
                          objective: LinearExpr | None = None,
                          residual_bounds: tuple | None = None) -> MomentProblem:
-    """Assemble the relaxation; raises unless 0 < l <= u < 1.
+    """Assemble the relaxation; raises unless residual_bounds is None or two
+    real numbers (l, u) with 0 < l <= u < 1.
 
     value_constraints is a list of (LinearExpr, const); zeros is a list of
     (s, t, a, b, x, y) events eliminated exactly.  A value constraint that
@@ -212,14 +214,20 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     """
     basis = MomentBasis(shape, level)
     if residual_bounds is not None:
-        lo, up = residual_bounds
+        try:
+            lo, up = residual_bounds
+        except (TypeError, ValueError):
+            lo = up = None
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (lo, up)):
+            raise ValueError(f"residualBounds must be two real numbers [l, u], "
+                             f"got {residual_bounds!r}")
+        residual_bounds = lo, up = float(lo), float(up)
         if not (0.0 < lo <= up < 1.0):
             raise ValueError("residual bounds need 0 < l <= u < 1")
     zeros = tuple(tuple(int(v) for v in z) for z in zeros)
     eqs = [(expr, float(const), None) for expr, const in value_constraints]
     ineqs = []
     if residual_bounds is not None:
-        lo, up = residual_bounds
         for s in range(shape.ns):
             for t in range(shape.nt):
                 for a in range(shape.na):
@@ -254,12 +262,15 @@ class ConicData:
     svec(Q^T M_st(y) Q) for each block.  The equalities E y = e are solved
     as y = y0 + N z, and the rows of A are an orthonormal basis of the
     complement of range(C N), so A has full row rank and A x = A (C y0 + h)
-    holds exactly on the image of the equalities' solutions."""
+    holds exactly on the image of the equalities' solutions.  null_basis is
+    an orthonormal basis of range(C N) = null(A), on which the solver solves
+    its Newton systems."""
 
     a_mat: np.ndarray
     b: np.ndarray
     c: np.ndarray
     cone: Cone
+    null_basis: np.ndarray           # n x k, orthonormal, A B = 0
     const: float                     # objective offset
     faces: dict                      # (s,t) -> Q (N x r) face basis
     block_keys: list
@@ -279,7 +290,7 @@ class ConicData:
         if self.inconsistency is not None:
             return ConicSolution(status=Status.PRIMAL_INFEASIBLE,
                                  certificate=self.inconsistency)
-        sol = solve_conic(self.a_mat, self.b, self.c, self.cone)
+        sol = solve_conic(self.a_mat, self.b, self.c, self.cone, self.null_basis)
         if sol.status is Status.PRIMAL_INFEASIBLE:
             sol = replace(sol, certificate=self.eq_map.T @ sol.certificate)
         return sol
@@ -288,7 +299,7 @@ class ConicData:
 def _range_complement(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(U_r, U_0): orthonormal bases of range(mat) and of its complement."""
     u, sv, _ = np.linalg.svd(mat)
-    rank = int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size else 0
+    rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0
     return u[:, :rank], u[:, rank:]
 
 
@@ -342,7 +353,7 @@ def to_conic(problem: MomentProblem) -> ConicData:
 
     e_mat, e = np.array(rows), np.array(rhs)
     u, sv, vt = np.linalg.svd(e_mat)
-    rank = int(np.sum(sv > _RANK_TOL * sv[0]))
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
     e_pinv = vt[:rank].T @ (u[:, :rank] / sv[:rank]).T
     y0 = e_pinv @ e
     resid = e - e_mat @ y0
@@ -370,12 +381,13 @@ def to_conic(problem: MomentProblem) -> ConicData:
         if key in objective:
             c[off:off + svec_dim(n)] = -svec(q.T @ objective[key] @ q)
 
-    _, complement = _range_complement(c_mat @ vt[rank:].T)
+    null_basis, complement = _range_complement(c_mat @ vt[rank:].T)
     # rotated by a pivoted QR, each row of A stays close to one coordinate of
     # x, so the solver's max-norm residuals are read per coordinate
     q, _, _ = qr(complement.T, mode="economic", pivoting=True)
     a_mat = q.T @ complement.T
     return ConicData(a_mat=a_mat, b=a_mat @ (c_mat @ y0 + h), c=c, cone=cone,
+                     null_basis=null_basis,
                      const=problem.objective.const, faces=faces,
                      block_keys=block_keys, row_spec=row_spec,
                      eq_map=a_mat @ c_mat @ e_pinv, inconsistency=inconsistency)

@@ -9,11 +9,14 @@ first-class outcome: primal infeasibility returns a Farkas certificate
 into a separating functional.
 
 The search direction is Nesterov-Todd scaled with a Mehrotra
-predictor-corrector; each iteration factors the dense Schur complement
-A H^{-1} A^T by Cholesky.  A small ridge is a fallback for rank-deficient
-constraint sets; the moment relaxations reach the solver with rows of full
-rank and never need it.  The Schur complement is built as one stacked product
-S = A (W A_i W)^T over all rows at once (Fujisawa-Kojima-Nakata).
+predictor-corrector.  Each Newton system  H u - A^T v = f,  A u = g  is solved
+on the null space of A (Nocedal-Wright, Numerical Optimization, 16.2):
+u = A^+ g + B z and v = A^{+T} (H u - f), with B an orthonormal basis of
+null(A) and (B^T H B) z = B^T (f - H A^+ g).  B^T H B is positive definite
+and k x k, k = n - rank(A), which is smaller than m on every moment
+relaxation.  The relaxations pass B with A, whose rows are orthonormal, so
+A^+ = A^T; other callers get B and A^+ from one SVD of A, which also
+certifies an inconsistent A x = b at iteration 0.
 
 BLAS runs on one thread inside ``to_conic`` and ``solve_conic``: every loaded
 OpenBLAS is set to one thread on entry and back to the caller's count on exit.
@@ -45,6 +48,7 @@ class Status(Enum):
 MAX_ITER = 200
 STEP_FRACTION = 0.99     # of the largest step that stays in the cone
 TOL = 1e-8               # on the relative primal and dual residuals and the gap
+RANK_TOL = 1e-10         # singular values below this fraction of the largest are zero
 
 
 @dataclass
@@ -231,7 +235,6 @@ class _Scaling:
         self.lam_lin = np.sqrt(self.x_lin * self.s_lin) if nl else np.zeros(0)
         self.G = []
         self.Ginv = []
-        self.W = []
         self.Winv = []
         self.lam = []
         self.lx_inv = []        # inverses of the square-root factors of x, s
@@ -247,19 +250,18 @@ class _Scaling:
             ginv = np.diag(sig ** -0.5) @ u.T @ ls.T
             self.G.append(g)
             self.Ginv.append(ginv)
-            self.W.append(g @ g.T)
             self.Winv.append(ginv.T @ ginv)
             self.lam.append(sig)
 
-    def apply_hinv(self, v: np.ndarray) -> np.ndarray:
-        """H^{-1} v: multiply by x/s on the orthant, W (.) W on PSD blocks.
+    def apply_h(self, v: np.ndarray) -> np.ndarray:
+        """H v: multiply by s/x on the orthant, W^{-1} (.) W^{-1} on PSD blocks.
         A stack (r, dim) is mapped row by row in one product per block."""
         out = np.empty_like(v)
         c = self.cone
-        out[..., :c.n_lin] = (self.w_lin ** 2) * v[..., :c.n_lin]
+        out[..., :c.n_lin] = v[..., :c.n_lin] / (self.w_lin ** 2)
         for k, (n, off) in enumerate(zip(c.blocks, c.offsets)):
             m = smat(v[..., off:off + svec_dim(n)], n)
-            out[..., off:off + svec_dim(n)] = svec(self.W[k] @ m @ self.W[k])
+            out[..., off:off + svec_dim(n)] = svec(self.Winv[k] @ m @ self.Winv[k])
         return out
 
     def scaled_pair(self, dx: np.ndarray, ds: np.ndarray):
@@ -311,10 +313,13 @@ class _Scaling:
 
 @serial_blas
 def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
-                cone: Cone) -> ConicSolution:
+                cone: Cone, null_basis: np.ndarray | None = None) -> ConicSolution:
     """Homogeneous self-dual interior-point solve of min c.x, Ax=b, x in K.
 
-    Rows of A are equilibrated to unit norm and c is scaled to unit magnitude
+    null_basis, if given, is an orthonormal basis of null(A) (n x k), and the
+    rows of A must then be orthonormal, so that A^T is A's pseudo-inverse;
+    otherwise both come from an SVD of A, which may be rank-deficient.  Rows
+    of A are equilibrated to unit norm and c is scaled to unit magnitude
     before the interior-point loop; solutions, certificates and reported
     residuals refer to the original data.
     """
@@ -328,7 +333,7 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
     row_norms = np.linalg.norm(a_mat, axis=1) if m else np.zeros(0)
     d = 1.0 / np.where(row_norms > 1e-12, row_norms, 1.0)
     sigma_c = max(1.0, float(np.linalg.norm(c, np.inf)))
-    sol = _solve_core(a_mat * d[:, None], b * d, c / sigma_c, cone)
+    sol = _solve_core(a_mat * d[:, None], b * d, c / sigma_c, cone, null_basis)
 
     bn = 1.0 + float(np.linalg.norm(b, np.inf)) if m else 1.0
     cn = 1.0 + float(np.linalg.norm(c, np.inf))
@@ -367,8 +372,19 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
-                cone: Cone) -> ConicSolution:
+                cone: Cone, null_basis: np.ndarray | None = None) -> ConicSolution:
     m, n = a_mat.shape
+    if null_basis is not None:
+        a_pinv = a_mat.T            # orthonormal rows: A A^T = I
+    else:                           # pseudo-inverse and null basis from one SVD
+        u, sv, vt = svd(a_mat)
+        rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0
+        a_pinv, null_basis = vt[:rank].T @ (u[:, :rank] / sv[:rank]).T, vt[rank:].T
+        resid = b - a_mat @ (a_pinv @ b)
+        if np.linalg.norm(resid) > 1e-9 * (1.0 + np.linalg.norm(b)):
+            # A x = b has no solution: y = resid has A^T y = 0 and b.y > 0
+            return ConicSolution(status=Status.PRIMAL_INFEASIBLE, y=resid,
+                                 s=np.zeros(n), iterations=0)
 
     x = cone.identity()
     s = cone.identity()
@@ -428,39 +444,26 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
         except np.linalg.LinAlgError:
             return ConicSolution(status=Status.NUMERICAL_TROUBLE, iterations=it)
 
-        ahi = scal.apply_hinv(a_mat)
-        schur = ahi @ a_mat.T
-        schur = 0.5 * (schur + schur.T)
-        ridge = 0.0
-        fact = None
-        for _ in range(8):
-            try:
-                fact = cho_factor(schur + ridge * np.eye(m), lower=True)
-                break
-            except np.linalg.LinAlgError:
-                base = (abs(np.trace(schur)) / max(m, 1) + 1.0)
-                ridge = max(1e-14 * base, ridge * 100.0)
-        if fact is None:
+        # one stacked product gives (H B)^T; B^T H B is positive definite
+        hb = scal.apply_h(null_basis.T)
+        reduced = hb @ null_basis
+        try:
+            fact = cho_factor(0.5 * (reduced + reduced.T), lower=True)
+        except np.linalg.LinAlgError:
             return ConicSolution(status=Status.NUMERICAL_TROUBLE, iterations=it)
 
-        def apply_h(vec: np.ndarray) -> np.ndarray:
-            out = np.empty_like(vec)
-            nl = cone.n_lin
-            out[:nl] = vec[:nl] / (scal.w_lin ** 2)
-            for k, (nb, off) in enumerate(zip(cone.blocks, cone.offsets)):
-                m = smat(vec[off:off + svec_dim(nb)], nb)
-                out[off:off + svec_dim(nb)] = svec(scal.Winv[k] @ m @ scal.Winv[k])
-            return out
+        def null_space_step(f: np.ndarray, g: np.ndarray):
+            u0 = a_pinv @ g
+            z = cho_solve(fact, null_basis.T @ f - hb @ u0, check_finite=False)
+            u = u0 + null_basis @ z
+            hu = scal.apply_h(u)
+            return u, a_pinv.T @ (hu - f), hu
 
         def solve_kkt(f: np.ndarray, g: np.ndarray):
-            """H u - A^T v = f,  A u = g, with one round of refinement (the
-            Schur complement is badly conditioned near degenerate optima)."""
-            v = cho_solve(fact, g - ahi @ f)
-            u = scal.apply_hinv(f + a_mat.T @ v)
-            rf = f - (apply_h(u) - a_mat.T @ v)
-            rg = g - a_mat @ u
-            dv = cho_solve(fact, rg - ahi @ rf)
-            du = scal.apply_hinv(rf + a_mat.T @ dv)
+            """H u - A^T v = f,  A u = g  on null(A), with one round of
+            refinement on the residuals of both equations."""
+            u, v, hu = null_space_step(f, g)
+            du, dv, _ = null_space_step(f - hu + a_mat.T @ v, g - a_mat @ u)
             return u + du, v + dv
 
         u2, v2 = solve_kkt(-c, b)

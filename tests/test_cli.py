@@ -194,6 +194,16 @@ class TestBoundCommand:
         assert captured.out == ""
         assert captured.err == "solver status: PrimalInfeasible\n"
 
+    @pytest.mark.parametrize("bounds", [["0.2", "0.3"], [0.2]], ids=["strings", "one_value"])
+    def test_malformed_residual_bounds_exit_2(self, tmp_path, capsys, bounds):
+        path = tmp_path / "problem.json"
+        _jsonio.dump(dict(HARDY_SPEC, residualBounds=bounds), path)
+        assert main(["bound", "--problem", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: residualBounds must be two real numbers [l, u], "
+                                f"got {bounds!r}\n")
+
     def test_bad_level_exits_2(self):
         assert main(["bound", "--preset", "chsh", "--level", "7"]) == 2
 
@@ -345,7 +355,7 @@ class TestDemos:
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             outs.append((proc.stdout, dump.read_bytes()))
-        assert outs[0][0].strip() == "0.77740716"
+        assert outs[0][0].strip() == "0.77740709"
         assert outs[0] == outs[1]
 
     def test_demo_csv_byte_identical(self, tmp_path):

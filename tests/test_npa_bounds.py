@@ -183,8 +183,9 @@ def _membership_problem(level):
 
 
 class TestConicStructure:
-    """Every constraint is a row over the moments and A has full row rank, so
-    the Schur complement never needs the solver's ridge."""
+    """Every constraint is a row over the moments, A has orthonormal rows,
+    and the null-space basis handed to the solver spans exactly null(A), so
+    every Newton system factors without a failure."""
 
     @pytest.mark.parametrize("make", [
         lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 2),
@@ -209,6 +210,12 @@ class TestConicStructure:
         conic = moments.to_conic(make())
         assert conic.inconsistency is None
         assert np.linalg.matrix_rank(conic.a_mat) == conic.a_mat.shape[0]
+        (m, n), (n_b, k) = conic.a_mat.shape, conic.null_basis.shape
+        assert n_b == n == conic.cone.dim and m + k == n
+        basis = conic.null_basis
+        assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-12
+        assert np.abs(conic.a_mat @ conic.a_mat.T - np.eye(m)).max() <= 1e-12
+        assert np.abs(conic.a_mat @ basis).max() <= 1e-12
         sol = conic.solve()
         assert sol.status in (Status.OPTIMAL, Status.PRIMAL_INFEASIBLE)
         assert sol.iterations > 0

@@ -86,6 +86,35 @@ class TestLinearPrograms:
         assert sol.status is Status.PRIMAL_INFEASIBLE
         assert sol.certificate is not None
 
+    def test_duplicated_consistent_row(self, monkeypatch):
+        # x0 + x1 = 1 stated twice: A has rank 1, and no factorization fails
+        failures = []
+        cho_factor = sdp.cho_factor
+
+        def counted(*args, **kwargs):
+            try:
+                return cho_factor(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(sdp, "cho_factor", counted)
+        sol = solve_conic(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]),
+                          np.array([1.0, 2.0]), Cone(2, []))
+        assert sol.status is Status.OPTIMAL
+        assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
+        assert np.allclose(sol.x, [1, 0], atol=1e-6)
+        assert failures == []
+
+    def test_inconsistent_rows_certified_at_entry(self):
+        a, b = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0])
+        sol = solve_conic(a, b, np.zeros(2), Cone(2, []))
+        assert sol.status is Status.PRIMAL_INFEASIBLE
+        assert sol.iterations == 0
+        y = sol.certificate
+        assert float(b @ y) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(a.T @ y).max() <= 1e-12
+
     def test_unbounded_lp(self):
         # min -x0 with only x free in the cone direction: dual infeasible
         cone = Cone(2, [])
@@ -184,6 +213,30 @@ class TestCalibration:
         assert sol.gap <= 1e-8
 
 
+class TestConvergence:
+    """CHSH L2 at the interval pinned by the CLI's thread-independence test.
+    The null-space Newton system stays accurate past the shipped tolerance
+    there, so a hundredfold tighter one still ends Optimal, at the value of
+    a TOL = 1e-11 solve."""
+
+    INTERVAL = (0.18913474246943984, 0.3098686750156434)
+
+    def solve(self, monkeypatch, tol):
+        from bellselftest.npa import moments
+        from bellselftest.scenario import CHSH_SHAPE
+        monkeypatch.setattr(sdp, "TOL", tol)
+        basis = moments.MomentBasis(CHSH_SHAPE, 2)
+        return moments.max_value(CHSH_SHAPE, 2, moments.chsh_objective(basis),
+                                 residual_bounds=self.INTERVAL)
+
+    def test_tight_tolerance_reaches_optimal(self, monkeypatch):
+        ref, ref_sol = self.solve(monkeypatch, 1e-11)
+        assert ref_sol.status is Status.OPTIMAL
+        val, sol = self.solve(monkeypatch, 1e-10)
+        assert sol.status is Status.OPTIMAL
+        assert abs(val - ref) <= 5e-9
+
+
 def _chsh_l2():
     from bellselftest.npa import moments
     from bellselftest.scenario import CHSH_SHAPE
@@ -210,50 +263,68 @@ SOLVES = {"chsh_l2": _chsh_l2, "hardy_l3": _hardy_l3, "membership_l1": _membersh
 
 
 class TestStackedSchur:
-    """The Schur build maps all rows of A through H^{-1} in one stacked call;
-    the per-row loop it replaced is the reference, compared bit for bit at
-    every iteration."""
+    """Each iteration maps the null-space basis B through H in one stacked
+    call and factors the k x k matrix B^T H B; the per-row loop is the
+    reference for the stacked call, compared bit for bit at every
+    iteration."""
 
     @staticmethod
-    def loop_apply_hinv(scal, a_mat):
-        ahi = np.empty_like(a_mat)
+    def loop_apply_h(scal, rows):
+        out = np.empty_like(rows)
         c = scal.cone
-        for i, v in enumerate(a_mat):
-            ahi[i, :c.n_lin] = (scal.w_lin ** 2) * v[:c.n_lin]
+        for i, v in enumerate(rows):
+            out[i, :c.n_lin] = v[:c.n_lin] / (scal.w_lin ** 2)
             for k, (n, off) in enumerate(zip(c.blocks, c.offsets)):
                 m = smat(v[off:off + svec_dim(n)], n)
-                ahi[i, off:off + svec_dim(n)] = svec(scal.W[k] @ m @ scal.W[k])
-        return ahi
+                out[i, off:off + svec_dim(n)] = svec(scal.Winv[k] @ m @ scal.Winv[k])
+        return out
 
     @staticmethod
     def stacked_calls(monkeypatch, solve):
-        calls, scalings = [], []
+        calls, scalings, factored, shapes = [], [], [], []
 
         class Recording(sdp._Scaling):
             def __init__(self, *args):
                 super().__init__(*args)
                 scalings.append(self)
 
-            def apply_hinv(self, v):
-                out = super().apply_hinv(v)
+            def apply_h(self, v):
+                out = super().apply_h(v)
                 if v.ndim == 2:
                     calls.append((self, v.copy(), out))
                 return out
 
-        monkeypatch.setattr(sdp, "_Scaling", Recording)
-        solve()
-        assert len(calls) == len(scalings) > 0     # one stacked build per iteration
-        return calls
+        core, cho_factor = sdp._solve_core, sdp.cho_factor
 
-    @pytest.mark.parametrize("problem, blocks, orthant", [
-        ("chsh_l2", [13] * 4, True), ("hardy_l3", [16], False),
-        ("membership_l1", [5] * 4, True)], ids=["chsh_l2", "hardy_l3", "membership_l1"])
-    def test_matches_row_loop(self, monkeypatch, problem, blocks, orthant):
-        calls = self.stacked_calls(monkeypatch, SOLVES[problem])
+        def recording_core(a_mat, *args):
+            shapes.append(a_mat.shape)
+            return core(a_mat, *args)
+
+        def recording_cho_factor(mat, *args, **kwargs):
+            factored.append(mat.shape)
+            return cho_factor(mat, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "_Scaling", Recording)
+        monkeypatch.setattr(sdp, "_solve_core", recording_core)
+        monkeypatch.setattr(sdp, "cho_factor", recording_cho_factor)
+        solve()
+        # one stacked call per scaling, i.e. per iteration
+        assert [scal for scal, _, _ in calls] == scalings and scalings
+        (m, n), = shapes
+        return calls, factored, n - m
+
+    @pytest.mark.parametrize("problem, blocks, orthant, k", [
+        ("chsh_l2", [13] * 4, True, 123), ("hardy_l3", [16], False, 20),
+        ("membership_l1", [5] * 4, True, 28)], ids=["chsh_l2", "hardy_l3", "membership_l1"])
+    def test_matches_row_loop(self, monkeypatch, problem, blocks, orthant, k):
+        calls, factored, null_dim = self.stacked_calls(monkeypatch, SOLVES[problem])
         cone = calls[0][0].cone
         assert cone.blocks == blocks and (cone.n_lin > 0) == orthant
-        for scal, a_mat, ahi in calls:
-            assert np.array_equal(ahi, self.loop_apply_hinv(scal, a_mat))
+        assert null_dim == k
+        assert factored == [(k, k)] * len(calls)
+        for scal, rows, out in calls:
+            assert rows.shape == (k, cone.dim)
+            assert np.array_equal(out, self.loop_apply_h(scal, rows))
 
 
 class TestMaxStep:
