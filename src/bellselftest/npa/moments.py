@@ -21,8 +21,10 @@ conditions included, are eliminated before the solver sees them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache
+from itertools import product
 from numbers import Real
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import qr
@@ -74,6 +76,31 @@ def zero_expr() -> LinearExpr:
     return LinearExpr({}, 0.0)
 
 
+@cache
+def _words(shape: ScenarioShape, level: int) -> tuple:
+    """(words, index) of one relaxation level, built once per process and
+    shared read-only by every basis of this shape and level."""
+    words = tuple(mono.build_basis(shape.nx, shape.ny, shape.na, shape.nb, level))
+    return words, MappingProxyType({w: i for i, w in enumerate(words)})
+
+
+@cache
+def _moment_ids(shape: ScenarioShape, level: int) -> np.ndarray:
+    """N x N table: entry (u, v) holds the id of the moment L(w_u* w_v),
+    identified with its adjoint's, or -1 for ZERO.  Built once per process
+    and read-only, like _words."""
+    words = _words(shape, level)[0]
+    ids: dict = {}
+    table = np.empty((len(words), len(words)), dtype=int)
+    for u, wu in enumerate(words):
+        adj = mono.adjoint(wu)
+        for v, wv in enumerate(words):
+            k = mono.adjoint_key(mono.concat(adj, wv))
+            table[u, v] = -1 if k is mono.ZERO else ids.setdefault(k, len(ids))
+    table.setflags(write=False)
+    return table
+
+
 class MomentBasis:
     """Word basis of one relaxation level plus entry lookaside tables."""
 
@@ -82,22 +109,12 @@ class MomentBasis:
             raise ValueError(f"level must be in [1, 3], got {level}")
         self.shape = shape
         self.level = level
-        self.words = mono.build_basis(shape.nx, shape.ny, shape.na, shape.nb, level)
-        self.index = {w: i for i, w in enumerate(self.words)}
+        self.words, self.index = _words(shape, level)
         self.size = len(self.words)
 
-    @cached_property
+    @property
     def moment_ids(self) -> np.ndarray:
-        """N x N table: entry (u, v) holds the id of the moment
-        L(w_u* w_v), identified with its adjoint's, or -1 for ZERO."""
-        ids: dict = {}
-        table = np.empty((self.size, self.size), dtype=int)
-        for u, wu in enumerate(self.words):
-            adj = mono.adjoint(wu)
-            for v, wv in enumerate(self.words):
-                k = mono.adjoint_key(mono.concat(adj, wv))
-                table[u, v] = -1 if k is mono.ZERO else ids.setdefault(k, len(ids))
-        return table
+        return _moment_ids(self.shape, self.level)
 
     def word_entry(self, word) -> tuple[int, int]:
         """Entry (u, v) with u <= v whose moment equals L(word), for words with
@@ -228,22 +245,20 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     eqs = [(expr, float(const), None) for expr, const in value_constraints]
     ineqs = []
     if residual_bounds is not None:
-        for s in range(shape.ns):
-            for t in range(shape.nt):
-                for a in range(shape.na):
-                    for b in range(shape.nb):
-                        for x in range(shape.nx):
-                            for y in range(shape.ny):
-                                p_st = basis.prob_expr(s, t, a, b, x, y)
-                                total = zero_expr()
-                                for s2 in range(shape.ns):
-                                    for t2 in range(shape.nt):
-                                        total = total + basis.prob_expr(s2, t2, a, b, x, y)
-                                if lo == up:
-                                    eqs.append((p_st - lo * total, 0.0, None))
-                                else:
-                                    ineqs.append(p_st - lo * total)
-                                    ineqs.append(up * total - p_st)
+        # p(stab|xy) once per event, and its sum over (s, t) once per (a, b, x, y)
+        probs = {key: basis.prob_expr(*key) for key in product(
+            range(shape.ns), range(shape.nt), range(shape.na), range(shape.nb),
+            range(shape.nx), range(shape.ny))}
+        totals: dict = {}
+        for (_, _, *event), p_st in probs.items():
+            totals[tuple(event)] = totals.get(tuple(event), zero_expr()) + p_st
+        for (_, _, *event), p_st in probs.items():
+            total = totals[tuple(event)]
+            if lo == up:
+                eqs.append((p_st - lo * total, 0.0, None))
+            else:
+                ineqs.append(p_st - lo * total)
+                ineqs.append(up * total - p_st)
     return MomentProblem(shape=shape, level=level, basis=basis,
                          weights=None if weights is None else dict(weights),
                          zeros=zeros, equalities=tuple(eqs),
@@ -322,10 +337,10 @@ def to_conic(problem: MomentProblem) -> ConicData:
                 vec[col[(s, t)] + ids[u, v]] += coeff
         return vec
 
-    rows, rhs, row_spec = [], [], []
+    rows, rhs, row_spec = [], [], []       # rows holds (r, n_y) slabs
 
     def equal(vec: np.ndarray, value: float, spec=None):
-        rows.append(vec)
+        rows.append(vec[None])
         rhs.append(value)
         row_spec.append(spec or ("const", value))
 
@@ -343,15 +358,19 @@ def to_conic(problem: MomentProblem) -> ConicData:
         kernel, faces[key] = _range_complement(
             np.array(nulls).T if nulls else np.zeros((basis.size, 0)))
         # row (u, k) of M_st(y) kernel, as coefficients of the block's moments
-        for vec in np.einsum("jul,lk->ukj", onehot, kernel).reshape(-1, n_mom):
-            equal(np.pad(vec, (col[key], n_y - col[key] - n_mom)), 0.0)
+        face = np.zeros((basis.size * kernel.shape[1], n_y))
+        face[:, col[key]:col[key] + n_mom] = np.einsum(
+            "jul,lk->ukj", onehot, kernel).reshape(-1, n_mom)
+        rows.append(face)
+        rhs.extend([0.0] * len(face))
+        row_spec.extend([("const", 0.0)] * len(face))
 
     for (s, t, a, b, x, y) in problem.zeros:
         equal(expr_vec(basis.prob_expr(s, t, a, b, x, y)), 0.0)
     for expr, const, spec in problem.equalities:
         equal(expr_vec(expr), const - expr.const, spec)
 
-    e_mat, e = np.array(rows), np.array(rhs)
+    e_mat, e = np.concatenate(rows), np.array(rhs)
     u, sv, vt = np.linalg.svd(e_mat)
     rank = int(np.sum(sv > RANK_TOL * sv[0]))
     e_pinv = vt[:rank].T @ (u[:, :rank] / sv[:rank]).T
@@ -383,9 +402,11 @@ def to_conic(problem: MomentProblem) -> ConicData:
 
     null_basis, complement = _range_complement(c_mat @ vt[rank:].T)
     # rotated by a pivoted QR, each row of A stays close to one coordinate of
-    # x, so the solver's max-norm residuals are read per coordinate
-    q, _, _ = qr(complement.T, mode="economic", pivoting=True)
-    a_mat = q.T @ complement.T
+    # x, so the solver's max-norm residuals are read per coordinate; A is
+    # Q^T complement^T, the triangular factor with its columns unpivoted
+    r, piv = qr(complement.T, mode="r", pivoting=True)
+    a_mat = np.empty_like(r)
+    a_mat[:, piv] = r
     return ConicData(a_mat=a_mat, b=a_mat @ (c_mat @ y0 + h), c=c, cone=cone,
                      null_basis=null_basis,
                      const=problem.objective.const, faces=faces,
@@ -428,7 +449,7 @@ def solve_sdp(problem: MomentProblem) -> SDPSolution:
     sol = conic.solve()
     blocks = {}
     if sol.x is not None and sol.status in (Status.OPTIMAL, Status.MAX_ITERATIONS):
-        mats = conic.cone.mats(sol.x)
+        mats = [m for stack in conic.cone.mats(sol.x) for m in stack]
         for key, m in zip(conic.block_keys, mats):
             blocks[key] = conic.lift_block(key, m)
     if sol.status is Status.OPTIMAL:

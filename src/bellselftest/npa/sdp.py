@@ -34,7 +34,7 @@ from enum import Enum
 from functools import cache, wraps
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, svd
+from scipy.linalg import cho_factor, cho_solve, svd
 
 
 class Status(Enum):
@@ -182,16 +182,30 @@ def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def _mt(stack: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(stack, -1, -2)
+
+
 class Cone:
-    """Product cone: nonnegative orthant of size n_lin, then PSD blocks."""
+    """Product cone: nonnegative orthant of size n_lin, then PSD blocks.
+
+    runs holds one (n, count, offset) triple per run of consecutive blocks of
+    one size n: its slice of x is a contiguous (count, svec_dim(n)) slab, and
+    each operation on the blocks is one batched call per run."""
 
     def __init__(self, n_lin: int, block_sizes):
         self.n_lin = int(n_lin)
         self.blocks = [int(n) for n in block_sizes]
         self.offsets = []
+        self.runs = []
         off = self.n_lin
         for n in self.blocks:
             self.offsets.append(off)
+            if self.runs and self.runs[-1][0] == n:
+                self.runs[-1] = (n, self.runs[-1][1] + 1, self.runs[-1][2])
+            else:
+                self.runs.append((n, 1, off))
             off += svec_dim(n)
         self.dim = off
         self.nu = self.n_lin + sum(self.blocks)
@@ -199,33 +213,35 @@ class Cone:
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
         e[:self.n_lin] = 1.0
-        for n, off in zip(self.blocks, self.offsets):
-            e[off:off + svec_dim(n)] = svec(np.eye(n))
+        self.put_mats(e, [np.broadcast_to(np.eye(n), (count, n, n))
+                          for n, count, _ in self.runs])
         return e
 
     def mats(self, x: np.ndarray) -> list:
-        return [smat(x[off:off + svec_dim(n)], n)
-                for n, off in zip(self.blocks, self.offsets)]
+        """One (..., count, n, n) stack per run; x may be a stack (..., dim)."""
+        return [smat(x[..., off:off + count * svec_dim(n)].reshape(
+                    x.shape[:-1] + (count, svec_dim(n))), n)
+                for n, count, off in self.runs]
+
+    def put_mats(self, out: np.ndarray, stacks: list) -> None:
+        """Writes each run's stack (..., count, n, n) into its slice of out."""
+        for (n, count, off), stack in zip(self.runs, stacks):
+            width = count * svec_dim(n)
+            out[..., off:off + width] = svec(stack).reshape(out.shape[:-1] + (width,))
 
     def min_eig(self, x: np.ndarray) -> float:
         vals = [x[:self.n_lin].min()] if self.n_lin else []
-        for m in self.mats(x):
-            vals.append(float(np.linalg.eigvalsh(m)[0]))
+        vals += [float(np.linalg.eigvalsh(m)[..., 0].min()) for m in self.mats(x)]
         return min(vals) if vals else 0.0
 
 
-def _factor_psd(mat: np.ndarray) -> np.ndarray:
-    """Square-root factor F with F F^T = mat; eigen fallback near singularity."""
-    try:
-        return cholesky(mat, lower=True)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(mat)
-        floor = max(float(vals.max()), 1.0) * 1e-15
-        return vecs @ np.diag(np.sqrt(np.clip(vals, floor, None)))
-
-
 class _Scaling:
-    """Nesterov-Todd scaling point for the current (x, s)."""
+    """Nesterov-Todd scaling point for the current (x, s).
+
+    Every PSD quantity is a list with one stack per run of the cone:
+    G, Ginv and Winv are (count, n, n), lam is (count, n), and l_inv holds
+    the inverse Cholesky factors of x and s as (2, count, n, n).  A Cholesky
+    that fails raises LinAlgError."""
 
     def __init__(self, cone: Cone, x: np.ndarray, s: np.ndarray):
         self.cone = cone
@@ -233,49 +249,37 @@ class _Scaling:
         self.x_lin, self.s_lin = x[:nl], s[:nl]
         self.w_lin = np.sqrt(self.x_lin / self.s_lin) if nl else np.zeros(0)
         self.lam_lin = np.sqrt(self.x_lin * self.s_lin) if nl else np.zeros(0)
-        self.G = []
-        self.Ginv = []
-        self.Winv = []
-        self.lam = []
-        self.lx_inv = []        # inverses of the square-root factors of x, s
-        self.ls_inv = []
-        for xm, sm in zip(cone.mats(x), cone.mats(s)):
-            lx = _factor_psd(xm)
-            ls = _factor_psd(sm)
-            self.lx_inv.append(np.linalg.inv(lx))
-            self.ls_inv.append(np.linalg.inv(ls))
-            u, sig, vt = svd(ls.T @ lx)
+        self.G, self.Ginv, self.Winv, self.lam, self.l_inv = [], [], [], [], []
+        for xs in cone.mats(np.stack([x, s])):
+            lxs = np.linalg.cholesky(xs)
+            lx, ls = lxs
+            self.l_inv.append(np.linalg.inv(lxs))
+            u, sig, vt = np.linalg.svd(_mt(ls) @ lx)
             sig = np.clip(sig, 1e-150, None)
-            g = lx @ vt.T @ np.diag(sig ** -0.5)
-            ginv = np.diag(sig ** -0.5) @ u.T @ ls.T
-            self.G.append(g)
+            root = sig ** -0.5
+            ginv = root[..., :, None] * _mt(u) @ _mt(ls)
+            self.G.append(lx @ _mt(vt) * root[..., None, :])
             self.Ginv.append(ginv)
-            self.Winv.append(ginv.T @ ginv)
+            self.Winv.append(_mt(ginv) @ ginv)
             self.lam.append(sig)
 
     def apply_h(self, v: np.ndarray) -> np.ndarray:
         """H v: multiply by s/x on the orthant, W^{-1} (.) W^{-1} on PSD blocks.
-        A stack (r, dim) is mapped row by row in one product per block."""
+        A stack (r, dim) is mapped in one product per run."""
         out = np.empty_like(v)
         c = self.cone
         out[..., :c.n_lin] = v[..., :c.n_lin] / (self.w_lin ** 2)
-        for k, (n, off) in enumerate(zip(c.blocks, c.offsets)):
-            m = smat(v[..., off:off + svec_dim(n)], n)
-            out[..., off:off + svec_dim(n)] = svec(self.Winv[k] @ m @ self.Winv[k])
+        c.put_mats(out, [winv @ m @ winv for winv, m in zip(self.Winv, c.mats(v))])
         return out
 
     def scaled_pair(self, dx: np.ndarray, ds: np.ndarray):
-        """Scaled directions (orthant values, PSD matrices) for the corrector."""
+        """Scaled directions (orthant values, PSD stacks) for the corrector."""
         c = self.cone
         nl = c.n_lin
         lx = dx[:nl] / self.w_lin if nl else np.zeros(0)
         ls = ds[:nl] * self.w_lin if nl else np.zeros(0)
-        mats_x, mats_s = [], []
-        for k, (n, off) in enumerate(zip(c.blocks, c.offsets)):
-            mx = smat(dx[off:off + svec_dim(n)], n)
-            ms = smat(ds[off:off + svec_dim(n)], n)
-            mats_x.append(self.Ginv[k] @ mx @ self.Ginv[k].T)
-            mats_s.append(self.G[k].T @ ms @ self.G[k])
+        mats_x = [ginv @ mx @ _mt(ginv) for ginv, mx in zip(self.Ginv, c.mats(dx))]
+        mats_s = [_mt(g) @ ms @ g for g, ms in zip(self.G, c.mats(ds))]
         return lx, ls, mats_x, mats_s
 
     def vr(self, tgt_lin: np.ndarray, tgt_mats: list) -> np.ndarray:
@@ -285,11 +289,12 @@ class _Scaling:
         out = np.empty(c.dim)
         if c.n_lin:
             out[:c.n_lin] = (tgt_lin / self.lam_lin) / self.w_lin
-        for k, (n, off) in enumerate(zip(c.blocks, c.offsets)):
-            lam = self.lam[k]
-            r = tgt_mats[k] / (0.5 * (lam[:, None] + lam[None, :]))
-            m = self.Ginv[k].T @ r @ self.Ginv[k]
-            out[off:off + svec_dim(n)] = svec(0.5 * (m + m.T))
+        mats = []
+        for lam, ginv, tgt in zip(self.lam, self.Ginv, tgt_mats):
+            r = tgt / (0.5 * (lam[..., :, None] + lam[..., None, :]))
+            m = _mt(ginv) @ r @ ginv
+            mats.append(0.5 * (m + _mt(m)))
+        c.put_mats(out, mats)
         return out
 
     def max_step(self, dx: np.ndarray, ds: np.ndarray) -> float:
@@ -302,12 +307,11 @@ class _Scaling:
             neg = dv < 0
             if neg.any():
                 alpha = min(alpha, float(np.min(-v[neg] / dv[neg])))
-        for linvs, d in ((self.lx_inv, dx), (self.ls_inv, ds)):
-            for linv, dm in zip(linvs, c.mats(d)):
-                m = linv @ dm @ linv.T
-                lmin = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
-                if lmin < 0:
-                    alpha = min(alpha, -1.0 / lmin)
+        for linv, dm in zip(self.l_inv, c.mats(np.stack([dx, ds]))):
+            m = linv @ dm @ _mt(linv)
+            lmin = float(np.linalg.eigvalsh(0.5 * (m + _mt(m)))[..., 0].min())
+            if lmin < 0:
+                alpha = min(alpha, -1.0 / lmin)
         return alpha
 
 
@@ -393,7 +397,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
     bn = 1.0 + float(np.linalg.norm(b, np.inf)) if m else 1.0
     cn = 1.0 + float(np.linalg.norm(c, np.inf))
 
-    best = None        # (metric, solution) over iterates, for stall exits
+    best = None        # (metric, solution) over iterates, for early exits
     stall = 0
     it = 0
     for it in range(MAX_ITER):
@@ -439,18 +443,16 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
                 return ConicSolution(status=Status.DUAL_INFEASIBLE, x=xc,
                                      iterations=it, certificate=xc)
 
+        # one stacked product gives (H B)^T; B^T H B is positive definite.
+        # A factorization that fails in rounding ends the solve at the best
+        # iterate.
         try:
             scal = _Scaling(cone, x, s)
-        except np.linalg.LinAlgError:
-            return ConicSolution(status=Status.NUMERICAL_TROUBLE, iterations=it)
-
-        # one stacked product gives (H B)^T; B^T H B is positive definite
-        hb = scal.apply_h(null_basis.T)
-        reduced = hb @ null_basis
-        try:
+            hb = scal.apply_h(null_basis.T)
+            reduced = hb @ null_basis
             fact = cho_factor(0.5 * (reduced + reduced.T), lower=True)
         except np.linalg.LinAlgError:
-            return ConicSolution(status=Status.NUMERICAL_TROUBLE, iterations=it)
+            return best[1]
 
         def null_space_step(f: np.ndarray, g: np.ndarray):
             u0 = a_pinv @ g
@@ -472,8 +474,8 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
         def direction(eta: float, sigma_mu: float, corr=None):
             nl = cone.n_lin
             tgt_lin = sigma_mu - scal.lam_lin ** 2 if nl else np.zeros(0)
-            tgt_mats = [sigma_mu * np.eye(nb) - np.diag(scal.lam[k] ** 2)
-                        for k, nb in enumerate(cone.blocks)]
+            tgt_mats = [sigma_mu * np.eye(n) - lam[..., :, None] ** 2 * np.eye(n)
+                        for (n, _, _), lam in zip(cone.runs, scal.lam)]
             tgt_tk = sigma_mu - tau * kappa
             if corr is not None:
                 corr_lin, corr_mats, corr_tk = corr

@@ -149,6 +149,17 @@ class TestProblemAssembly:
         value = sum(coeff * block[u, v] for (s, t, u, v), coeff in expr.terms.items())
         assert abs(value) < 1e-9
 
+    def test_bases_share_read_only_moment_ids(self):
+        first = moments.MomentBasis(CHSH_SHAPE, 2)
+        second = moments.MomentBasis(CHSH_SHAPE, 2)
+        assert first.moment_ids is second.moment_ids
+        assert first.words is second.words and first.index is second.index
+        assert not first.moment_ids.flags.writeable
+        with pytest.raises(ValueError):
+            first.moment_ids[0, 0] = 0
+        with pytest.raises(TypeError):
+            first.index[()] = 1
+
     def test_problem_json(self):
         basis = moments.MomentBasis(SINGLE_SOURCE_CHSH_SHAPE, 2)
         problem = moments.build_moment_problem(

@@ -259,7 +259,20 @@ def _membership_l1():
     membership_test(pr_box_observed(), level=1, residual_bounds=(0.2, 0.3))
 
 
-SOLVES = {"chsh_l2": _chsh_l2, "hardy_l3": _hardy_l3, "membership_l1": _membership_l1}
+def _mixed_l2():
+    """Four-block tilted Hardy at w = 0.3 with the zero events in block
+    (0, 0) only: blocks [10, 13, 13, 13], in two runs."""
+    from bellselftest.npa import moments
+    from bellselftest.scenario import CHSH_SHAPE
+    basis = moments.MomentBasis(CHSH_SHAPE, 2)
+    zeros = [z for z in moments.hardy_zero_events(CHSH_SHAPE) if z[:2] == (0, 0)]
+    return moments.max_value(CHSH_SHAPE, 2, moments.tilted_hardy_objective(basis, 0.3),
+                             zeros=zeros,
+                             weights={(s, t): 0.25 for s in range(2) for t in range(2)})
+
+
+SOLVES = {"chsh_l2": _chsh_l2, "hardy_l3": _hardy_l3, "membership_l1": _membership_l1,
+          "mixed_l2": _mixed_l2}
 
 
 class TestStackedSchur:
@@ -272,11 +285,12 @@ class TestStackedSchur:
     def loop_apply_h(scal, rows):
         out = np.empty_like(rows)
         c = scal.cone
+        winv = [w for stack in scal.Winv for w in stack]    # one per block
         for i, v in enumerate(rows):
             out[i, :c.n_lin] = v[:c.n_lin] / (scal.w_lin ** 2)
             for k, (n, off) in enumerate(zip(c.blocks, c.offsets)):
                 m = smat(v[off:off + svec_dim(n)], n)
-                out[i, off:off + svec_dim(n)] = svec(scal.Winv[k] @ m @ scal.Winv[k])
+                out[i, off:off + svec_dim(n)] = svec(winv[k] @ m @ winv[k])
         return out
 
     @staticmethod
@@ -315,7 +329,8 @@ class TestStackedSchur:
 
     @pytest.mark.parametrize("problem, blocks, orthant, k", [
         ("chsh_l2", [13] * 4, True, 123), ("hardy_l3", [16], False, 20),
-        ("membership_l1", [5] * 4, True, 28)], ids=["chsh_l2", "hardy_l3", "membership_l1"])
+        ("membership_l1", [5] * 4, True, 28), ("mixed_l2", [10, 13, 13, 13], False, 103)],
+        ids=["chsh_l2", "hardy_l3", "membership_l1", "mixed_l2"])
     def test_matches_row_loop(self, monkeypatch, problem, blocks, orthant, k):
         calls, factored, null_dim = self.stacked_calls(monkeypatch, SOLVES[problem])
         cone = calls[0][0].cone
@@ -340,8 +355,9 @@ class TestMaxStep:
             neg = dx[:nl] < 0
             if neg.any():
                 alpha = min(alpha, float(np.min(-x[:nl][neg] / dx[:nl][neg])))
-        for xm, dm in zip(cone.mats(x), cone.mats(dx)):
-            linv = np.linalg.inv(sdp._factor_psd(xm))
+        for n, off in zip(cone.blocks, cone.offsets):
+            xm, dm = (smat(v[off:off + svec_dim(n)], n) for v in (x, dx))
+            linv = np.linalg.inv(np.linalg.cholesky(xm))
             m = linv @ dm @ linv.T
             lmin = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
             if lmin < 0:
@@ -369,6 +385,69 @@ class TestMaxStep:
             x, s = scal.point
             assert out == min(self.reference_max_step(scal.cone, x, dx),
                               self.reference_max_step(scal.cone, s, ds))
+
+
+class TestMixedSizeCone:
+    """A cone whose blocks differ in size is split into runs of equal-size
+    blocks; TestStackedSchur and TestMaxStep compare its stacked maps with
+    the per-block references."""
+
+    def test_runs(self):
+        cone = Cone(2, [10, 13, 13, 13, 5, 10])
+        assert cone.runs == [(10, 1, 2), (13, 3, 57), (5, 1, 330), (10, 1, 345)]
+        assert cone.offsets == [2, 57, 148, 239, 330, 345]
+        x = np.arange(cone.dim, dtype=float)
+        mats = cone.mats(x)
+        assert [m.shape for m in mats] == [(1, 10, 10), (3, 13, 13), (1, 5, 5), (1, 10, 10)]
+        blocks = [m for stack in mats for m in stack]
+        for n, off, m in zip(cone.blocks, cone.offsets, blocks):
+            assert np.array_equal(m, smat(x[off:off + svec_dim(n)], n))
+        out = np.full(cone.dim, np.nan)
+        cone.put_mats(out, mats)
+        assert np.isnan(out[:2]).all()
+        for n, off, m in zip(cone.blocks, cone.offsets, blocks):
+            assert np.array_equal(out[off:off + svec_dim(n)], svec(m))
+
+    def test_solve(self, monkeypatch):
+        runs = []
+
+        class Recording(sdp._Scaling):
+            def __init__(self, cone, *args):
+                super().__init__(cone, *args)
+                runs.append(cone.runs)
+
+        monkeypatch.setattr(sdp, "_Scaling", Recording)
+        val, sol = _mixed_l2()
+        assert runs and all(r == [(10, 1, 0), (13, 3, 55)] for r in runs)
+        assert sol.status is Status.OPTIMAL
+        assert sol.iterations == 8
+        assert val == pytest.approx(0.08056496, abs=5e-9)
+
+
+class TestFactorizationFailure:
+    def test_failed_cholesky_returns_best_iterate(self, monkeypatch):
+        """B^T H B failing to factor at iteration 9 of the CHSH L2 solve ends
+        it at the best iterate so far, close to the converged 0.76498158."""
+        from bellselftest.npa import moments
+        from bellselftest.scenario import CHSH_SHAPE
+        calls = []
+        cho_factor = sdp.cho_factor
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 10:
+                raise np.linalg.LinAlgError("forced")
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "cho_factor", failing)
+        basis = moments.MomentBasis(CHSH_SHAPE, 2)
+        val, sol = moments.max_value(CHSH_SHAPE, 2, moments.chsh_objective(basis),
+                                     residual_bounds=(0.2, 0.3))
+        assert len(calls) == 10
+        assert sol.status is Status.MAX_ITERATIONS
+        assert sol.iterations == 9
+        assert len(sol.block_matrices) == 4         # the iterate's x is kept
+        assert abs(val - 0.76498158) <= 1e-5
 
 
 def _blas_counts() -> list:
