@@ -87,9 +87,20 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def json_count(value, name: str, minimum: int) -> int:
+    """``value`` as an integer >= ``minimum``; anything else, a boolean, a
+    float or a string included, raises ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = np.array(obj["entries"], dtype=float)
+    rows = json_count(obj["rows"], "rows", 0)
+    cols = json_count(obj["cols"], "cols", 0)
+    # the reader already gives a float64 (n, 2) array, taken without a copy
+    entries = np.asarray(obj["entries"], dtype=float, order="C")
     if entries.shape != (rows * cols, 2):
         raise ValueError(f"entries of shape {entries.shape} do not match "
                          f"{rows}*{cols} [re, im] pairs")

@@ -127,7 +127,10 @@ class Realization:
     @classmethod
     def from_json(cls, obj: dict) -> "Realization":
         sh = ScenarioShape.from_json(obj["shape"])
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = obj["dims"]
+        if not isinstance(dims, (list, tuple)) or len(dims) != 2:
+            raise ValueError(f"dims must be a list of two integers, got {dims!r}")
+        dims = tuple(qmath.json_count(d, "dims", 1) for d in dims)
         states = {}
         for key, mat in obj["states"].items():
             s, t = (int(v) for v in key.split(","))

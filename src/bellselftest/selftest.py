@@ -120,7 +120,11 @@ def flip_unitaries(r: Realization, proto: QuditProtocol) -> list:
     which the isometry argument only requires to exist.
     """
     psi, _, _ = _principal_state(r.cq.states[(0, 0)], 1e-6)
-    amp = psi.reshape(r.cq.dims)
+    return _flip_unitaries(r, proto, psi.reshape(r.cq.dims))
+
+
+def _flip_unitaries(r: Realization, proto: QuditProtocol, amp: np.ndarray) -> list:
+    """``flip_unitaries`` calibrated on the (0,0)-slice amplitude matrix ``amp``."""
     coeffs = proto.coeffs
     out = []
     for i, (m, n) in enumerate(proto.tree.edges):
@@ -155,8 +159,11 @@ def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
     tol = hardy.DEFAULT_VALUE_TOL
     warnings: list[str] = []
 
+    # one eigendecomposition per slice, shared with the flip calibration
+    principal = {(s, t): _principal_state(r.cq.states[(s, t)], tol)
+                 for s in range(sh.ns) for t in range(sh.nt)}
     try:
-        flips = flip_unitaries(r, proto)
+        flips = _flip_unitaries(r, proto, principal[(0, 0)][0].reshape(r.cq.dims))
     except DegenerateBlockError as exc:
         flips = None
         warnings.append(f"flip unitaries unavailable: {exc}")
@@ -174,8 +181,7 @@ def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
     eye = np.eye(d)
     for s in range(sh.ns):
         for t in range(sh.nt):
-            rho = r.cq.states[(s, t)]
-            psi, weight, rank_one = _principal_state(rho, tol)
+            psi, weight, rank_one = principal[(s, t)]
             amp = psi.reshape(r.cq.dims)
             if not rank_one:
                 warnings.append(f"rho_{s}{t} is not rank one within tolerance; "

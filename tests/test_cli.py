@@ -128,6 +128,16 @@ class TestSimulateVerify:
     def test_missing_file_exits_2(self):
         assert main(["simulate", "--realization", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_non_integer_matrix_header_exits_2(self, tmp_path, capsys, command):
+        obj = hardy.canonical_realization(0.25).to_json()
+        obj["states"]["0,0"]["rows"] = 2.7
+        bad = tmp_path / "bad.json"
+        _jsonio.dump(obj, bad)
+        args = ["--w", "0.25"] if command == "verify" else []
+        assert main([command, "--realization", str(bad), *args]) == 2
+        assert "rows must be an integer >= 0, got 2.7" in capsys.readouterr().err
+
     def test_schema_violation_reports_pointer(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         _jsonio.dump({"version": "realization.v1", "shape": {}}, bad)

@@ -188,6 +188,22 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 2, "entries": entries})
 
+    @pytest.mark.parametrize("field, value", [
+        ("rows", 2.7), ("rows", True), ("rows", "2"), ("rows", -1), ("rows", None),
+        ("cols", 1.0), ("cols", False), ("cols", "1"), ("cols", -2)])
+    def test_rejects_non_integer_header(self, field, value):
+        obj = {"rows": 2, "cols": 1, "entries": [[1, 0], [0, 0]], field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0"):
+            matrix_from_json(obj)
+
+    def test_negative_header_names_the_field(self):
+        with pytest.raises(ValueError, match="^rows must be an integer >= 0, got -1"):
+            matrix_from_json({"rows": -1, "cols": -2, "entries": [[1, 0], [0, 0]]})
+
+    def test_accepts_numpy_integer_header(self):
+        m = matrix_from_json({"rows": np.int64(1), "cols": 2, "entries": [[1, 0], [0, 1]]})
+        assert np.array_equal(m, [[1, 1j]])
+
     def test_keeps_signed_zeros(self):
         m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]])
         back = matrix_from_json(matrix_to_json(m))

@@ -266,6 +266,13 @@ class TestJsonRoundTrip:
         r2 = Realization.from_json(r.to_json())
         assert np.max(np.abs(behavior_of(r).tensor - behavior_of(r2).tensor)) < 1e-15
 
+    @pytest.mark.parametrize("dims", [[2, 2.0], [True, 2], ["2", 2], [0, 4], [2, -2],
+                                      [2, 2, 1], [4], 4])
+    def test_realization_rejects_bad_dims(self, rng, dims):
+        obj = {**random_untrusted(rng).to_json(), "dims": dims}
+        with pytest.raises(ValueError, match="^dims must be"):
+            Realization.from_json(obj)
+
     def test_behavior(self, rng):
         beh = behavior_of(random_untrusted(rng))
         beh2 = Behavior.from_json(beh.to_json())

@@ -263,6 +263,20 @@ class TestFlipUnitaries:
         with pytest.raises(DegenerateBlockError):
             flip_unitaries(broken, proto)
 
+    def test_verify_decomposes_each_state_once(self, fig2_proto, fig2_device,
+                                               monkeypatch):
+        decomposed = []
+
+        def counted(rho, tol):
+            decomposed.append(rho)
+            return principal(rho, tol)
+
+        principal = selftest._principal_state
+        monkeypatch.setattr(selftest, "_principal_state", counted)
+        rep = verify_qudit(fig2_device, fig2_proto)
+        assert rep.passed and not rep.warnings
+        assert len(decomposed) == 1 and decomposed[0] is fig2_device.cq.states[(0, 0)]
+
     def test_extraction_normalization(self, fig2_proto, fig2_device):
         rep = verify_qudit(fig2_device, fig2_proto)
         for st, chat in rep.extracted.items():
