@@ -6,6 +6,7 @@ the values, and raise the errors, of `json.loads` followed by
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,19 @@ class TestReader:
         "[[null,2]]", '[["1",2]]', "[[0x1,2]]", "[[1 ,2]]"])
     def test_invalid_entries(self, entries):
         assert_reads_as_reference(matrix_text(entries))
+
+    def test_invalid_token_past_the_first_match(self):
+        pairs = ",".join(["[0.5,-0.25]"] * 1500)
+        assert_reads_as_reference(matrix_text(f"[{pairs}]", 1500))
+        assert_reads_as_reference(matrix_text(f"[{pairs},[01,2]]", 1501))
+
+    def test_unclosed_pair_lists_fail_fast(self):
+        # Each key's value is looked for before the next key only; a search
+        # to the far "]]" from every key took minutes on this 1 MB text.
+        text = '{"entries":[[' * 80000 + "]]"
+        began = time.perf_counter()
+        assert_reads_as_reference(text)
+        assert time.perf_counter() - began < 5.0
 
     def test_trailing_text(self, realization_texts):
         assert_reads_as_reference(matrix_text("[[1,2]]") + "x")
