@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .qmath import PureState, dichotomic_qubit_measurement
 from .scenario import (
@@ -189,6 +188,10 @@ def maximize_tilted(w: float, restarts: int = 50,
     the returned t1 is positive.  The random starts still draw a sign, which
     keeps the seeded stream of starts as it was.
     """
+    # imported here, its only use: a process that never searches does not
+    # pay scipy.optimize's import time and resident memory
+    from scipy import optimize
+
     rng = np.random.default_rng(seed)
     theta_lo, theta_hi = 1e-5, np.pi / 4 - 1e-9
     starts = []

@@ -20,6 +20,9 @@ conditions included, are eliminated before the solver sees them.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
@@ -101,6 +104,28 @@ def _moment_ids(shape: ScenarioShape, level: int) -> np.ndarray:
     return table
 
 
+@cache
+def _onehot(shape: ScenarioShape, level: int) -> np.ndarray:
+    """n_mom x N x N stack: slice j is the symmetric 0/1 pattern of moment j
+    in a block.  Built once per process and read-only, like _moment_ids."""
+    ids = _moment_ids(shape, level)
+    onehot = (ids[None, :, :] == np.arange(int(ids.max()) + 1)[:, None, None]).astype(float)
+    onehot.setflags(write=False)
+    return onehot
+
+
+@cache
+def _prob_terms(shape: ScenarioShape, level: int, s: int, t: int,
+                a: int, b: int, x: int, y: int) -> MappingProxyType:
+    """Entry terms of p(stab|xy) in block (s, t), built once per event."""
+    basis = MomentBasis(shape, level)
+    terms: dict = {}
+    for w, coeff in basis.zero_element_words(a, b, x, y).items():
+        u, v = basis.word_entry(w)
+        terms[(s, t, u, v)] = terms.get((s, t, u, v), 0.0) + coeff
+    return MappingProxyType(terms)
+
+
 class MomentBasis:
     """Word basis of one relaxation level plus entry lookaside tables."""
 
@@ -136,17 +161,11 @@ class MomentBasis:
 
         The identity word maps to the (0, 0) entry (the block normalization
         L_st(1) = p(st)), never to a constant."""
-        sh = self.shape
-        ta = mono.effect_terms(mono.ALICE, a, x, sh.na)
-        tb = mono.effect_terms(mono.BOB, b, y, sh.nb)
-        terms: dict = {}
-        for w, coeff in mono.product_terms(ta, tb).items():
-            u, v = self.word_entry(w)
-            terms[(s, t, u, v)] = terms.get((s, t, u, v), 0.0) + coeff
-        return LinearExpr(terms, 0.0)
+        return LinearExpr(dict(_prob_terms(self.shape, self.level, s, t, a, b, x, y)), 0.0)
 
     def zero_element_words(self, a: int, b: int, x: int, y: int) -> dict:
-        """Expansion of m = F_a|x G_b|y over basis words (the zero element)."""
+        """Expansion of m = F_a|x G_b|y over basis words (the zero element
+        when p(ab|xy) = 0)."""
         sh = self.shape
         ta = mono.effect_terms(mono.ALICE, a, x, sh.na)
         tb = mono.effect_terms(mono.BOB, b, y, sh.nb)
@@ -279,7 +298,11 @@ class ConicData:
     complement of range(C N), so A has full row rank and A x = A (C y0 + h)
     holds exactly on the image of the equalities' solutions.  null_basis is
     an orthonormal basis of range(C N) = null(A), on which the solver solves
-    its Newton systems."""
+    its Newton systems.
+
+    a_mat, null_basis and eq_map depend on E and C alone, and the faces on
+    each block's zero events alone: they are shared read-only with every
+    other ConicData of the same structure (see ``to_conic``)."""
 
     a_mat: np.ndarray
     b: np.ndarray
@@ -318,14 +341,94 @@ def _range_complement(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :rank], u[:, rank:]
 
 
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@cache
+def _face(shape: ScenarioShape, level: int, events: tuple) -> tuple:
+    """(Q, face rows, cone rows) of a block whose zero events (a, b, x, y)
+    are ``events``, built once per key and read-only.  Q (N x r) spans the
+    face on which M_st(y) vanishes on the events' null vectors; row (u, k)
+    of the face rows is entry (u, k) of M_st(y) K, with K spanning the
+    complement of Q, and the cone rows give svec(Q^T M_st(y) Q); both as
+    coefficients of the block's moments."""
+    basis = MomentBasis(shape, level)
+    onehot = _onehot(shape, level)
+    nulls = [vec for event in events for vec in basis.null_vectors(*event)]
+    kernel, q = _range_complement(
+        np.array(nulls).T if nulls else np.zeros((basis.size, 0)))
+    face_rows = np.einsum("jul,lk->ukj", onehot, kernel).reshape(-1, len(onehot))
+    return _read_only(q, face_rows, svec(q.T @ onehot @ q).T)
+
+
+STRUCTURE_CACHE_SIZE = 16   # constraint structures kept, least recently used out
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """What ``to_conic`` derives from E and C alone; every array read-only."""
+
+    e_pinv: np.ndarray               # E^+
+    a_mat: np.ndarray
+    null_basis: np.ndarray
+    eq_map: np.ndarray               # A C E^+
+
+
+_structures: OrderedDict = OrderedDict()    # digest of (E, C) -> _Structure
+_structures_lock = threading.Lock()
+
+
+def _structure(e_mat: np.ndarray, c_mat: np.ndarray) -> _Structure:
+    """E^+, A, the null basis and A C E^+ of one (E, C), looked up by a
+    digest of both matrices' shapes and float64 bytes."""
+    digest = hashlib.sha256()
+    for mat in (e_mat, c_mat):
+        digest.update(repr(mat.shape).encode())
+        digest.update(np.ascontiguousarray(mat, dtype=float))
+    key = digest.digest()
+    with _structures_lock:
+        if key in _structures:
+            _structures.move_to_end(key)
+            return _structures[key]
+
+    u, sv, vt = np.linalg.svd(e_mat)
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
+    e_pinv = vt[:rank].T @ (u[:, :rank] / sv[:rank]).T
+    null_basis, complement = _range_complement(c_mat @ vt[rank:].T)
+    # rotated by a pivoted QR, each row of A stays close to one coordinate of
+    # x, so the solver's max-norm residuals are read per coordinate; A is
+    # Q^T complement^T, the triangular factor with its columns unpivoted
+    r, piv = qr(complement.T, mode="r", pivoting=True)
+    a_mat = np.empty_like(r)
+    a_mat[:, piv] = r
+    # a copy, so that the entry does not keep the whole SVD factor alive
+    null_basis = np.ascontiguousarray(null_basis)
+    entry = _Structure(*_read_only(e_pinv, a_mat, null_basis, a_mat @ c_mat @ e_pinv))
+    with _structures_lock:
+        _structures[key] = entry
+        while len(_structures) > STRUCTURE_CACHE_SIZE:
+            _structures.popitem(last=False)
+    return entry
+
+
 @serial_blas
 def to_conic(problem: MomentProblem) -> ConicData:
-    """Assemble solver data; applies facial reduction per block."""
+    """Assemble solver data; applies facial reduction per block.
+
+    Each call builds E, C and the right-hand sides, then solves for y0 and
+    checks E y = e for consistency.  E^+, A, the null basis and A C E^+
+    depend on E and C alone: they are kept for the last STRUCTURE_CACHE_SIZE
+    structures, looked up by a digest of E and C, so a stream of problems
+    that differ only in right-hand sides and objective (one membership
+    test per observed table, one bound per Bell coefficient) factors its
+    structure once.  Each block's face is kept per zero-event set likewise."""
     basis = problem.basis
+    shape, level = basis.shape, basis.level
     ids = basis.moment_ids
     n_mom = int(ids.max()) + 1
-    # onehot[j] is the symmetric 0/1 pattern of moment j in a block
-    onehot = (ids[None, :, :] == np.arange(n_mom)[:, None, None]).astype(float)
     block_keys = problem.block_keys
     col = {key: k * n_mom for k, key in enumerate(block_keys)}
     n_y = n_mom * len(block_keys)
@@ -351,16 +454,13 @@ def to_conic(problem: MomentProblem) -> ConicData:
             equal(expr_vec(LinearExpr({(s, t, 0, 0): 1.0})), float(problem.weights[(s, t)]))
 
     # faces: M_st(y) vanishes on the null vectors of the block's zero events
-    faces = {}
+    faces, cone_rows = {}, {}
     for key in block_keys:
-        nulls = [vec for (s, t, a, b, x, y) in problem.zeros if (s, t) == key
-                 for vec in basis.null_vectors(a, b, x, y)]
-        kernel, faces[key] = _range_complement(
-            np.array(nulls).T if nulls else np.zeros((basis.size, 0)))
-        # row (u, k) of M_st(y) kernel, as coefficients of the block's moments
-        face = np.zeros((basis.size * kernel.shape[1], n_y))
-        face[:, col[key]:col[key] + n_mom] = np.einsum(
-            "jul,lk->ukj", onehot, kernel).reshape(-1, n_mom)
+        events = tuple((a, b, x, y) for (s, t, a, b, x, y) in problem.zeros
+                       if (s, t) == key)
+        faces[key], face_rows, cone_rows[key] = _face(shape, level, events)
+        face = np.zeros((len(face_rows), n_y))
+        face[:, col[key]:col[key] + n_mom] = face_rows
         rows.append(face)
         rhs.extend([0.0] * len(face))
         row_spec.extend([("const", 0.0)] * len(face))
@@ -371,14 +471,6 @@ def to_conic(problem: MomentProblem) -> ConicData:
         equal(expr_vec(expr), const - expr.const, spec)
 
     e_mat, e = np.concatenate(rows), np.array(rhs)
-    u, sv, vt = np.linalg.svd(e_mat)
-    rank = int(np.sum(sv > RANK_TOL * sv[0]))
-    e_pinv = vt[:rank].T @ (u[:, :rank] / sv[:rank]).T
-    y0 = e_pinv @ e
-    resid = e - e_mat @ y0
-    inconsistency = None
-    if np.linalg.norm(resid) > 1e-9 * (1.0 + np.linalg.norm(e)):
-        inconsistency = resid / float(resid @ resid)
 
     sizes = [faces[key].shape[1] for key in block_keys]
     n_lin = len(problem.inequalities)
@@ -396,22 +488,21 @@ def to_conic(problem: MomentProblem) -> ConicData:
         f[v, u] += 0.5 * coeff
     for key, n, off in zip(block_keys, sizes, cone.offsets):
         q = faces[key]
-        c_mat[off:off + svec_dim(n), col[key]:col[key] + n_mom] = svec(q.T @ onehot @ q).T
+        c_mat[off:off + svec_dim(n), col[key]:col[key] + n_mom] = cone_rows[key]
         if key in objective:
             c[off:off + svec_dim(n)] = -svec(q.T @ objective[key] @ q)
 
-    null_basis, complement = _range_complement(c_mat @ vt[rank:].T)
-    # rotated by a pivoted QR, each row of A stays close to one coordinate of
-    # x, so the solver's max-norm residuals are read per coordinate; A is
-    # Q^T complement^T, the triangular factor with its columns unpivoted
-    r, piv = qr(complement.T, mode="r", pivoting=True)
-    a_mat = np.empty_like(r)
-    a_mat[:, piv] = r
-    return ConicData(a_mat=a_mat, b=a_mat @ (c_mat @ y0 + h), c=c, cone=cone,
-                     null_basis=null_basis,
+    st = _structure(e_mat, c_mat)
+    y0 = st.e_pinv @ e
+    resid = e - e_mat @ y0
+    inconsistency = None
+    if np.linalg.norm(resid) > 1e-9 * (1.0 + np.linalg.norm(e)):
+        inconsistency = resid / float(resid @ resid)
+    return ConicData(a_mat=st.a_mat, b=st.a_mat @ (c_mat @ y0 + h), c=c, cone=cone,
+                     null_basis=st.null_basis,
                      const=problem.objective.const, faces=faces,
                      block_keys=block_keys, row_spec=row_spec,
-                     eq_map=a_mat @ c_mat @ e_pinv, inconsistency=inconsistency)
+                     eq_map=st.eq_map, inconsistency=inconsistency)
 
 
 # ------------------------------------------------------------------- solving

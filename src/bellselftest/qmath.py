@@ -13,6 +13,7 @@ validation and the Jordan decomposition use the constants as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -96,11 +97,26 @@ def json_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _entry_array(entries) -> np.ndarray:
+    """``entries`` as a float64 array.  The reader's float64 array is taken
+    without a copy; anything else, such as json.loads's lists, must hold only
+    numbers, since np.asarray would read "1.5" as 1.5 and true as 1.0."""
+    if not (isinstance(entries, np.ndarray) and entries.dtype == np.float64):
+        try:
+            kinds = set(map(type, chain.from_iterable(entries)))
+        except TypeError:
+            raise ValueError("entries must be a list of [re, im] pairs") from None
+        odd = sorted(k.__name__ for k in kinds if k is bool or not issubclass(
+            k, (int, float, np.integer, np.floating)))
+        if odd:
+            raise ValueError(f"matrix entries must be numbers, got {', '.join(odd)}")
+    return np.asarray(entries, dtype=float, order="C")
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     rows = json_count(obj["rows"], "rows", 0)
     cols = json_count(obj["cols"], "cols", 0)
-    # the reader already gives a float64 (n, 2) array, taken without a copy
-    entries = np.asarray(obj["entries"], dtype=float, order="C")
+    entries = _entry_array(obj["entries"])
     if entries.shape != (rows * cols, 2):
         raise ValueError(f"entries of shape {entries.shape} do not match "
                          f"{rows}*{cols} [re, im] pairs")

@@ -45,8 +45,8 @@ class ScenarioShape:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioShape":
-        return cls(ns=int(obj["nS"]), nt=int(obj["nT"]), nx=int(obj["nX"]),
-                   ny=int(obj["nY"]), na=int(obj["nA"]), nb=int(obj["nB"]))
+        return cls(*(qmath.json_count(obj[name], name, 1)
+                     for name in ("nS", "nT", "nX", "nY", "nA", "nB")))
 
 
 CHSH_SHAPE = ScenarioShape(2, 2, 2, 2, 2, 2)

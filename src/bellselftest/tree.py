@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hardy
+from . import hardy, qmath
 
 EQUAL_TOL = 1e-10  # relative threshold for "equal coefficients"
 
@@ -256,9 +256,9 @@ class QuditProtocol:
     @classmethod
     def from_json(cls, obj: dict) -> "QuditProtocol":
         coeffs = np.asarray(obj["coeffs"], dtype=float)
-        tree = CoveringTree(d=int(obj["d"]),
+        tree = CoveringTree(d=qmath.json_count(obj["d"], "d", 2),
                             edges=tuple(tuple(e) for e in obj["edges"]),
-                            root=int(obj["root"]))
+                            root=qmath.json_count(obj["root"], "root", 0))
         per_edge = tuple(
             EdgeTest(edge=tuple(e["edge"]), w=float(e["w"]), theta=float(e["theta"]),
                      p=float(e["p"]), swapped=bool(e["swapped"]))

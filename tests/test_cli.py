@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -138,6 +139,16 @@ class TestSimulateVerify:
         assert main([command, "--realization", str(bad), *args]) == 2
         assert "rows must be an integer >= 0, got 2.7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_string_matrix_entry_exits_2(self, tmp_path, capsys, command):
+        obj = json.loads(_jsonio.dumps(hardy.canonical_realization(0.25).to_json()))
+        obj["states"]["0,0"]["entries"][0][0] = "1.5"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj, indent=2))
+        args = ["--w", "0.25"] if command == "verify" else []
+        assert main([command, "--realization", str(bad), *args]) == 2
+        assert "matrix entries must be numbers, got str" in capsys.readouterr().err
+
     def test_schema_violation_reports_pointer(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         _jsonio.dump({"version": "realization.v1", "shape": {}}, bad)
@@ -176,6 +187,13 @@ class TestBoundCommand:
         assert rc == 0
         val = float(capsys.readouterr().out.strip())
         assert val == pytest.approx(hardy.q_of_w(0.5), abs=1e-4)
+
+    @pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
+    def test_problem_file_non_integer_shape_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "problem.json"
+        _jsonio.dump({**HARDY_SPEC, "shape": {**HARDY_SPEC["shape"], "nS": value}}, path)
+        assert main(["bound", "--problem", str(path)]) == 2
+        assert "nS must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
         (["--l", "0.2", "--u", "0.3"], "--l/--u"),
@@ -367,6 +385,20 @@ class TestDemos:
             outs.append((proc.stdout, dump.read_bytes()))
         assert outs[0][0].strip() == "0.77740709"
         assert outs[0] == outs[1]
+
+    def test_bound_never_imports_the_optimizer(self):
+        """Only the Hardy search needs scipy.optimize; a bound leaves it
+        unimported, so its import time and memory are not paid."""
+        src = str(Path(bellselftest.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from bellselftest.cli import main; rc = main(sys.argv[1:]); "
+             "print('scipy.optimize' in sys.modules); sys.exit(rc)",
+             "bound", "--preset", "chsh", "--level", "1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_demo_csv_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from bellselftest import hardy
 from bellselftest.hardy import (
@@ -251,13 +252,13 @@ class TestMaximizeTilted:
             assert t1 > 0
 
     def test_one_exact_gradient_run_per_start(self, monkeypatch):
-        minimize, calls = hardy.optimize.minimize, []
+        minimize, calls = optimize.minimize, []
 
         def counting(*args, **kwargs):
             calls.append(kwargs.get("jac"))
             return minimize(*args, **kwargs)
 
-        monkeypatch.setattr(hardy.optimize, "minimize", counting)
+        monkeypatch.setattr(optimize, "minimize", counting)
         restarts = 6
         hardy.maximize_tilted(0.4, restarts=restarts, seed=3)
         assert calls == [True] * (15 + restarts)

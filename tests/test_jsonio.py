@@ -227,6 +227,19 @@ class TestReader:
     def test_invalid_entries(self, entries):
         assert_reads_as_reference(matrix_text(entries))
 
+    @pytest.mark.parametrize("bad", ['"1.5"', "true", "false", "null"],
+                             ids=["string", "true", "false", "null"])
+    def test_indented_file_rejects_non_number_entries(self, tmp_path, bad):
+        # an indented file takes the json.loads path, where the entries are
+        # lists that np.asarray would turn into numbers
+        path = tmp_path / "matrix.json"
+        text = json.dumps({"rows": 1, "cols": 1, "entries": [[0.5, 0.25]]}, indent=2)
+        path.write_text(text.replace("0.25", bad))
+        obj = _jsonio.load(path)
+        assert isinstance(obj["entries"], list)
+        with pytest.raises(ValueError, match="^matrix entries must be numbers"):
+            matrix_from_json(obj)
+
     def test_invalid_token_past_the_first_match(self):
         pairs = ",".join(["[0.5,-0.25]"] * 1500)
         assert_reads_as_reference(matrix_text(f"[{pairs}]", 1500))

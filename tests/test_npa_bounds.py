@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from bellselftest import hardy
 from bellselftest.npa import membership, moments, sdp
 from bellselftest.npa.sdp import Status
-from bellselftest.scenario import CHSH_SHAPE, SINGLE_SOURCE_CHSH_SHAPE
+from bellselftest.scenario import CHSH_SHAPE, SINGLE_SOURCE_CHSH_SHAPE, ObservedBehavior
 
 UNIFORM = {(s, t): 0.25 for s in range(2) for t in range(2)}
 
@@ -239,3 +242,141 @@ class TestConicStructure:
             residual_bounds=(0.25, 0.25))
         assert problem.inequalities == ()
         assert moments.to_conic(problem).cone.n_lin == 0
+
+
+def _chsh_bounded(level, bounds):
+    basis = moments.MomentBasis(CHSH_SHAPE, level)
+    return moments.build_moment_problem(CHSH_SHAPE, level,
+                                        objective=moments.chsh_objective(basis),
+                                        residual_bounds=bounds)
+
+
+def _member(level, bounds, v=1.0):
+    """Membership problem of the PR box mixed with white noise at visibility v."""
+    table = np.full((2, 2, 2, 2), 0.25 * (1.0 - v) / 4.0)
+    for s, t, a, b in np.ndindex(2, 2, 2, 2):
+        if (a + b) % 2 == (s * t) % 2:
+            table[s, t, a, b] += 0.125 * v
+    return membership.membership_problem(ObservedBehavior(CHSH_SHAPE, table), level,
+                                         residual_bounds=bounds)
+
+
+def _chsh_interval(i):
+    return _chsh_bounded(1, (0.1 + 0.01 * i, 0.5))
+
+
+CACHED_FIELDS = ("a_mat", "b", "c", "null_basis", "eq_map")
+MEMBER_BOUNDS = (None, (0.25, 0.25), (0.2, 0.3))
+
+
+class TestStructureCache:
+    """to_conic keeps what depends on E and C alone for the last
+    STRUCTURE_CACHE_SIZE structures, and every result matches a cold build."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        moments._structures.clear()
+        yield
+        moments._structures.clear()
+
+    @pytest.mark.parametrize("make", [
+        *(lambda lvl=lvl, iv=iv: _member(lvl, iv) for lvl in (1, 2) for iv in MEMBER_BOUNDS),
+        lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 2),
+        lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 3),
+        lambda: _hardy_problem(CHSH_SHAPE, 2),
+        lambda: _chsh_bounded(2, (0.2, 0.3)),
+    ], ids=[*(f"member_l{lvl}_{iv}" for lvl in (1, 2) for iv in MEMBER_BOUNDS),
+            "hardy_l2", "hardy_l3", "fourblock_l2", "chsh_l2"])
+    def test_warm_build_matches_cold_bytes(self, make):
+        cold = moments.to_conic(make())
+        cold_bytes = {f: getattr(cold, f).tobytes() for f in CACHED_FIELDS}
+        moments._structures.clear()
+        moments.to_conic(make())
+        warm = moments.to_conic(make())
+        assert warm.a_mat is moments.to_conic(make()).a_mat
+        assert {f: getattr(warm, f).tobytes() for f in CACHED_FIELDS} == cold_bytes
+        assert warm.row_spec == cold.row_spec
+        assert len(moments._structures) == 1
+
+    def test_cached_arrays_are_read_only(self):
+        conic = moments.to_conic(_hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 2))
+        for arr in (conic.a_mat, conic.null_basis, conic.eq_map, conic.faces[(0, 0)]):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_hit_with_new_right_hand_side(self):
+        first = moments.to_conic(_member(1, (0.2, 0.3), v=0.6))
+        second = moments.to_conic(_member(1, (0.2, 0.3), v=0.8))
+        assert second.a_mat is first.a_mat
+        assert not np.array_equal(second.b, first.b)
+        moments._structures.clear()
+        assert moments.to_conic(_member(1, (0.2, 0.3), v=0.8)).b.tobytes() == \
+            second.b.tobytes()
+
+    def test_hit_still_certifies_inconsistent_equalities(self):
+        shape = SINGLE_SOURCE_CHSH_SHAPE
+        basis = moments.MomentBasis(shape, 2)
+        event = moments.hardy_zero_events(shape)[0]
+
+        def pinned(value):
+            return moments.to_conic(moments.build_moment_problem(
+                shape, 2, weights={(0, 0): 1.0}, zeros=[event],
+                value_constraints=[(basis.prob_expr(*event), value)]))
+
+        consistent, contradicting = pinned(0.0), pinned(0.25)
+        assert contradicting.a_mat is consistent.a_mat
+        assert consistent.inconsistency is None
+        sol = contradicting.solve()
+        assert sol.status is Status.PRIMAL_INFEASIBLE
+        assert sol.iterations == 0 and sol.certificate is not None
+
+    def test_new_inequality_coefficient_misses(self):
+        first = moments.to_conic(_chsh_bounded(1, (0.2, 0.3)))
+        second = moments.to_conic(_chsh_bounded(1, (0.21, 0.3)))
+        assert second.a_mat is not first.a_mat
+        assert len(moments._structures) == 2
+
+    def test_size_is_bounded(self):
+        first = moments.to_conic(_chsh_interval(0))
+        n = moments.STRUCTURE_CACHE_SIZE + 4
+        for i in range(1, n):
+            last = moments.to_conic(_chsh_interval(i))
+            assert len(moments._structures) == min(i + 1, moments.STRUCTURE_CACHE_SIZE)
+        # the least recently used went first
+        assert moments.to_conic(_chsh_interval(n - 1)).a_mat is last.a_mat
+        assert moments.to_conic(_chsh_interval(0)).a_mat is not first.a_mat
+        assert len(moments._structures) == moments.STRUCTURE_CACHE_SIZE
+
+    def test_threads_share_the_cache(self):
+        """More threads than cores cycle through more structures than the
+        cache holds; every build matches a cold one and the bound holds."""
+        problems = [_chsh_interval(i) for i in range(moments.STRUCTURE_CACHE_SIZE + 4)]
+        cold = []
+        for problem in problems:
+            moments._structures.clear()
+            conic = moments.to_conic(problem)
+            cold.append({f: getattr(conic, f).tobytes() for f in CACHED_FIELDS})
+        moments._structures.clear()
+        errors = []
+
+        def work(shift):
+            for k in range(2 * len(problems)):
+                i = (k + shift) % len(problems)
+                conic = moments.to_conic(problems[i])
+                if {f: getattr(conic, f).tobytes() for f in CACHED_FIELDS} != cold[i]:
+                    errors.append(i)
+                if len(moments._structures) > moments.STRUCTURE_CACHE_SIZE:
+                    errors.append("size")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(3 * j,)) for j in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []

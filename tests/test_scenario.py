@@ -273,6 +273,13 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="^dims must be"):
             Realization.from_json(obj)
 
+    @pytest.mark.parametrize("field", ["nS", "nT", "nX", "nY", "nA", "nB"])
+    @pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
+    def test_shape_rejects_non_integer_count(self, field, value):
+        obj = {**CHSH_SHAPE.to_json(), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+            ScenarioShape.from_json(obj)
+
     def test_behavior(self, rng):
         beh = behavior_of(random_untrusted(rng))
         beh2 = Behavior.from_json(beh.to_json())

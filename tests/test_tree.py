@@ -161,6 +161,13 @@ class TestJsonRoundTrip:
         assert [e.w for e in back.per_edge] == [e.w for e in proto.per_edge]
         assert back.groups == proto.groups
 
+    @pytest.mark.parametrize("field, minimum", [("d", 2), ("root", 0)])
+    @pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
+    def test_protocol_rejects_non_integer_field(self, field, minimum, value):
+        obj = {**protocol_of(SchmidtVector(FIG2)).to_json(), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= {minimum}"):
+            QuditProtocol.from_json(obj)
+
 
 class TestCompressedGroups:
     def test_star_gives_singletons(self):
