@@ -24,7 +24,7 @@ from .moments import (
     zero_expr,
 )
 from .monomials import ZERO, adjoint, adjoint_key, build_basis, canonical_form, symbol
-from .sdp import Cone, ConicSolution, Status, solve_conic
+from .sdp import Status
 from .seesaw import SeesawResult, seesaw_tilted_hardy
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "MomentProblem", "SDPSolution", "build_moment_problem", "chsh_objective",
     "correlator_expr", "hardy_zero_events", "max_value", "solve_sdp",
     "tilted_hardy_objective", "to_conic", "zero_expr", "ZERO", "adjoint",
-    "adjoint_key", "build_basis", "canonical_form", "symbol", "Cone",
-    "ConicSolution", "Status", "solve_conic", "SeesawResult",
-    "seesaw_tilted_hardy",
+    "adjoint_key", "build_basis", "canonical_form", "symbol", "Status",
+    "SeesawResult", "seesaw_tilted_hardy",
 ]

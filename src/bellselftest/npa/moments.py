@@ -35,7 +35,6 @@ from scipy.linalg import qr
 from ..scenario import ScenarioShape
 from . import monomials as mono
 from .sdp import (
-    RANK_TOL,
     Cone,
     ConicSolution,
     Status,
@@ -46,6 +45,7 @@ from .sdp import (
 )
 
 _PRUNE_TOL = 1e-12
+RANK_TOL = 1e-10         # singular values below this fraction of the largest are zero
 
 
 @dataclass(frozen=True)
@@ -538,20 +538,13 @@ def solve_sdp(problem: MomentProblem) -> SDPSolution:
     """Solve the relaxation, maximizing the problem objective."""
     conic = to_conic(problem)
     sol = conic.solve()
-    blocks = {}
-    if sol.x is not None and sol.status in (Status.OPTIMAL, Status.MAX_ITERATIONS):
+    blocks, value = {}, np.nan
+    if sol.status is not Status.PRIMAL_INFEASIBLE:
+        # Optimal, or MaxIterations with the best iterate, which is carried
         mats = [m for stack in conic.cone.mats(sol.x) for m in stack]
         for key, m in zip(conic.block_keys, mats):
             blocks[key] = conic.lift_block(key, m)
-    if sol.status is Status.OPTIMAL:
         value = -sol.dual_value + conic.const
-    elif sol.status is Status.MAX_ITERATIONS and sol.x is not None:
-        # stalled at the numerical floor: the best iterate is still carried;
-        # prefer the dual side when it is (approximately) feasible
-        dv = sol.dual_value
-        value = (-dv if np.isfinite(dv) else -sol.primal_value) + conic.const
-    else:
-        value = np.nan
     return SDPSolution(status=sol.status, value=float(value),
                        block_matrices=blocks,
                        primal_residual=sol.primal_residual,

@@ -14,9 +14,9 @@ on the null space of A (Nocedal-Wright, Numerical Optimization, 16.2):
 u = A^+ g + B z and v = A^{+T} (H u - f), with B an orthonormal basis of
 null(A) and (B^T H B) z = B^T (f - H A^+ g).  B^T H B is positive definite
 and k x k, k = n - rank(A), which is smaller than m on every moment
-relaxation.  The relaxations pass B with A, whose rows are orthonormal, so
-A^+ = A^T; other callers get B and A^+ from one SVD of A, which also
-certifies an inconsistent A x = b at iteration 0.
+relaxation.  Callers pass B with A, whose rows must be orthonormal, so
+A^+ = A^T; ``to_conic`` builds both and certifies inconsistent equalities
+before any solve.
 
 BLAS runs on one thread inside ``to_conic`` and ``solve_conic``: every loaded
 OpenBLAS is set to one thread on entry and back to the caller's count on exit.
@@ -34,21 +34,18 @@ from enum import Enum
 from functools import cache, wraps
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, svd
+from scipy.linalg import cho_factor, cho_solve
 
 
 class Status(Enum):
     OPTIMAL = "Optimal"
     PRIMAL_INFEASIBLE = "PrimalInfeasible"
-    DUAL_INFEASIBLE = "DualInfeasible"
     MAX_ITERATIONS = "MaxIterations"
-    NUMERICAL_TROUBLE = "NumericalTrouble"
 
 
 MAX_ITER = 200
 STEP_FRACTION = 0.99     # of the largest step that stays in the cone
 TOL = 1e-8               # on the relative primal and dual residuals and the gap
-RANK_TOL = 1e-10         # singular values below this fraction of the largest are zero
 
 
 @dataclass
@@ -229,11 +226,6 @@ class Cone:
             width = count * svec_dim(n)
             out[..., off:off + width] = svec(stack).reshape(out.shape[:-1] + (width,))
 
-    def min_eig(self, x: np.ndarray) -> float:
-        vals = [x[:self.n_lin].min()] if self.n_lin else []
-        vals += [float(np.linalg.eigvalsh(m)[..., 0].min()) for m in self.mats(x)]
-        return min(vals) if vals else 0.0
-
 
 class _Scaling:
     """Nesterov-Todd scaling point for the current (x, s).
@@ -317,15 +309,15 @@ class _Scaling:
 
 @serial_blas
 def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
-                cone: Cone, null_basis: np.ndarray | None = None) -> ConicSolution:
+                cone: Cone, null_basis: np.ndarray) -> ConicSolution:
     """Homogeneous self-dual interior-point solve of min c.x, Ax=b, x in K.
 
-    null_basis, if given, is an orthonormal basis of null(A) (n x k), and the
-    rows of A must then be orthonormal, so that A^T is A's pseudo-inverse;
-    otherwise both come from an SVD of A, which may be rank-deficient.  Rows
-    of A are equilibrated to unit norm and c is scaled to unit magnitude
-    before the interior-point loop; solutions, certificates and reported
-    residuals refer to the original data.
+    The rows of A must be orthonormal, so that A^T is A's pseudo-inverse, and
+    null_basis must be an orthonormal basis of null(A) (n x k).  c is scaled
+    to unit magnitude before the interior-point loop; solutions and reported
+    residuals refer to the original data.  A run that ends short of TOL, by a
+    failed step or factorization, a stall or MAX_ITER, returns its best
+    iterate as MaxIterations.
     """
     a_mat = np.ascontiguousarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -334,62 +326,29 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
     if cone.dim != n:
         raise ValueError(f"cone dimension {cone.dim} != variable count {n}")
 
-    row_norms = np.linalg.norm(a_mat, axis=1) if m else np.zeros(0)
-    d = 1.0 / np.where(row_norms > 1e-12, row_norms, 1.0)
     sigma_c = max(1.0, float(np.linalg.norm(c, np.inf)))
-    sol = _solve_core(a_mat * d[:, None], b * d, c / sigma_c, cone, null_basis)
+    sol = _solve_core(a_mat, b, c / sigma_c, cone, null_basis)
+    if sol.status is Status.PRIMAL_INFEASIBLE:
+        return sol
 
     bn = 1.0 + float(np.linalg.norm(b, np.inf)) if m else 1.0
     cn = 1.0 + float(np.linalg.norm(c, np.inf))
-    if sol.status in (Status.OPTIMAL, Status.MAX_ITERATIONS) and sol.x is not None:
-        x = sol.x
-        y = sigma_c * d * sol.y if sol.y is not None else None
-        s = sigma_c * sol.s if sol.s is not None else None
-        pres = float(np.linalg.norm(a_mat @ x - b, np.inf)) / bn if m else 0.0
-        dres = float(np.linalg.norm(a_mat.T @ y + s - c, np.inf)) / cn \
-            if y is not None and s is not None else np.nan
-        pobj, dobj = float(c @ x), float(b @ y) if y is not None else np.nan
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        status = sol.status
-        if status is Status.OPTIMAL and not (
-                pres <= 10 * TOL and dres <= 10 * TOL):
-            status = Status.MAX_ITERATIONS  # scaling hid a residual; be honest
-        return ConicSolution(status=status, x=x, y=y, s=s, primal_value=pobj,
-                             dual_value=dobj, primal_residual=pres,
-                             dual_residual=dres, gap=gap,
-                             iterations=sol.iterations)
-    if sol.status is Status.PRIMAL_INFEASIBLE:
-        y = d * sol.y
-        by = float(b @ y)
-        y, s = y / by, sol.s / by
-        return ConicSolution(status=sol.status, y=y, s=s, certificate=y,
-                             iterations=sol.iterations,
-                             dual_residual=float(
-                                 np.linalg.norm(a_mat.T @ y + s, np.inf)))
-    if sol.status is Status.DUAL_INFEASIBLE:
-        x = sol.x / sigma_c
-        return ConicSolution(status=sol.status, x=x, certificate=x,
-                             iterations=sol.iterations,
-                             primal_residual=float(
-                                 np.linalg.norm(a_mat @ x, np.inf)))
-    return sol
+    x, y, s = sol.x, sigma_c * sol.y, sigma_c * sol.s
+    pres = float(np.linalg.norm(a_mat @ x - b, np.inf)) / bn if m else 0.0
+    dres = float(np.linalg.norm(a_mat.T @ y + s - c, np.inf)) / cn
+    pobj, dobj = float(c @ x), float(b @ y)
+    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    status = sol.status
+    if status is Status.OPTIMAL and not (pres <= 10 * TOL and dres <= 10 * TOL):
+        status = Status.MAX_ITERATIONS  # scaling hid a residual; be honest
+    return ConicSolution(status=status, x=x, y=y, s=s, primal_value=pobj,
+                         dual_value=dobj, primal_residual=pres,
+                         dual_residual=dres, gap=gap, iterations=sol.iterations)
 
 
 def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
-                cone: Cone, null_basis: np.ndarray | None = None) -> ConicSolution:
-    m, n = a_mat.shape
-    if null_basis is not None:
-        a_pinv = a_mat.T            # orthonormal rows: A A^T = I
-    else:                           # pseudo-inverse and null basis from one SVD
-        u, sv, vt = svd(a_mat)
-        rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0
-        a_pinv, null_basis = vt[:rank].T @ (u[:, :rank] / sv[:rank]).T, vt[rank:].T
-        resid = b - a_mat @ (a_pinv @ b)
-        if np.linalg.norm(resid) > 1e-9 * (1.0 + np.linalg.norm(b)):
-            # A x = b has no solution: y = resid has A^T y = 0 and b.y > 0
-            return ConicSolution(status=Status.PRIMAL_INFEASIBLE, y=resid,
-                                 s=np.zeros(n), iterations=0)
-
+                cone: Cone, null_basis: np.ndarray) -> ConicSolution:
+    m = a_mat.shape[0]
     x = cone.identity()
     s = cone.identity()
     y = np.zeros(m)
@@ -399,7 +358,6 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
 
     best = None        # (metric, solution) over iterates, for early exits
     stall = 0
-    it = 0
     for it in range(MAX_ITER):
         rp = a_mat @ x - b * tau
         rd = -a_mat.T @ y + c * tau - s
@@ -432,16 +390,11 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
         by = float(b @ y)
         if by > 0:
             yc, sc = y / by, s / by
-            if float(np.linalg.norm(a_mat.T @ yc + sc, np.inf)) <= TOL:
+            res = float(np.linalg.norm(a_mat.T @ yc + sc, np.inf))
+            if res <= TOL:
                 return ConicSolution(status=Status.PRIMAL_INFEASIBLE, y=yc, s=sc,
-                                     iterations=it, certificate=yc)
-        cx = float(c @ x)
-        if -cx > 0:
-            xc = x / (-cx)
-            if float(np.linalg.norm(a_mat @ xc, np.inf)) <= TOL \
-                    and cone.min_eig(xc) >= -TOL:
-                return ConicSolution(status=Status.DUAL_INFEASIBLE, x=xc,
-                                     iterations=it, certificate=xc)
+                                     dual_residual=res, iterations=it,
+                                     certificate=yc)
 
         # one stacked product gives (H B)^T; B^T H B is positive definite.
         # A factorization that fails in rounding ends the solve at the best
@@ -455,11 +408,11 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
             return best[1]
 
         def null_space_step(f: np.ndarray, g: np.ndarray):
-            u0 = a_pinv @ g
+            u0 = a_mat.T @ g            # orthonormal rows: A^+ = A^T
             z = cho_solve(fact, null_basis.T @ f - hb @ u0, check_finite=False)
             u = u0 + null_basis @ z
             hu = scal.apply_h(u)
-            return u, a_pinv.T @ (hu - f), hu
+            return u, a_mat @ (hu - f), hu
 
         def solve_kkt(f: np.ndarray, g: np.ndarray):
             """H u - A^T v = f,  A u = g  on null(A), with one round of
@@ -515,7 +468,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
         dx, dy, ds, dtau, dkappa = direction(1.0 - sigma, sigma * mu, corr)
         alpha = step_length(dx, ds, dtau, dkappa)
         if not np.isfinite(alpha) or alpha <= 0:
-            return ConicSolution(status=Status.NUMERICAL_TROUBLE, iterations=it)
+            return best[1]
 
         x = x + alpha * dx
         y = y + alpha * dy
@@ -523,6 +476,4 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    xt = x / tau if tau > 0 else x
-    return ConicSolution(status=Status.MAX_ITERATIONS, x=xt, y=y / tau if tau > 0 else y,
-                         primal_value=float(c @ xt), iterations=MAX_ITER)
+    return best[1]

@@ -136,6 +136,35 @@ class TestProblemAssembly:
         assert sol.status is Status.PRIMAL_INFEASIBLE
         assert sol.iterations == 0     # linearly inconsistent: no solve
 
+    def test_consistent_duplicate_normalization(self, monkeypatch):
+        # L(1) = 1 restated as a value constraint duplicates the weight row:
+        # E loses rank, A does not, and the solve is the same
+        failures = []
+        cho_factor = sdp.cho_factor
+
+        def counted(*args, **kwargs):
+            try:
+                return cho_factor(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(sdp, "cho_factor", counted)
+        shape = SINGLE_SOURCE_CHSH_SHAPE
+        basis = moments.MomentBasis(shape, 1)
+        obj = moments.zero_expr()
+        for x in range(2):
+            for y in range(2):
+                obj = obj + (-1.0 if x * y else 1.0) * moments.correlator_expr(
+                    basis, 0, 0, x, y)
+        duplicate = [(moments.LinearExpr({(0, 0, 0, 0): 1.0}), 1.0)]
+        (ref, ref_sol), (val, sol) = (
+            moments.max_value(shape, 1, obj, weights={(0, 0): 1.0},
+                              value_constraints=vc) for vc in ((), duplicate))
+        assert ref_sol.status is Status.OPTIMAL and sol.status is Status.OPTIMAL
+        assert val == pytest.approx(ref, abs=1e-8)
+        assert failures == []
+
     def test_facial_reduction_kills_zero_entries(self):
         problem = moments.build_moment_problem(
             SINGLE_SOURCE_CHSH_SHAPE, 2, weights={(0, 0): 1.0},
