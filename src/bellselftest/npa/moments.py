@@ -10,12 +10,14 @@ linear equalities on probabilities, and two-sided residual-randomness bounds
 
 Every constraint is a row over the moment vector y, which holds each block's
 distinct moments L_st(w) once; l = u makes the residual bounds equalities.
-Zero events are also eliminated by facial reduction: p = L(m) with m = F G a
-product of commuting effect polynomials satisfies L(m* m) = L(m), so p = 0
-forces the moment matrix to annihilate the expansion of every left multiple
-w m that stays inside the basis.  Each block is restricted to that face, which
-keeps the reduced problem strictly feasible; the equalities on y, face
-conditions included, are eliminated before the solver sees them.
+As l > 0, a zero event in one block is closed over every block, with no
+residual bounds of its own (they read 0 >= 0).  Zero events are eliminated by
+facial reduction: p = L(m) with m = F G a product of commuting effect
+polynomials satisfies L(m* m) = L(m), so p = 0 forces the moment matrix to
+annihilate the expansion of every left multiple w m that stays inside the
+basis.  Each block is restricted to that face, which with the closure keeps
+the reduced problem strictly feasible; the equalities on y, face conditions
+included, are eliminated before the solver sees them.
 """
 
 from __future__ import annotations
@@ -243,7 +245,8 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     real numbers (l, u) with 0 < l <= u < 1.
 
     value_constraints is a list of (LinearExpr, const); zeros is a list of
-    (s, t, a, b, x, y) events eliminated exactly.  A value constraint that
+    (s, t, a, b, x, y) events eliminated exactly, each closed over every block
+    (s, t) when residual bounds are given.  A value constraint that
     contradicts a zero event is not rejected here: ``to_conic`` finds the
     equalities inconsistent and the solve returns PrimalInfeasible with a
     certificate, without running the interior-point loop.
@@ -264,10 +267,14 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     eqs = [(expr, float(const), None) for expr, const in value_constraints]
     ineqs = []
     if residual_bounds is not None:
-        # p(stab|xy) once per event, and its sum over (s, t) once per (a, b, x, y)
+        # l > 0: an event impossible in one source slice is impossible in all
+        closed, present = dict.fromkeys(z[2:] for z in zeros), set(zeros)
+        zeros += tuple(st + e for st in product(range(shape.ns), range(shape.nt))
+                       for e in closed if st + e not in present)
+        # p(stab|xy) per event not closed, and its sum over (s, t) per (a, b, x, y)
         probs = {key: basis.prob_expr(*key) for key in product(
             range(shape.ns), range(shape.nt), range(shape.na), range(shape.nb),
-            range(shape.nx), range(shape.ny))}
+            range(shape.nx), range(shape.ny)) if key[2:] not in closed}
         totals: dict = {}
         for (_, _, *event), p_st in probs.items():
             totals[tuple(event)] = totals.get(tuple(event), zero_expr()) + p_st

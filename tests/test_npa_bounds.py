@@ -46,10 +46,7 @@ class TestSingleSourceHardy:
         for level in (1, 2, 3):
             val, sol = moments.max_value(SINGLE_SOURCE_CHSH_SHAPE, level, obj,
                                          weights={(0, 0): 1.0})
-            # the degenerate level-2 optimum floors the interior-point method a
-            # shade above 1e-8; the best iterate is still accurate to ~1e-7
-            assert sol.status in (Status.OPTIMAL, Status.MAX_ITERATIONS)
-            assert max(sol.primal_residual, sol.dual_residual, sol.gap) <= 1e-6
+            assert sol.status is Status.OPTIMAL
             chsh_vals.append(val)
         assert chsh_vals[1] <= chsh_vals[0] + 1e-7
         assert chsh_vals[2] <= chsh_vals[1] + 1e-7
@@ -271,6 +268,27 @@ class TestConicStructure:
             residual_bounds=(0.25, 0.25))
         assert problem.inequalities == ()
         assert moments.to_conic(problem).cone.n_lin == 0
+
+    def test_zero_events_closed_under_residual_bounds(self):
+        """With l > 0 a zero event in one block is a zero event in every
+        block, and its residual bounds, which read 0 >= 0 (or 0 = 0 when
+        l = u), are left out: 3 events x 4 blocks x 2 rows fewer than the
+        128 inequalities, and 3 x 4 fewer than the 64 equalities."""
+        basis = moments.MomentBasis(CHSH_SHAPE, 1)
+        hardy_zeros = moments.hardy_zero_events(CHSH_SHAPE)
+        first_block = [z for z in hardy_zeros if z[:2] == (0, 0)]
+
+        def build(zeros, bounds):
+            return moments.build_moment_problem(
+                CHSH_SHAPE, 1, objective=moments.chsh_objective(basis),
+                zeros=zeros, residual_bounds=bounds)
+
+        assert build(first_block, (0.2, 0.3)).zeros == tuple(hardy_zeros)
+        assert len(build([], (0.2, 0.3)).inequalities) == 128
+        assert len(build(hardy_zeros, (0.2, 0.3)).inequalities) == 104
+        assert len(build([], (0.25, 0.25)).equalities) == 64
+        assert len(build(hardy_zeros, (0.25, 0.25)).equalities) == 52
+        assert build(first_block, None).zeros == tuple(first_block)
 
 
 def _chsh_bounded(level, bounds):
