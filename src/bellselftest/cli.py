@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _jsonio, hardy, scenario, selftest, tree
+from . import _jsonio, hardy, qmath, scenario, selftest, tree
 from .npa import membership as npa_membership
 from .npa import moments, seesaw
 from .npa.sdp import Status
@@ -179,29 +179,42 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _event(value, shape: ScenarioShape, field: str) -> tuple:
+    """An event [s, t, a, b, x, y] of ``field``: six integers, each in range."""
+    sizes = (shape.ns, shape.nt, shape.na, shape.nb, shape.nx, shape.ny)
+    if not isinstance(value, (list, tuple)) or len(value) != 6 or not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
+            for v, n in zip(value, sizes)):
+        raise StructuralError(f"{field}: event {value!r} must be six integers "
+                              f"[s, t, a, b, x, y], each below {list(sizes)}")
+    return tuple(int(v) for v in value)
+
+
 def _problem_from_spec(obj: dict) -> moments.MomentProblem:
     shape = ScenarioShape.from_json(obj["shape"])
-    level = int(obj["level"])
+    level = qmath.json_count(obj["level"], "level", 1)
     basis = moments.MomentBasis(shape, level)
+
+    def expr(terms, field):
+        out = moments.zero_expr()
+        for event, coeff in terms:
+            out = out + float(coeff) * basis.prob_expr(*_event(event, shape, field))
+        return out
+
     weights = obj.get("weights")
     if weights is not None:
+        blocks = [f"{s},{t}" for s in range(shape.ns) for t in range(shape.nt)]
+        if not isinstance(weights, dict) or set(weights) != set(blocks):
+            raise StructuralError(f"weights must have exactly the keys {blocks}, "
+                                  f"got {weights!r}")
         weights = {tuple(int(v) for v in k.split(",")): float(w)
                    for k, w in weights.items()}
-    objective = moments.zero_expr()
-    for event, coeff in obj.get("objective", []):
-        s, t, a, b, x, y = (int(v) for v in event)
-        objective = objective + float(coeff) * basis.prob_expr(s, t, a, b, x, y)
-    value_constraints = []
-    for terms, const in obj.get("valueConstraints", []):
-        expr = moments.zero_expr()
-        for event, coeff in terms:
-            s, t, a, b, x, y = (int(v) for v in event)
-            expr = expr + float(coeff) * basis.prob_expr(s, t, a, b, x, y)
-        value_constraints.append((expr, float(const)))
     return moments.build_moment_problem(
         shape, level, weights=weights,
-        zeros=[tuple(int(v) for v in z) for z in obj.get("zeros", [])],
-        value_constraints=value_constraints, objective=objective,
+        zeros=[_event(z, shape, "zeros") for z in obj.get("zeros", [])],
+        value_constraints=[(expr(terms, "valueConstraints"), float(const))
+                           for terms, const in obj.get("valueConstraints", [])],
+        objective=expr(obj.get("objective", []), "objective"),
         residual_bounds=obj.get("residualBounds"))
 
 

@@ -9,7 +9,7 @@ every table admitting the relaxation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -39,14 +39,8 @@ class Certificate:
     shape: ScenarioShape
 
     def rhs_for(self, table: np.ndarray) -> np.ndarray:
-        b = np.empty(len(self.row_spec))
-        for i, spec in enumerate(self.row_spec):
-            if spec[0] == "data":
-                _, s, t, a, bb = spec
-                b[i] = table[s, t, a, bb]
-            else:
-                b[i] = spec[1]
-        return b
+        return np.array([table[tuple(spec[1:])] if spec[0] == "data" else spec[1]
+                         for spec in self.row_spec], dtype=float)
 
     def evaluate(self, o: ObservedBehavior) -> float:
         if o.shape != self.shape:
@@ -69,7 +63,7 @@ class MembershipResult:
 
 def membership_problem(o: ObservedBehavior, level: int,
                        residual_bounds=None) -> MomentProblem:
-    """Relaxation with all observed entries pinned as value equalities."""
+    """Relaxation with all observed entries pinned as data equalities."""
     sh = o.shape
     if not sh.wired:
         raise ValueError("membership needs sources wired to settings")
@@ -81,16 +75,7 @@ def membership_problem(o: ObservedBehavior, level: int,
     # the data rows fix each source weight L_st(1) through completeness
     problem = build_moment_problem(sh, level, objective=zero_expr(),
                                    residual_bounds=residual_bounds)
-    eqs = list(problem.equalities)
-    for s in range(sh.ns):
-        for t in range(sh.nt):
-            for a in range(sh.na):
-                for b in range(sh.nb):
-                    expr = problem.basis.prob_expr(s, t, a, b, s, t)
-                    eqs.append((expr, float(o.table[s, t, a, b]),
-                                ("data", s, t, a, b)))
-    problem.equalities = tuple(eqs)
-    return problem
+    return replace(problem, data=np.array(o.table, dtype=float))
 
 
 def membership_test(o: ObservedBehavior, level: int,
@@ -113,10 +98,7 @@ def membership_test(o: ObservedBehavior, level: int,
 def pr_box_observed() -> ObservedBehavior:
     """PR-box pattern as an observed table: p(stab|st) = 1/8 iff a xor b = s*t."""
     table = np.zeros((2, 2, 2, 2))
-    for s in range(2):
-        for t in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if (a + b) % 2 == (s * t) % 2:
-                        table[s, t, a, b] = 0.125
+    for s, t, a, b in np.ndindex(table.shape):
+        if (a + b) % 2 == (s * t) % 2:
+            table[s, t, a, b] = 0.125
     return ObservedBehavior(shape=CHSH_SHAPE, table=table)

@@ -17,16 +17,14 @@ polynomials satisfies L(m* m) = L(m), so p = 0 forces the moment matrix to
 annihilate the expansion of every left multiple w m that stays inside the
 basis.  Each block is restricted to that face, which with the closure keeps
 the reduced problem strictly feasible; the equalities on y, face conditions
-included, are eliminated before the solver sees them.
+included, are eliminated before the solver sees them.  A problem holds its
+constraints as given: the rows are built, and factored, once per structure.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from numbers import Real
 from types import MappingProxyType
@@ -200,17 +198,19 @@ class MomentBasis:
 
 @dataclass
 class MomentProblem:
-    """Finite relaxation: one moment block per (s, t) over a shared basis."""
+    """Finite relaxation: one moment block per (s, t) over a shared basis.
+
+    The constraints are held as given; ``to_conic`` builds their rows."""
 
     shape: ScenarioShape
     level: int
     basis: MomentBasis
     weights: dict | None              # {(s,t): p(st)} or None for free weights
     zeros: tuple                      # [(s,t,a,b,x,y)] eliminated by reduction
-    equalities: tuple                 # [(LinearExpr, const, None | ("data", s,t,a,b))]
-    inequalities: tuple               # [LinearExpr >= 0]
+    value_constraints: tuple          # [(LinearExpr, const)]: expr = const
     objective: LinearExpr             # maximized
     residual_bounds: tuple | None     # (l, u) or None
+    data: np.ndarray | None = None    # observed p(stab|st), pinned, or None
 
     @property
     def block_keys(self) -> list:
@@ -221,6 +221,11 @@ class MomentProblem:
             return {"const": e.const,
                     "terms": [[list(k), v] for k, v in sorted(e.terms.items())]}
 
+        eqs, ineqs = _residual_rows(self.basis, self.residual_bounds, self.zeros)
+        eqs = [*self.value_constraints, *((e, 0.0) for e in eqs)]
+        if self.data is not None:
+            eqs += [(self.basis.prob_expr(s, t, a, b, s, t), float(v))
+                    for (s, t, a, b), v in np.ndenumerate(self.data)]
         return {
             "version": "sdp.v1",
             "shape": self.shape.to_json(),
@@ -228,8 +233,8 @@ class MomentProblem:
             "weights": None if self.weights is None else
                        {f"{s},{t}": w for (s, t), w in sorted(self.weights.items())},
             "zeros": [list(z) for z in self.zeros],
-            "equalities": [[expr_json(e), c] for (e, c, _spec) in self.equalities],
-            "inequalities": [expr_json(e) for e in self.inequalities],
+            "equalities": [[expr_json(e), c] for (e, c) in eqs],
+            "inequalities": [expr_json(e) for e in ineqs],
             "objective": expr_json(self.objective),
             "residualBounds": list(self.residual_bounds) if self.residual_bounds else None,
         }
@@ -252,6 +257,7 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     certificate, without running the interior-point loop.
     """
     basis = MomentBasis(shape, level)
+    zeros = tuple(tuple(int(v) for v in z) for z in zeros)
     if residual_bounds is not None:
         try:
             lo, up = residual_bounds
@@ -263,34 +269,43 @@ def build_moment_problem(shape: ScenarioShape, level: int,
         residual_bounds = lo, up = float(lo), float(up)
         if not (0.0 < lo <= up < 1.0):
             raise ValueError("residual bounds need 0 < l <= u < 1")
-    zeros = tuple(tuple(int(v) for v in z) for z in zeros)
-    eqs = [(expr, float(const), None) for expr, const in value_constraints]
-    ineqs = []
-    if residual_bounds is not None:
         # l > 0: an event impossible in one source slice is impossible in all
         closed, present = dict.fromkeys(z[2:] for z in zeros), set(zeros)
         zeros += tuple(st + e for st in product(range(shape.ns), range(shape.nt))
                        for e in closed if st + e not in present)
-        # p(stab|xy) per event not closed, and its sum over (s, t) per (a, b, x, y)
-        probs = {key: basis.prob_expr(*key) for key in product(
-            range(shape.ns), range(shape.nt), range(shape.na), range(shape.nb),
-            range(shape.nx), range(shape.ny)) if key[2:] not in closed}
-        totals: dict = {}
-        for (_, _, *event), p_st in probs.items():
-            totals[tuple(event)] = totals.get(tuple(event), zero_expr()) + p_st
-        for (_, _, *event), p_st in probs.items():
-            total = totals[tuple(event)]
-            if lo == up:
-                eqs.append((p_st - lo * total, 0.0, None))
-            else:
-                ineqs.append(p_st - lo * total)
-                ineqs.append(up * total - p_st)
     return MomentProblem(shape=shape, level=level, basis=basis,
                          weights=None if weights is None else dict(weights),
-                         zeros=zeros, equalities=tuple(eqs),
-                         inequalities=tuple(ineqs),
+                         zeros=zeros,
+                         value_constraints=tuple((expr, float(const))
+                                                 for expr, const in value_constraints),
                          objective=objective or zero_expr(),
                          residual_bounds=residual_bounds)
+
+
+def _residual_rows(basis: MomentBasis, bounds: tuple | None, zeros: tuple) -> tuple:
+    """(equalities, inequalities) of the residual bounds (l, u), as rows
+    expr = 0 and expr >= 0; the events of the closed ``zeros`` have none."""
+    eqs, ineqs = [], []
+    if bounds is None:
+        return eqs, ineqs
+    lo, up = bounds
+    shape = basis.shape
+    closed = {z[2:] for z in zeros}
+    # p(stab|xy) per event not closed, and its sum over (s, t) per (a, b, x, y)
+    probs = {key: basis.prob_expr(*key) for key in product(
+        range(shape.ns), range(shape.nt), range(shape.na), range(shape.nb),
+        range(shape.nx), range(shape.ny)) if key[2:] not in closed}
+    totals: dict = {}
+    for (_, _, *event), p_st in probs.items():
+        totals[tuple(event)] = totals.get(tuple(event), zero_expr()) + p_st
+    for (_, _, *event), p_st in probs.items():
+        total = totals[tuple(event)]
+        if lo == up:
+            eqs.append(p_st - lo * total)
+        else:
+            ineqs.append(p_st - lo * total)
+            ineqs.append(up * total - p_st)
+    return eqs, ineqs
 
 
 # -------------------------------------------------------------- conic assembly
@@ -299,17 +314,17 @@ def build_moment_problem(shape: ScenarioShape, level: int,
 class ConicData:
     """Solver data for min c.x, A x = b, x in K over the moment vector y.
 
-    The cone point is x = C y + h: the inequality values, then
+    The cone point is x = C y: the inequality values, then
     svec(Q^T M_st(y) Q) for each block.  The equalities E y = e are solved
-    as y = y0 + N z, and the rows of A are an orthonormal basis of the
-    complement of range(C N), so A has full row rank and A x = A (C y0 + h)
-    holds exactly on the image of the equalities' solutions.  null_basis is
-    an orthonormal basis of range(C N) = null(A), on which the solver solves
-    its Newton systems.
+    as y = y0 + N z with y0 = E^+ e, and the rows of A are an orthonormal
+    basis of the complement of range(C N), so A has full row rank and
+    A x = b = A C E^+ e holds exactly on the image of the equalities'
+    solutions.  null_basis is an orthonormal basis of range(C N) = null(A),
+    on which the solver solves its Newton systems.
 
-    a_mat, null_basis and eq_map depend on E and C alone, and the faces on
-    each block's zero events alone: they are shared read-only with every
-    other ConicData of the same structure (see ``to_conic``)."""
+    a_mat, null_basis, eq_map, the cone and the faces depend on the
+    problem's structure alone: they are shared read-only with every other
+    ConicData of the same structure (see ``to_conic``)."""
 
     a_mat: np.ndarray
     b: np.ndarray
@@ -378,28 +393,65 @@ STRUCTURE_CACHE_SIZE = 16   # constraint structures kept, least recently used ou
 class _Structure:
     """What ``to_conic`` derives from E and C alone; every array read-only."""
 
+    e_mat: np.ndarray
     e_pinv: np.ndarray               # E^+
     a_mat: np.ndarray
     null_basis: np.ndarray
     eq_map: np.ndarray               # A C E^+
+    cone: Cone
+    faces: MappingProxyType          # (s,t) -> Q (N x r) face basis
+    value_row: int                   # first row of the value constraints
+    data_row: int                    # first row of the data, if pinned
 
 
-_structures: OrderedDict = OrderedDict()    # digest of (E, C) -> _Structure
-_structures_lock = threading.Lock()
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
+               value_terms: tuple, bounds: tuple | None, pinned: bool) -> _Structure:
+    """E, E^+, A, the null basis, A C E^+, the cone and the faces of one
+    structure: a problem without its right-hand sides and objective.  E holds
+    the weight, face, zero-event, value (``value_terms``: entry terms),
+    residual and, when pinned, data rows; C the residual inequalities, then
+    each block's cone rows."""
+    basis = MomentBasis(shape, level)
+    ids = basis.moment_ids
+    n_mom = int(ids.max()) + 1
+    block_keys = [(s, t) for s in range(shape.ns) for t in range(shape.nt)]
+    col = {key: k * n_mom for k, key in enumerate(block_keys)}
+    n_y = n_mom * len(block_keys)
 
+    def expr_vec(terms) -> np.ndarray:
+        vec = np.zeros(n_y)
+        for (s, t, u, v), coeff in terms:
+            if ids[u, v] >= 0:
+                vec[col[(s, t)] + ids[u, v]] += coeff
+        return vec
 
-def _structure(e_mat: np.ndarray, c_mat: np.ndarray) -> _Structure:
-    """E^+, A, the null basis and A C E^+ of one (E, C), looked up by a
-    digest of both matrices' shapes and float64 bytes."""
-    digest = hashlib.sha256()
-    for mat in (e_mat, c_mat):
-        digest.update(repr(mat.shape).encode())
-        digest.update(np.ascontiguousarray(mat, dtype=float))
-    key = digest.digest()
-    with _structures_lock:
-        if key in _structures:
-            _structures.move_to_end(key)
-            return _structures[key]
+    norms = [((s, t, 0, 0), 1.0) for (s, t) in block_keys]     # L_st(1) = p(st)
+    rows = [expr_vec(norms)] if free_weights else [expr_vec([n]) for n in norms]
+    # faces: M_st(y) vanishes on the null vectors of the block's zero events
+    faces, cone_rows = {}, {}
+    for key in block_keys:
+        events = tuple((a, b, x, y) for (s, t, a, b, x, y) in zeros if (s, t) == key)
+        faces[key], face_rows, cone_rows[key] = _face(shape, level, events)
+        face = np.zeros((len(face_rows), n_y))
+        face[:, col[key]:col[key] + n_mom] = face_rows
+        rows.extend(face)
+    rows += [expr_vec(basis.prob_expr(*z).terms.items()) for z in zeros]
+    value_row = len(rows)
+    eqs, ineqs = _residual_rows(basis, bounds, zeros)
+    rows += [expr_vec(terms) for terms in (*value_terms, *(e.terms.items() for e in eqs))]
+    data_row = len(rows)
+    if pinned:
+        rows += [expr_vec(basis.prob_expr(s, t, a, b, s, t).terms.items())
+                 for s, t, a, b in np.ndindex(shape.ns, shape.nt, shape.na, shape.nb)]
+    e_mat = np.array(rows)
+
+    cone = Cone(len(ineqs), [faces[key].shape[1] for key in block_keys])
+    c_mat = np.zeros((cone.dim, n_y))
+    for i, expr in enumerate(ineqs):
+        c_mat[i] = expr_vec(expr.terms.items())
+    for key, n, off in zip(block_keys, cone.blocks, cone.offsets):
+        c_mat[off:off + svec_dim(n), col[key]:col[key] + n_mom] = cone_rows[key]
 
     u, sv, vt = np.linalg.svd(e_mat)
     rank = int(np.sum(sv > RANK_TOL * sv[0]))
@@ -411,103 +463,56 @@ def _structure(e_mat: np.ndarray, c_mat: np.ndarray) -> _Structure:
     r, piv = qr(complement.T, mode="r", pivoting=True)
     a_mat = np.empty_like(r)
     a_mat[:, piv] = r
-    # a copy, so that the entry does not keep the whole SVD factor alive
-    null_basis = np.ascontiguousarray(null_basis)
-    entry = _Structure(*_read_only(e_pinv, a_mat, null_basis, a_mat @ c_mat @ e_pinv))
-    with _structures_lock:
-        _structures[key] = entry
-        while len(_structures) > STRUCTURE_CACHE_SIZE:
-            _structures.popitem(last=False)
-    return entry
+    # null_basis copied, so that the entry does not keep the SVD factor alive
+    return _Structure(*_read_only(e_mat, e_pinv, a_mat, np.ascontiguousarray(null_basis),
+                                  a_mat @ c_mat @ e_pinv),
+                      cone, MappingProxyType(faces), value_row, data_row)
 
 
 @serial_blas
 def to_conic(problem: MomentProblem) -> ConicData:
     """Assemble solver data; applies facial reduction per block.
 
-    Each call builds E, C and the right-hand sides, then solves for y0 and
-    checks E y = e for consistency.  E^+, A, the null basis and A C E^+
-    depend on E and C alone: they are kept for the last STRUCTURE_CACHE_SIZE
-    structures, looked up by a digest of E and C, so a stream of problems
-    that differ only in right-hand sides and objective (one membership
-    test per observed table, one bound per Bell coefficient) factors its
-    structure once.  Each block's face is kept per zero-event set likewise."""
+    The rows E and C and all that is derived from them are built by
+    ``_structure`` once per structure, the problem without its right-hand
+    sides and objective, so a stream of membership tests or bounds that
+    differ only there builds and factors its rows once.  Each call builds e,
+    the objective c and b = A C E^+ e, and checks E y = e for consistency."""
     basis = problem.basis
-    shape, level = basis.shape, basis.level
-    ids = basis.moment_ids
-    n_mom = int(ids.max()) + 1
+    st = _structure(basis.shape, basis.level, problem.weights is None, problem.zeros,
+                    tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints),
+                    problem.residual_bounds, problem.data is not None)
     block_keys = problem.block_keys
-    col = {key: k * n_mom for k, key in enumerate(block_keys)}
-    n_y = n_mom * len(block_keys)
 
-    def expr_vec(expr: LinearExpr) -> np.ndarray:
-        vec = np.zeros(n_y)
-        for (s, t, u, v), coeff in expr.terms.items():
-            if ids[u, v] >= 0:
-                vec[col[(s, t)] + ids[u, v]] += coeff
-        return vec
+    e = np.zeros(len(st.e_mat))
+    weights = [1.0] if problem.weights is None else \
+        [float(problem.weights[key]) for key in block_keys]
+    e[:len(weights)] = weights
+    e[st.value_row:st.value_row + len(problem.value_constraints)] = [
+        const - expr.const for expr, const in problem.value_constraints]
+    row_spec = [("const", float(v)) for v in e]
+    if problem.data is not None:
+        e[st.data_row:] = problem.data.ravel()
+        row_spec[st.data_row:] = [("data", *k) for k in np.ndindex(problem.data.shape)]
 
-    rows, rhs, row_spec = [], [], []       # rows holds (r, n_y) slabs
-
-    def equal(vec: np.ndarray, value: float, spec=None):
-        rows.append(vec[None])
-        rhs.append(value)
-        row_spec.append(spec or ("const", value))
-
-    if problem.weights is None:
-        equal(expr_vec(LinearExpr({(s, t, 0, 0): 1.0 for (s, t) in block_keys})), 1.0)
-    else:
-        for (s, t) in block_keys:
-            equal(expr_vec(LinearExpr({(s, t, 0, 0): 1.0})), float(problem.weights[(s, t)]))
-
-    # faces: M_st(y) vanishes on the null vectors of the block's zero events
-    faces, cone_rows = {}, {}
-    for key in block_keys:
-        events = tuple((a, b, x, y) for (s, t, a, b, x, y) in problem.zeros
-                       if (s, t) == key)
-        faces[key], face_rows, cone_rows[key] = _face(shape, level, events)
-        face = np.zeros((len(face_rows), n_y))
-        face[:, col[key]:col[key] + n_mom] = face_rows
-        rows.append(face)
-        rhs.extend([0.0] * len(face))
-        row_spec.extend([("const", 0.0)] * len(face))
-
-    for (s, t, a, b, x, y) in problem.zeros:
-        equal(expr_vec(basis.prob_expr(s, t, a, b, x, y)), 0.0)
-    for expr, const, spec in problem.equalities:
-        equal(expr_vec(expr), const - expr.const, spec)
-
-    e_mat, e = np.concatenate(rows), np.array(rhs)
-
-    sizes = [faces[key].shape[1] for key in block_keys]
-    n_lin = len(problem.inequalities)
-    cone = Cone(n_lin, sizes)
-    c_mat = np.zeros((cone.dim, n_y))
-    h = np.zeros(cone.dim)
-    c = np.zeros(cone.dim)
-    for i, expr in enumerate(problem.inequalities):
-        c_mat[i] = expr_vec(expr)
-        h[i] = expr.const
     objective = {}          # symmetric coefficient matrix F_st of the entry terms
     for (s, t, u, v), coeff in problem.objective.terms.items():
         f = objective.setdefault((s, t), np.zeros((basis.size, basis.size)))
         f[u, v] += 0.5 * coeff
         f[v, u] += 0.5 * coeff
-    for key, n, off in zip(block_keys, sizes, cone.offsets):
-        q = faces[key]
-        c_mat[off:off + svec_dim(n), col[key]:col[key] + n_mom] = cone_rows[key]
+    c = np.zeros(st.cone.dim)
+    for key, n, off in zip(block_keys, st.cone.blocks, st.cone.offsets):
         if key in objective:
+            q = st.faces[key]
             c[off:off + svec_dim(n)] = -svec(q.T @ objective[key] @ q)
 
-    st = _structure(e_mat, c_mat)
-    y0 = st.e_pinv @ e
-    resid = e - e_mat @ y0
+    resid = e - st.e_mat @ (st.e_pinv @ e)
     inconsistency = None
     if np.linalg.norm(resid) > 1e-9 * (1.0 + np.linalg.norm(e)):
         inconsistency = resid / float(resid @ resid)
-    return ConicData(a_mat=st.a_mat, b=st.a_mat @ (c_mat @ y0 + h), c=c, cone=cone,
+    return ConicData(a_mat=st.a_mat, b=st.eq_map @ e, c=c, cone=st.cone,
                      null_basis=st.null_basis,
-                     const=problem.objective.const, faces=faces,
+                     const=problem.objective.const, faces=st.faces,
                      block_keys=block_keys, row_spec=row_spec,
                      eq_map=st.eq_map, inconsistency=inconsistency)
 

@@ -11,7 +11,7 @@ import pytest
 
 import bellselftest
 from bellselftest import _jsonio, hardy
-from bellselftest.cli import main, read_csv
+from bellselftest.cli import _preset_problem, main, read_csv
 from bellselftest.npa import membership
 from bellselftest.npa.membership import pr_box_observed
 from bellselftest.scenario import CHSH_SHAPE, behavior_of, observed, source_independent
@@ -206,6 +206,37 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {named} has no effect with --problem")
+
+    @pytest.mark.parametrize("change, named", [
+        ({"level": 1.7}, "level must be an integer >= 1, got 1.7"),
+        ({"level": True}, "level must be an integer >= 1, got True"),
+        ({"objective": [[[0, 0, 5, 0, 0, 0], 1.0]]}, "objective: event [0, 0, 5, 0, 0, 0]"),
+        ({"objective": [[[3, 0, 0, 0, 0, 0], 1.0]]}, "objective: event [3, 0, 0, 0, 0, 0]"),
+        ({"zeros": [[0, 0, 5, 0, 0, 0]]}, "zeros: event [0, 0, 5, 0, 0, 0]"),
+        ({"valueConstraints": [[[[[0, 0, 0, 0, 7, 0], 1.0]], 0.1]]},
+         "valueConstraints: event [0, 0, 0, 0, 7, 0]"),
+        ({"weights": {}}, "weights must have exactly the keys ['0,0']"),
+        ({"weights": {"0,0": 1.0, "1,0": 0.0}}, "weights must have exactly the keys ['0,0']"),
+    ], ids=["level_float", "level_bool", "outcome_out_of_range", "source_out_of_range",
+            "zero_out_of_range", "setting_out_of_range", "weight_missing", "weight_extra"])
+    def test_problem_file_rejects_malformed_fields(self, tmp_path, capsys, change, named):
+        path = tmp_path / "problem.json"
+        _jsonio.dump({**HARDY_SPEC, **change}, path)
+        assert main(["bound", "--problem", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize("preset, w, level, bounds, digest", [
+        ("chsh", None, 2, (0.2, 0.3), "9a9a0ac80a4d0ce3"),
+        ("chsh", None, 1, (0.25, 0.25), "076e8f359e6a8a85"),
+        ("tilted-hardy", 0.3, 2, (0.2, 0.3), "087e80100e49b197"),
+        ("tilted-hardy", 0.3, 2, None, "d6e3b3bc652d9af4"),
+    ], ids=["chsh_l2", "chsh_l1_equal", "hardy_l2", "hardy_l2_single_source"])
+    def test_problem_bytes_pinned(self, preset, w, level, bounds, digest):
+        """The sdp.v1 problem section of ``bound --out``, byte for byte."""
+        text = _jsonio.dumps(_preset_problem(preset, w, level, bounds).to_json())
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_chsh_preset_rejects_w(self, capsys):
         assert main(["bound", "--preset", "chsh", "--w", "0.9"]) == 2

@@ -266,7 +266,7 @@ class TestConicStructure:
         problem = moments.build_moment_problem(
             CHSH_SHAPE, 1, objective=moments.chsh_objective(basis),
             residual_bounds=(0.25, 0.25))
-        assert problem.inequalities == ()
+        assert problem.to_json()["inequalities"] == []
         assert moments.to_conic(problem).cone.n_lin == 0
 
     def test_zero_events_closed_under_residual_bounds(self):
@@ -284,10 +284,10 @@ class TestConicStructure:
                 zeros=zeros, residual_bounds=bounds)
 
         assert build(first_block, (0.2, 0.3)).zeros == tuple(hardy_zeros)
-        assert len(build([], (0.2, 0.3)).inequalities) == 128
-        assert len(build(hardy_zeros, (0.2, 0.3)).inequalities) == 104
-        assert len(build([], (0.25, 0.25)).equalities) == 64
-        assert len(build(hardy_zeros, (0.25, 0.25)).equalities) == 52
+        assert moments.to_conic(build([], (0.2, 0.3))).cone.n_lin == 128
+        assert moments.to_conic(build(hardy_zeros, (0.2, 0.3))).cone.n_lin == 104
+        assert len(build([], (0.25, 0.25)).to_json()["equalities"]) == 64
+        assert len(build(hardy_zeros, (0.25, 0.25)).to_json()["equalities"]) == 52
         assert build(first_block, None).zeros == tuple(first_block)
 
 
@@ -317,14 +317,15 @@ MEMBER_BOUNDS = (None, (0.25, 0.25), (0.2, 0.3))
 
 
 class TestStructureCache:
-    """to_conic keeps what depends on E and C alone for the last
-    STRUCTURE_CACHE_SIZE structures, and every result matches a cold build."""
+    """to_conic keeps what depends on the problem's structure alone for the
+    last STRUCTURE_CACHE_SIZE structures, and every result matches a cold
+    build."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
-        moments._structures.clear()
+        moments._structure.cache_clear()
         yield
-        moments._structures.clear()
+        moments._structure.cache_clear()
 
     @pytest.mark.parametrize("make", [
         *(lambda lvl=lvl, iv=iv: _member(lvl, iv) for lvl in (1, 2) for iv in MEMBER_BOUNDS),
@@ -337,13 +338,13 @@ class TestStructureCache:
     def test_warm_build_matches_cold_bytes(self, make):
         cold = moments.to_conic(make())
         cold_bytes = {f: getattr(cold, f).tobytes() for f in CACHED_FIELDS}
-        moments._structures.clear()
+        moments._structure.cache_clear()
         moments.to_conic(make())
         warm = moments.to_conic(make())
         assert warm.a_mat is moments.to_conic(make()).a_mat
         assert {f: getattr(warm, f).tobytes() for f in CACHED_FIELDS} == cold_bytes
         assert warm.row_spec == cold.row_spec
-        assert len(moments._structures) == 1
+        assert moments._structure.cache_info().currsize == 1
 
     def test_cached_arrays_are_read_only(self):
         conic = moments.to_conic(_hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 2))
@@ -356,9 +357,38 @@ class TestStructureCache:
         second = moments.to_conic(_member(1, (0.2, 0.3), v=0.8))
         assert second.a_mat is first.a_mat
         assert not np.array_equal(second.b, first.b)
-        moments._structures.clear()
+        moments._structure.cache_clear()
         assert moments.to_conic(_member(1, (0.2, 0.3), v=0.8)).b.tobytes() == \
             second.b.tobytes()
+
+    def test_hit_builds_no_rows(self, monkeypatch):
+        moments.to_conic(_member(1, (0.2, 0.3), v=0.6))
+        calls = []
+        prob_expr = moments.MomentBasis.prob_expr
+
+        def counted(self, *event):
+            calls.append(event)
+            return prob_expr(self, *event)
+
+        monkeypatch.setattr(moments.MomentBasis, "prob_expr", counted)
+        moments.to_conic(_member(1, (0.2, 0.3), v=0.8))
+        assert calls == []
+
+    def test_right_hand_sides_and_objective_hit_terms_miss(self):
+        shape = SINGLE_SOURCE_CHSH_SHAPE
+        basis = moments.MomentBasis(shape, 1)
+        p00, p11 = basis.prob_expr(0, 0, 0, 0, 0, 0), basis.prob_expr(0, 0, 1, 1, 0, 0)
+
+        def conic(weight=1.0, const=0.3, expr=p00, w=0.5):
+            return moments.to_conic(moments.build_moment_problem(
+                shape, 1, weights={(0, 0): weight}, value_constraints=[(expr, const)],
+                objective=moments.tilted_hardy_objective(basis, w)))
+
+        first = conic()
+        for changed in (conic(weight=0.5), conic(const=0.1), conic(w=0.2)):
+            assert changed.a_mat is first.a_mat
+        assert conic(expr=p11).a_mat is not first.a_mat
+        assert moments._structure.cache_info().currsize == 2
 
     def test_hit_still_certifies_inconsistent_equalities(self):
         shape = SINGLE_SOURCE_CHSH_SHAPE
@@ -381,18 +411,18 @@ class TestStructureCache:
         first = moments.to_conic(_chsh_bounded(1, (0.2, 0.3)))
         second = moments.to_conic(_chsh_bounded(1, (0.21, 0.3)))
         assert second.a_mat is not first.a_mat
-        assert len(moments._structures) == 2
+        assert moments._structure.cache_info().currsize == 2
 
     def test_size_is_bounded(self):
         first = moments.to_conic(_chsh_interval(0))
         n = moments.STRUCTURE_CACHE_SIZE + 4
         for i in range(1, n):
             last = moments.to_conic(_chsh_interval(i))
-            assert len(moments._structures) == min(i + 1, moments.STRUCTURE_CACHE_SIZE)
+            assert moments._structure.cache_info().currsize == min(i + 1, moments.STRUCTURE_CACHE_SIZE)
         # the least recently used went first
         assert moments.to_conic(_chsh_interval(n - 1)).a_mat is last.a_mat
         assert moments.to_conic(_chsh_interval(0)).a_mat is not first.a_mat
-        assert len(moments._structures) == moments.STRUCTURE_CACHE_SIZE
+        assert moments._structure.cache_info().currsize == moments.STRUCTURE_CACHE_SIZE
 
     def test_threads_share_the_cache(self):
         """More threads than cores cycle through more structures than the
@@ -400,10 +430,10 @@ class TestStructureCache:
         problems = [_chsh_interval(i) for i in range(moments.STRUCTURE_CACHE_SIZE + 4)]
         cold = []
         for problem in problems:
-            moments._structures.clear()
+            moments._structure.cache_clear()
             conic = moments.to_conic(problem)
             cold.append({f: getattr(conic, f).tobytes() for f in CACHED_FIELDS})
-        moments._structures.clear()
+        moments._structure.cache_clear()
         errors = []
 
         def work(shift):
@@ -412,7 +442,7 @@ class TestStructureCache:
                 conic = moments.to_conic(problems[i])
                 if {f: getattr(conic, f).tobytes() for f in CACHED_FIELDS} != cold[i]:
                     errors.append(i)
-                if len(moments._structures) > moments.STRUCTURE_CACHE_SIZE:
+                if moments._structure.cache_info().currsize > moments.STRUCTURE_CACHE_SIZE:
                     errors.append("size")
 
         interval = sys.getswitchinterval()
