@@ -1,10 +1,11 @@
 """Deterministic JSON serialization: sorted keys, floats with 17 significant
 digits, so reruns produce byte-identical artifacts.
 
-A float64 array is written in one ``%``-format call whose template follows
-the array's shape. ``'%.17g' % x`` and ``format(x, '.17g')`` go through the
-same CPython routine, so an array and the nested list of its elements are
-written as the same bytes.
+A float64 array is written row by row along its last axis: rows of +0.0
+only, most of a realization's matrices, share one finished text, and one
+``%``-format call fills in the values of the other rows. ``'%.17g' % x`` and
+``format(x, '.17g')`` go through the same CPython routine, so an array and the
+nested list of its elements are written as the same bytes.
 
 The reader returns each matrix's ``"entries"`` pair list as a float64
 ``(n, 2)`` array. Lists in the writer's compact form are decoded together in
@@ -14,6 +15,7 @@ take, goes through ``json.loads``, whose errors therefore surface unchanged.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -22,14 +24,25 @@ import numpy as np
 
 
 def _format_floats(a: np.ndarray) -> str:
-    """Write a non-empty float64 array as nested lists in one pass."""
+    """Write a non-empty float64 array as nested lists, row by row along the
+    last axis.  Every row of +0.0 only shares one finished text; the other
+    rows (a nonzero or a -0.0) get the row template, and one ``%`` call over
+    the whole nested template fills in their values."""
     finite = np.isfinite(a)
     if not finite.all():
         raise ValueError(f"non-finite float {float(a[~finite][0])} in JSON payload")
-    template = "%.17g"
-    for n in reversed(a.shape):
-        template = "[" + ",".join([template] * n) + "]"
-    return template % tuple(np.ravel(a).tolist())
+    if a.ndim == 0:
+        return "%.17g" % float(a)
+    rows = a.reshape(-1, a.shape[-1])
+    n = rows.shape[1]
+    special = ((rows != 0) | np.signbit(rows)).any(axis=1)
+    text = ["[" + ",".join(["0"] * n) + "]"] * len(rows)
+    row = "[" + ",".join(["%.17g"] * n) + "]"
+    for i in np.flatnonzero(special).tolist():
+        text[i] = row
+    for m in reversed(a.shape[:-1]):
+        text = ["[" + ",".join(text[k:k + m]) + "]" for k in range(0, len(text), m)]
+    return text[0] % tuple(rows[special].ravel().tolist())
 
 
 def _format(value) -> str:
@@ -97,6 +110,13 @@ _NUMBER_CHARS = b"0123456789+-.eE"
 _PLACEHOLDER = "\x00"
 
 
+@functools.lru_cache(maxsize=64)
+def _skeleton(n: int) -> bytes:
+    """A list of n pairs with its number characters deleted: ``[[,],...]``.
+    The matrices of one file come in a few sizes, so each is built once."""
+    return b"[" + b",".join([b"[,]"] * n) + b"]"
+
+
 def _pair_lists(text: str):
     """Cut each compact ``"entries":[[re,im],...]`` value out of ``text``.
 
@@ -119,7 +139,7 @@ def _pair_lists(text: str):
             raw = text[value:end].encode("ascii", "replace")
             skeleton = raw.translate(None, _NUMBER_CHARS)
             n = (len(skeleton) - 1) // 4
-            if skeleton == b"[" + b",".join([b"[,]"] * n) + b"]":
+            if skeleton == _skeleton(n):
                 pieces += (text[pos:value], f'"\\u0000{len(lists)}"')
                 lists.append(raw)
                 counts.append(n)

@@ -190,15 +190,35 @@ def _event(value, shape: ScenarioShape, field: str) -> tuple:
     return tuple(int(v) for v in value)
 
 
-def _problem_from_spec(obj: dict) -> moments.MomentProblem:
+def _number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StructuralError(f"{field}: {value!r} is not a number")
+    return float(value)
+
+
+def _pairs(value, field: str, what: str) -> list:
+    """``value``, which must be a list of two-item lists ``what``."""
+    if not isinstance(value, list):
+        raise StructuralError(f"{field} must be a list of {what} pairs, got {value!r}")
+    for item in value:
+        if not isinstance(item, list) or len(item) != 2:
+            raise StructuralError(f"{field}: {item!r} is not a pair {what}")
+    return value
+
+
+def _problem_from_spec(obj) -> moments.MomentProblem:
+    if not isinstance(obj, dict):
+        raise StructuralError(f"problem spec must be a JSON object, got {obj!r}")
+    if not isinstance(obj.get("shape"), dict):
+        raise StructuralError(f"shape must be an object, got {obj.get('shape')!r}")
     shape = ScenarioShape.from_json(obj["shape"])
     level = qmath.json_count(obj["level"], "level", 1)
     basis = moments.MomentBasis(shape, level)
 
     def expr(terms, field):
         out = moments.zero_expr()
-        for event, coeff in terms:
-            out = out + float(coeff) * basis.prob_expr(*_event(event, shape, field))
+        for event, coeff in _pairs(terms, field, "[event, coefficient]"):
+            out = out + _number(coeff, field) * basis.prob_expr(*_event(event, shape, field))
         return out
 
     weights = obj.get("weights")
@@ -207,13 +227,19 @@ def _problem_from_spec(obj: dict) -> moments.MomentProblem:
         if not isinstance(weights, dict) or set(weights) != set(blocks):
             raise StructuralError(f"weights must have exactly the keys {blocks}, "
                                   f"got {weights!r}")
-        weights = {tuple(int(v) for v in k.split(",")): float(w)
+        weights = {tuple(int(v) for v in k.split(",")): _number(w, "weights")
                    for k, w in weights.items()}
+    zeros = obj.get("zeros", [])
+    if not isinstance(zeros, list):
+        raise StructuralError(f"zeros must be a list of events, got {zeros!r}")
+    constraints = _pairs(obj.get("valueConstraints", []), "valueConstraints",
+                         "[terms, value]")
     return moments.build_moment_problem(
         shape, level, weights=weights,
-        zeros=[_event(z, shape, "zeros") for z in obj.get("zeros", [])],
-        value_constraints=[(expr(terms, "valueConstraints"), float(const))
-                           for terms, const in obj.get("valueConstraints", [])],
+        zeros=[_event(z, shape, "zeros") for z in zeros],
+        value_constraints=[(expr(terms, "valueConstraints"),
+                            _number(const, "valueConstraints"))
+                           for terms, const in constraints],
         objective=expr(obj.get("objective", []), "objective"),
         residual_bounds=obj.get("residualBounds"))
 

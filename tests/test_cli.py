@@ -217,11 +217,35 @@ class TestBoundCommand:
          "valueConstraints: event [0, 0, 0, 0, 7, 0]"),
         ({"weights": {}}, "weights must have exactly the keys ['0,0']"),
         ({"weights": {"0,0": 1.0, "1,0": 0.0}}, "weights must have exactly the keys ['0,0']"),
+        ({"weights": {"0,0": None}}, "weights: None is not a number"),
+        ({"objective": 5}, "objective must be a list of [event, coefficient] pairs, got 5"),
+        ({"objective": {"0": 1}}, "objective must be a list of [event, coefficient] pairs"),
+        ({"objective": [5]}, "objective: 5 is not a pair [event, coefficient]"),
+        ({"objective": [[[0, 0, 0, 0, 0, 0], 0.5, 0.25]]},
+         "objective: [[0, 0, 0, 0, 0, 0], 0.5, 0.25] is not a pair [event, coefficient]"),
+        ({"objective": [[[0, 0, 0, 0, 0, 0], "1"]]}, "objective: '1' is not a number"),
+        ({"objective": [[5, 1.0]]}, "objective: event 5 must be six integers"),
+        ({"valueConstraints": 5}, "valueConstraints must be a list of [terms, value] pairs"),
+        ({"valueConstraints": [0.1]}, "valueConstraints: 0.1 is not a pair [terms, value]"),
+        ({"valueConstraints": [[5, 0.1]]},
+         "valueConstraints must be a list of [event, coefficient] pairs, got 5"),
+        ({"valueConstraints": [[[[[0, 0, 0, 0, 0, 0], 1.0]], None]]},
+         "valueConstraints: None is not a number"),
+        ({"zeros": 5}, "zeros must be a list of events, got 5"),
+        ({"zeros": [5]}, "zeros: event 5 must be six integers"),
+        ({"shape": 5}, "shape must be an object, got 5"),
+        ([1, 2], "problem spec must be a JSON object, got [1, 2]"),
     ], ids=["level_float", "level_bool", "outcome_out_of_range", "source_out_of_range",
-            "zero_out_of_range", "setting_out_of_range", "weight_missing", "weight_extra"])
+            "zero_out_of_range", "setting_out_of_range", "weight_missing", "weight_extra",
+            "weight_null", "objective_int", "objective_object", "objective_item_int",
+            "objective_triple", "objective_coeff_string", "objective_event_int",
+            "constraints_int", "constraints_item_float", "constraints_terms_int",
+            "constraints_value_null", "zeros_int", "zeros_item_int", "shape_int",
+            "spec_list"])
     def test_problem_file_rejects_malformed_fields(self, tmp_path, capsys, change, named):
         path = tmp_path / "problem.json"
-        _jsonio.dump({**HARDY_SPEC, **change}, path)
+        # a change that is not an object replaces the whole spec
+        _jsonio.dump({**HARDY_SPEC, **change} if isinstance(change, dict) else change, path)
         assert main(["bound", "--problem", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -100,6 +100,38 @@ class TestGoldenBytes:
                "empty": np.zeros((2, 0))}
         assert_same_text(_jsonio.dumps(obj), reference_format(obj))
 
+    def test_sparse_arrays(self):
+        """The writer shares one text among rows of +0.0; a row that holds
+        only -0.0, or a lone subnormal, must not be taken for one."""
+        pairs = np.zeros((16, 2))
+        pairs[1] = -0.0
+        pairs[3] = [0.0, -0.0]
+        pairs[4] = [-0.0, 0.0]
+        pairs[[6, 7], [0, 1]] = 5e-324
+        pairs[[9, 10], [0, 1]] = -5e-324
+        pairs[12] = [0.5, -2.0]
+        column = np.zeros((12, 1))
+        column[[1, 4, 7]] = [[-0.0], [5e-324], [-5e-324]]
+        row = np.zeros((1, 9))
+        row[0, [1, 4, 7]] = [-0.0, 5e-324, -5e-324]
+        cube = np.zeros((3, 4, 5))
+        cube[0, 1] = -0.0
+        cube[1, 2, :2] = [0.0, -0.0]
+        cube[1, 3, :2] = [-0.0, 0.0]
+        cube[2, 0] = [0.5, 0.0, -0.0, 0.0, 1e-300]
+        tiny = np.zeros((12, 5))
+        tiny[range(5), range(5)] = 5e-324
+        tiny[range(5, 10), range(5)] = -5e-324
+        obj = {"pairs": pairs, "column": column, "row": row, "cube": cube,
+               "cube_subnormal": tiny.reshape(3, 4, 5),
+               "pairs_zero": np.zeros((5, 2)), "pairs_negative_zero": np.full((5, 2), -0.0),
+               "column_zero": np.zeros((4, 1)), "column_negative_zero": np.full((4, 1), -0.0),
+               "row_zero": np.zeros((1, 6)), "row_negative_zero": np.full((1, 6), -0.0),
+               "cube_zero": np.zeros((3, 4, 5)), "cube_negative_zero": np.full((3, 4, 5), -0.0),
+               "scalar_zero": np.array(0.0), "scalar_negative_zero": np.array(-0.0),
+               "scalar_subnormal": np.array(5e-324), "scalar_negative_subnormal": np.array(-5e-324)}
+        assert_same_text(_jsonio.dumps(obj), reference_format(obj))
+
 
 class TestRoundTrip:
     def test_reloaded_realization_keeps_its_bytes(self):

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from bellselftest import cli, hardy
+from bellselftest import _jsonio, cli, hardy, selftest
 from bellselftest.npa import moments, sdp, seesaw
 from bellselftest.scenario import SINGLE_SOURCE_CHSH_SHAPE
+from bellselftest.tree import QuditProtocol
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,3 +78,34 @@ def test_workload_runs_and_checks_clean(monkeypatch, tmp_path, name):
     wl = workloads.WORKLOADS[name](0, str(tmp_path))
     errors = wl.check([op.run() for op in wl.ops()])
     assert errors and all(e == [] for e in errors), errors
+
+
+def test_traced_round_trip_records_file_io(monkeypatch, tmp_path):
+    """Every file the CLI and the workload write or read goes through
+    ``_jsonio.dump`` and ``_jsonio.load``, so the tracer's ``jsonio`` spans
+    count the bytes on disk; a write past ``dump`` would read 0 silently."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    proto_path, real_path = tmp_path / "protocol.json", tmp_path / "realization.json"
+    report_path = tmp_path / "report.json"
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["protocol", "--coeffs", "1/6,1/8,1/6,1/6,1/8,1/4",
+                         "--out", str(proto_path)]) == 0
+        proto = QuditProtocol.from_json(_jsonio.load(proto_path))
+        real = selftest.canonical_qudit_realization(proto.coeffs, proto)
+        _jsonio.dump(real.to_json(), real_path)
+        assert cli.main(["verify", "--realization", str(real_path),
+                         "--protocol", str(proto_path), "--out", str(report_path)]) == 0
+    finally:
+        tracer.uninstall()
+
+    def io(name):
+        return sorted(sp.attrs["bytes"] for sp in tracer.spans if sp.name == name)
+
+    size = {p: p.stat().st_size for p in (proto_path, real_path, report_path)}
+    assert io("jsonio.dump") == sorted(size.values())
+    # the protocol is read here, as the workload does, and again by verify
+    assert io("jsonio.load") == sorted([size[proto_path]] * 2 + [size[real_path]])
+    assert min(size.values()) > 0
