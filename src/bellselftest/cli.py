@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -301,7 +302,7 @@ def cmd_bound(args) -> int:
     sol = moments.solve_sdp(problem)
     if sol.status is not Status.OPTIMAL:
         print(f"solver status: {sol.status.value}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_FAIL if sol.status is Status.PRIMAL_INFEASIBLE else EXIT_ERROR
     print(f"{sol.value:.8f}")
     if args.out:
         payload = {"problem": problem.to_json(), "solution": sol.to_json()}
@@ -380,7 +381,10 @@ def cmd_demo(args) -> int:
 
 # --------------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each ``parse_args`` call
+    returns a fresh namespace, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="bellselftest",
         description="Self-testing protocols for Bell scenarios with untrusted sources")

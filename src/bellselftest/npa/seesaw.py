@@ -3,8 +3,9 @@
 The lower bound is the best value found over the exact-zero two-parameter
 family: for a Schmidt angle theta and t1 = tan(alpha_1) the three zeros fix
 the remaining measurement angles in closed form, and ``hardy.maximize_tilted``
-searches (theta, t1) with seeded restarts: one L-BFGS-B run per start with the
-exact gradient, over t1 > 0 only, because the value is even in t1 and a run
+searches (theta, t1) from a grid and seeded restarts, all starts advanced
+together as one batch of damped Newton ascents on the exact value and
+gradient, over t1 > 0 only, because the value is even in t1 and a search
 over t1 < 0 would repeat the same path.  The search never consults the
 closed-form maximizer or q(w); the reported value and zero residual are
 evaluated on the behavior of the realization it found.  The search is called

@@ -11,7 +11,7 @@ import pytest
 
 import bellselftest
 from bellselftest import _jsonio, hardy
-from bellselftest.cli import _preset_problem, main, read_csv
+from bellselftest.cli import _preset_problem, build_parser, cmd_membership, main, read_csv
 from bellselftest.npa import membership
 from bellselftest.npa.membership import pr_box_observed
 from bellselftest.scenario import CHSH_SHAPE, behavior_of, observed, source_independent
@@ -272,7 +272,7 @@ class TestBoundCommand:
         spec = dict(HARDY_SPEC, valueConstraints=[[[[[0, 0, 0, 1, 0, 1], 1.0]], 0.25]])
         path = tmp_path / "problem.json"
         _jsonio.dump(spec, path)
-        assert main(["bound", "--problem", str(path)]) == 2
+        assert main(["bound", "--problem", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "solver status: PrimalInfeasible\n"
@@ -292,6 +292,18 @@ class TestBoundCommand:
 
     def test_bad_bounds_exit_2(self):
         assert main(["bound", "--preset", "chsh", "--l", "0.5", "--u", "0.2"]) == 2
+
+
+class TestParser:
+    def test_built_once_and_nothing_carries_over(self, capsys):
+        assert build_parser() is build_parser()
+        assert main(["bound", "--preset", "tilted-hardy", "--w", "0", "--level", "1"]) == 0
+        assert main(["bound", "--preset", "tilted-hardy", "--w", "0"]) == 0
+        assert capsys.readouterr().out == "0.20626740\n0.09016995\n"
+        args = build_parser().parse_args(["membership", "--observed", "obs.json"])
+        assert vars(args) == {"subcommand": "membership", "observed": "obs.json",
+                              "level": 1, "l": None, "u": None,
+                              "certificate_out": None, "func": cmd_membership}
 
 
 class TestMembershipCommand:
@@ -441,19 +453,32 @@ class TestDemos:
         assert outs[0][0].strip() == "0.77740709"
         assert outs[0] == outs[1]
 
-    def test_bound_never_imports_the_optimizer(self):
-        """Only the Hardy search needs scipy.optimize; a bound leaves it
+    def test_bound_never_imports_the_optimizer(self, tmp_path):
+        """No command needs scipy.optimize: a bound, a membership test and the
+        Hardy demo, whose see-saw searches without it, all leave it
         unimported, so its import time and memory are not paid."""
         src = str(Path(bellselftest.__file__).resolve().parents[1])
+        opath = tmp_path / "pr.json"
+        _jsonio.dump(pr_box_observed().to_json(), opath)
+        commands = [
+            ["bound", "--preset", "chsh", "--level", "1"],
+            ["membership", "--observed", str(opath), "--level", "1",
+             "--l", "0.25", "--u", "0.25"],
+            ["demo", "hardy-selftest", "--out", str(tmp_path), "--w-grid", "0,0.5"],
+        ]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys; from bellselftest.cli import main; rc = main(sys.argv[1:]); "
-             "print('scipy.optimize' in sys.modules); sys.exit(rc)",
-             "bound", "--preset", "chsh", "--level", "1"],
+             "import json, sys; from bellselftest.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    rc = main(argv)\n"
+             "    print('imported', rc, 'scipy.optimize' in sys.modules)",
+             json.dumps(commands)],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert [line for line in proc.stdout.splitlines()
+                if line.startswith("imported")] == [
+            "imported 0 False", "imported 1 False", "imported 0 False"]
 
     def test_demo_csv_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

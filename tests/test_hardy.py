@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import optimize
 
 from bellselftest import hardy
 from bellselftest.hardy import (
@@ -251,14 +250,26 @@ class TestMaximizeTilted:
             _, _, t1 = hardy.maximize_tilted(w, restarts=4, seed=2)
             assert t1 > 0
 
-    def test_one_exact_gradient_run_per_start(self, monkeypatch):
-        minimize, calls = optimize.minimize, []
+    def test_one_batched_ascent_over_all_starts(self, monkeypatch):
+        value_grad, thetas = hardy.tilted_value_grad, []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("jac"))
-            return minimize(*args, **kwargs)
+        def recording(w, theta, t1):
+            thetas.append(np.array(theta))
+            return value_grad(w, theta, t1)
 
-        monkeypatch.setattr(optimize, "minimize", counting)
+        monkeypatch.setattr(hardy, "tilted_value_grad", recording)
         restarts = 6
         hardy.maximize_tilted(0.4, restarts=restarts, seed=3)
-        assert calls == [True] * (15 + restarts)
+        # the first evaluation holds every start, the 15 grid starts first
+        assert thetas[0].shape[-1] == 15 + restarts
+        grid = np.linspace(0.005, np.pi / 4 - 0.005, 15)
+        assert np.array_equal(thetas[0][0, :15], grid)
+        assert all(th.shape[-1] <= 15 + restarts for th in thetas)
+        monkeypatch.undo()
+        for w in (-0.2, 0.4, 0.99):
+            val, theta, t1 = hardy.maximize_tilted(w, restarts=restarts, seed=3)
+            assert hardy.maximize_tilted(w, restarts=restarts, seed=3) == (val, theta, t1)
+            f, d_theta, d_t = hardy.tilted_value_grad(w, theta, t1)
+            assert f == pytest.approx(val, abs=1e-15)
+            on_box = theta in (1e-5, np.pi / 4 - 1e-9) or t1 in (1e-6, 200.0)
+            assert on_box or np.hypot(d_theta, d_t) <= 1e-8
