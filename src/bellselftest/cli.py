@@ -191,12 +191,6 @@ def _event(value, shape: ScenarioShape, field: str) -> tuple:
     return tuple(int(v) for v in value)
 
 
-def _number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise StructuralError(f"{field}: {value!r} is not a number")
-    return float(value)
-
-
 def _pairs(value, field: str, what: str) -> list:
     """``value``, which must be a list of two-item lists ``what``."""
     if not isinstance(value, list):
@@ -219,7 +213,8 @@ def _problem_from_spec(obj) -> moments.MomentProblem:
     def expr(terms, field):
         out = moments.zero_expr()
         for event, coeff in _pairs(terms, field, "[event, coefficient]"):
-            out = out + _number(coeff, field) * basis.prob_expr(*_event(event, shape, field))
+            coeff = qmath.json_number(coeff, field)
+            out = out + coeff * basis.prob_expr(*_event(event, shape, field))
         return out
 
     weights = obj.get("weights")
@@ -228,7 +223,7 @@ def _problem_from_spec(obj) -> moments.MomentProblem:
         if not isinstance(weights, dict) or set(weights) != set(blocks):
             raise StructuralError(f"weights must have exactly the keys {blocks}, "
                                   f"got {weights!r}")
-        weights = {tuple(int(v) for v in k.split(",")): _number(w, "weights")
+        weights = {tuple(int(v) for v in k.split(",")): qmath.json_number(w, "weights")
                    for k, w in weights.items()}
     zeros = obj.get("zeros", [])
     if not isinstance(zeros, list):
@@ -239,7 +234,7 @@ def _problem_from_spec(obj) -> moments.MomentProblem:
         shape, level, weights=weights,
         zeros=[_event(z, shape, "zeros") for z in zeros],
         value_constraints=[(expr(terms, "valueConstraints"),
-                            _number(const, "valueConstraints"))
+                            qmath.json_number(const, "valueConstraints"))
                            for terms, const in constraints],
         objective=expr(obj.get("objective", []), "objective"),
         residual_bounds=obj.get("residualBounds"))
@@ -354,7 +349,7 @@ def _demo_hardy(args) -> int:
     def row(w):
         r = hardy.canonical_realization(w)
         vrep = selftest.verify_qubit(r, w)
-        ss = seesaw.seesaw_tilted_hardy(w, restarts=10, seed=args.seed)
+        ss = seesaw.seesaw_tilted_hardy(w)
         shape = SINGLE_SOURCE_CHSH_SHAPE
         basis = moments.MomentBasis(shape, 2)
         bound, _ = moments.max_value(
@@ -433,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=13)
     p.add_argument("--w-grid", default=None,
                    help="comma-separated w values for hardy-selftest")
-    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_demo)
 
     return parser

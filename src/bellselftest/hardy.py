@@ -167,118 +167,41 @@ def stationary_point(w: float) -> tuple[float, float]:
     return theta, float(np.sqrt(1.0 / np.tan(theta)))
 
 
-# search box for (theta, t1), and the iteration cap of the batched ascent
-_BOX_LO = np.array([1e-5, 1e-6])
-_BOX_HI = np.array([np.pi / 4 - 1e-9, 200.0])
-_MAX_ITER = 500
-# relative step of the central differences: about the cube root of the
-# rounding unit, which balances their truncation and rounding errors
-_HESS_STEP = 6e-6
-# central-difference offsets (theta, t1) of the five points evaluated per start
-_OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+# theta grid of the search: geometric below 0.05, to bracket the small theta_w
+# of the w -> 1 corner (3.3e-4 at w = 0.999), then linear up to pi/4
+_THETA_GRID = np.concatenate([np.geomspace(1e-5, 0.05, 16, endpoint=False),
+                              np.linspace(0.05, np.pi / 4 - 1e-9, 48)])
 
 
-def _value_grad_hess(w: float, x: np.ndarray):
-    """Value, exact gradient and Hessian of the family at each row of x.
+def _profile(w: float, theta):
+    """Value, d/dtheta and t1 = sqrt(cot theta) of the profile g(theta)."""
+    t1 = np.sqrt(1.0 / np.tan(theta))
+    f, d_theta, _ = tilted_value_grad(w, theta, t1)
+    return f, d_theta, t1
 
-    One ``tilted_value_grad`` call covers every row at once: the point itself
-    and its four central-difference neighbours, whose gradients give the
-    Hessian (symmetrized).  x is (m, 2); returns f (m,), g (m, 2) and
-    H (m, 2, 2).  Every neighbour stays inside theta, t1 > 0.
+
+def maximize_tilted(w: float) -> tuple[float, float, float]:
+    """Best (value, theta, t1 > 0) over the exact-zero family.
+
+    In ``tilted_value_grad`` only D depends on t1, and by AM-GM D >= (1 + r^3)^2,
+    with equality iff t1^2 = r = cot(theta).  The maximum is positive for
+    every w in (-1/4, 1), so it lies on the profile g(theta) =
+    f(theta, sqrt(cot theta)), where df/dt1 = 0 and df/dtheta = g'(theta).
+    The best point of one batched evaluation on a fixed grid and its two
+    neighbours bracket it; the bracket is bisected on the sign of g' until it
+    cannot be split, keeping the best value seen.
     """
-    pts = x + _OFFSETS[:, None, :] * (_HESS_STEP * x)
-    f, d_theta, d_t = tilted_value_grad(w, pts[..., 0], pts[..., 1])
-    g = np.stack([d_theta, d_t], axis=-1)
-    hess = np.stack([(g[1] - g[2]) / (pts[1, :, :1] - pts[2, :, :1]),
-                     (g[3] - g[4]) / (pts[3, :, 1:] - pts[4, :, 1:])], axis=-1)
-    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-    return f[0], g[0], hess
-
-
-def _ascent_step(x: np.ndarray, g: np.ndarray, hess: np.ndarray,
-                 nu: np.ndarray) -> np.ndarray:
-    """Damped Newton (Levenberg-Marquardt) ascent step for each row.
-
-    Solves (-H + s I) step = g with s the smallest shift that makes -H
-    positive semidefinite plus nu times the larger of |g| and the magnitude
-    of its top eigenvalue, so nu -> 0 gives the Newton step at a concave
-    point and a large nu a short gradient step.  A coordinate on the box
-    whose gradient points out of it is held fixed (its gradient and coupling
-    zeroed).
-    """
-    fixed = ((x <= _BOX_LO) & (g < 0)) | ((x >= _BOX_HI) & (g > 0))
-    g = np.where(fixed, 0.0, g)
-    a, c = -hess[:, 0, 0], -hess[:, 1, 1]
-    b = np.where(fixed.any(axis=1), 0.0, -hess[:, 0, 1])
-    mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-    lam_lo, lam_hi = mid - rad, mid + rad
-    s = np.maximum(0.0, -lam_lo) + nu * np.maximum(np.abs(lam_hi), np.hypot(g[:, 0], g[:, 1]))
-    # det(-H + s I) as the product of its eigenvalues, each at least
-    # nu * max(|lam_hi|, |g|); it is 0 only where g is, and so is the step
-    det = (lam_lo + s) * (lam_hi + s)
-    step = np.stack([(c + s) * g[:, 0] - b * g[:, 1],
-                     (a + s) * g[:, 1] - b * g[:, 0]], axis=-1)
-    return np.divide(step, det[:, None], out=np.zeros_like(step),
-                     where=det[:, None] > 0)
-
-
-def maximize_tilted(w: float, restarts: int = 50,
-                    seed: int = 7) -> tuple[float, float, float]:
-    """Best (value, theta, t1) over the exact-zero family, seeded restarts.
-
-    Besides random restarts, a deterministic grid of starts with
-    t1 = sqrt(cot theta) is included: the zero relations make that the
-    stationary branch, which keeps the search reliable near the w -> 1
-    product-state corner where the landscape flattens.
-
-    All starts advance together as one batch of damped Newton
-    (Levenberg-Marquardt) ascents over (theta, |t1|) in the box
-    [1e-5, pi/4 - 1e-9] x [1e-6, 200]: each iteration evaluates the exact
-    value and gradient of ``tilted_value_grad`` at every active start, with
-    a Hessian from central differences of that gradient, and keeps a step
-    only if it goes uphill.  A start stops on its own once its step no
-    longer moves it at rounding level: the gain the quadratic model predicts
-    for the step is within rounding of the value.  The value is even in t1 (negating t1 negates
-    alpha_0 and beta_0 and leaves both amplitudes unchanged), so a mirrored
-    search over t1 < 0 would retrace the same path and never win; the
-    returned t1 is positive.  The random starts still draw a sign, which
-    keeps the seeded stream of starts as it was.
-    """
-    rng = np.random.default_rng(seed)
-    starts = [(th0, np.sqrt(1.0 / np.tan(th0)))
-              for th0 in np.linspace(0.005, np.pi / 4 - 0.005, 15)]
-    for _ in range(restarts):
-        starts.append((rng.uniform(_BOX_LO[0], _BOX_HI[0]),
-                       rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 5.0)))
-    x = np.array(starts)
-    x[:, 0] = np.clip(x[:, 0], _BOX_LO[0], _BOX_HI[0])
-    x[:, 1] = np.minimum(np.abs(x[:, 1]), 199.0)
-    f, g, hess = _value_grad_hess(w, x)
-    nu = np.full(len(x), 1e-3)
-    active = np.arange(len(x))
-    for _ in range(_MAX_ITER):
-        xa = x[active]
-        trial = np.clip(xa + _ascent_step(xa, g[active], hess[active], nu[active]),
-                        _BOX_LO, _BOX_HI)
-        step = trial - xa
-        # a start stops when the gain its quadratic model predicts for the
-        # step is within rounding of f: no evaluation could show it uphill,
-        # and a step that leaves the start in place gains exactly 0
-        gain = ((step * g[active]).sum(axis=1)
-                + 0.5 * np.einsum("mi,mij,mj->m", step, hess[active], step))
-        moves = gain > 4.0 * np.finfo(float).eps * np.abs(f[active])
-        active, trial = active[moves], trial[moves]
-        if not active.size:
-            break
-        ft, gt, ht = _value_grad_hess(w, trial)
-        up = ft > f[active]
-        acc = active[up]
-        x[acc], f[acc], g[acc], hess[acc] = trial[up], ft[up], gt[up], ht[up]
-        # the floor keeps the shift of _ascent_step positive where -H is indefinite
-        nu[acc] = np.maximum(0.1 * nu[acc], 1e-15)
-        nu[active[~up]] *= 10.0
-    best = int(np.argmax(f))
-    return float(f[best]), float(x[best, 0]), float(x[best, 1])
+    f, d_theta, t1 = _profile(w, _THETA_GRID)
+    i = int(np.argmax(f))
+    best = (float(f[i]), float(_THETA_GRID[i]), float(t1[i]))
+    lo = _THETA_GRID[max(i - 1, 0)]
+    hi = _THETA_GRID[min(i + 1, len(_THETA_GRID) - 1)]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f, d_theta, t1 = _profile(w, mid)
+        if f > best[0]:
+            best = (float(f), float(mid), float(t1))
+        lo, hi = (mid, hi) if d_theta > 0 else (lo, mid)
+    return best
 
 
 def realization_from_angles(theta: float, a0: float, a1: float,

@@ -13,7 +13,6 @@ validation and the Jordan decomposition use the constants as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -97,31 +96,59 @@ def json_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _entry_array(entries) -> np.ndarray:
-    """``entries`` as a float64 array.  The reader's float64 array is taken
-    without a copy; anything else, such as json.loads's lists, must hold only
-    numbers, since np.asarray would read "1.5" as 1.5 and true as 1.0."""
-    if not (isinstance(entries, np.ndarray) and entries.dtype == np.float64):
-        try:
-            kinds = set(map(type, chain.from_iterable(entries)))
-        except TypeError:
-            raise ValueError("entries must be a list of [re, im] pairs") from None
-        odd = sorted(k.__name__ for k in kinds if k is bool or not issubclass(
-            k, (int, float, np.integer, np.floating)))
-        if odd:
-            raise ValueError(f"matrix entries must be numbers, got {', '.join(odd)}")
-    return np.asarray(entries, dtype=float, order="C")
+def is_json_number(value) -> bool:
+    """True for an int or a float, numpy's included; False for what np.asarray
+    would still read as one: a boolean, a numeric string or None."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
+
+
+def json_number(value, name: str) -> float:
+    """``value`` as a float; anything but a number raises ``ValueError``."""
+    if not is_json_number(value):
+        raise ValueError(f"{name}: {value!r} is not a number")
+    return float(value)
+
+
+def json_bool(value, name: str) -> bool:
+    """``value`` if it is a boolean; "false" or 0 raises ``ValueError``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name}: {value!r} is not a boolean")
+    return value
+
+
+def _first_false(ok: np.ndarray) -> list:
+    return [int(i) for i in np.unravel_index(np.argmin(ok), ok.shape)]
+
+
+def json_floats(values, name: str, null_as_nan: bool = False) -> np.ndarray:
+    """``values`` as a finite float64 array: the reader's float64 array
+    without a copy, or nested lists of JSON numbers (and nulls, read as NaN,
+    with ``null_as_nan``).  A leaf that is not a number, or not finite,
+    raises ``ValueError`` naming ``name`` and the leaf's index."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+        leaves = np.asarray(values, dtype=object)
+        ok = np.fromiter((is_json_number(v) or (null_as_nan and v is None)
+                          for v in leaves.flat), dtype=bool, count=leaves.size)
+        if not ok.all():
+            index = _first_false(ok.reshape(leaves.shape))
+            raise ValueError(f"{name} entries must be numbers, got "
+                             f"{type(leaves[tuple(index)]).__name__} as {name} "
+                             f"entry at {index}")
+    t = np.asarray(values, dtype=float, order="C")
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"non-finite {name} entry at {_first_false(finite)}")
+    return t
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     rows = json_count(obj["rows"], "rows", 0)
     cols = json_count(obj["cols"], "cols", 0)
-    entries = _entry_array(obj["entries"])
+    entries = json_floats(obj["entries"], "matrix")
     if entries.shape != (rows * cols, 2):
         raise ValueError(f"entries of shape {entries.shape} do not match "
                          f"{rows}*{cols} [re, im] pairs")
-    if not np.isfinite(entries).all():
-        raise ValueError("non-finite matrix entry")
     # a view keeps the sign of every zero, which re + 1j*im would not
     return entries.view(complex).reshape(rows, cols)
 
@@ -189,7 +216,7 @@ class ProjectiveMeasurement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProjectiveMeasurement":
-        return cls(dim=int(obj["dim"]),
+        return cls(dim=json_count(obj["dim"], "dim", 1),
                    effects=tuple(matrix_from_json(e) for e in obj["effects"]))
 
 

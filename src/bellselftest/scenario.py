@@ -141,17 +141,6 @@ class Realization:
         return cls(cq=cq, alice=alice, bob=bob)
 
 
-def _finite_array(values, name: str) -> np.ndarray:
-    """Float array of ``values``; a JSON null (read as NaN) or an infinite
-    entry raises ``ValueError`` naming its index."""
-    t = np.asarray(values, dtype=float)
-    bad = np.argwhere(~np.isfinite(t))
-    if bad.size:
-        index = ", ".join(str(int(i)) for i in bad[0])
-        raise ValueError(f"non-finite {name} entry at [{index}]")
-    return t
-
-
 @dataclass(frozen=True)
 class Behavior:
     """Full tensor p(stab|xy), indexed [s][t][a][b][x][y]."""
@@ -160,7 +149,7 @@ class Behavior:
     tensor: np.ndarray
 
     def __post_init__(self):
-        t = _finite_array(self.tensor, "tensor")
+        t = qmath.json_floats(self.tensor, "tensor", null_as_nan=True)
         sh = self.shape
         expected = (sh.ns, sh.nt, sh.na, sh.nb, sh.nx, sh.ny)
         if t.shape != expected:
@@ -185,7 +174,7 @@ class Behavior:
     @classmethod
     def from_json(cls, obj: dict) -> "Behavior":
         return cls(shape=ScenarioShape.from_json(obj["shape"]),
-                   tensor=np.asarray(obj["tensor"], dtype=float))
+                   tensor=obj["tensor"])
 
 
 @dataclass(frozen=True)
@@ -196,7 +185,7 @@ class ObservedBehavior:
     table: np.ndarray
 
     def __post_init__(self):
-        t = _finite_array(self.table, "table")
+        t = qmath.json_floats(self.table, "table", null_as_nan=True)
         sh = self.shape
         expected = (sh.ns, sh.nt, sh.na, sh.nb)
         if t.shape != expected:
@@ -210,7 +199,7 @@ class ObservedBehavior:
     @classmethod
     def from_json(cls, obj: dict) -> "ObservedBehavior":
         return cls(shape=ScenarioShape.from_json(obj["shape"]),
-                   table=np.asarray(obj["table"], dtype=float))
+                   table=obj["table"])
 
 
 def behavior_of(r: Realization) -> Behavior:

@@ -26,6 +26,7 @@ import numpy as np
 from . import hardy, qmath
 from .qmath import ProjectiveMeasurement, dag, dichotomic_qubit_measurement
 from .scenario import (
+    PSD_TOL,
     ClassicalQuantumState,
     Realization,
     ScenarioShape,
@@ -66,12 +67,14 @@ class VerificationReport:
 
 
 def _principal_state(rho: np.ndarray, tol: float):
-    """Normalized principal eigenvector and a rank-one flag."""
+    """Normalized principal eigenvector, trace, a rank-one flag and whether
+    rho is Hermitian PSD within ``PSD_TOL``, from one eigendecomposition."""
     trace = float(np.real(np.trace(rho)))
     vals, vecs = np.linalg.eigh(0.5 * (rho + dag(rho)))
     rank_one = vals[-2] <= tol * max(trace, 1e-300) if len(vals) > 1 else True
+    psd = qmath.is_hermitian(rho, PSD_TOL) and vals[0] >= -PSD_TOL
     psi = vecs[:, -1]
-    return psi / np.linalg.norm(psi), trace, bool(rank_one)
+    return psi / np.linalg.norm(psi), trace, bool(rank_one), bool(psd)
 
 
 def _expect(amp: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> float:
@@ -119,7 +122,7 @@ def flip_unitaries(r: Realization, proto: QuditProtocol) -> list:
     device's own (0,0)-slice state against the single-edge ratio relation,
     which the isometry argument only requires to exist.
     """
-    psi, _, _ = _principal_state(r.cq.states[(0, 0)], 1e-6)
+    psi, *_ = _principal_state(r.cq.states[(0, 0)], 1e-6)
     return _flip_unitaries(r, proto, psi.reshape(r.cq.dims))
 
 
@@ -143,7 +146,9 @@ def _flip_unitaries(r: Realization, proto: QuditProtocol, amp: np.ndarray) -> li
 
 def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
     """Check all observable conditions and the isometry premises, each
-    residual against ``hardy.DEFAULT_VALUE_TOL``.
+    residual against ``hardy.DEFAULT_VALUE_TOL``.  A state slice that is not
+    Hermitian PSD within ``PSD_TOL``, as ``simulate`` checks, raises
+    ``ValueError``.
 
     The realization must supply, per party, the d-outcome measurement at
     setting 0 and two dichotomic settings per edge (the protocol's layout).
@@ -162,6 +167,9 @@ def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
     # one eigendecomposition per slice, shared with the flip calibration
     principal = {(s, t): _principal_state(r.cq.states[(s, t)], tol)
                  for s in range(sh.ns) for t in range(sh.nt)}
+    for (s, t), (*_, psd) in principal.items():
+        if not psd:
+            raise ValueError(f"rho_{s}{t} is not Hermitian PSD")
     try:
         flips = _flip_unitaries(r, proto, principal[(0, 0)][0].reshape(r.cq.dims))
     except DegenerateBlockError as exc:
@@ -181,7 +189,7 @@ def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
     eye = np.eye(d)
     for s in range(sh.ns):
         for t in range(sh.nt):
-            psi, weight, rank_one = principal[(s, t)]
+            psi, weight, rank_one, _ = principal[(s, t)]
             amp = psi.reshape(r.cq.dims)
             if not rank_one:
                 warnings.append(f"rho_{s}{t} is not rank one within tolerance; "
@@ -295,10 +303,9 @@ def verify_qubit(r: Realization, w: float) -> VerificationReport:
             if max(zeros) > tol or (violation or 0.0) > tol:
                 passed = False
 
-            rho = r.cq.states[(s, t)]
-            if not qmath.is_psd(rho, 1e-8):
-                raise ValueError(f"rho_{s}{t} is not PSD")
-            psi, _, rank_one = _principal_state(rho, tol)
+            psi, _, rank_one, psd = _principal_state(r.cq.states[(s, t)], tol)
+            if not psd:
+                raise ValueError(f"rho_{s}{t} is not Hermitian PSD")
             if not rank_one:
                 warnings.append(f"rho_{s}{t} is not rank one within tolerance")
             da = r.cq.dims[0]

@@ -255,13 +255,15 @@ class QuditProtocol:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuditProtocol":
-        coeffs = np.asarray(obj["coeffs"], dtype=float)
+        coeffs = qmath.json_floats(obj["coeffs"], "coeffs")
         tree = CoveringTree(d=qmath.json_count(obj["d"], "d", 2),
                             edges=tuple(tuple(e) for e in obj["edges"]),
                             root=qmath.json_count(obj["root"], "root", 0))
         per_edge = tuple(
-            EdgeTest(edge=tuple(e["edge"]), w=float(e["w"]), theta=float(e["theta"]),
-                     p=float(e["p"]), swapped=bool(e["swapped"]))
+            EdgeTest(edge=tuple(e["edge"]), w=qmath.json_number(e["w"], "w"),
+                     theta=qmath.json_number(e["theta"], "theta"),
+                     p=qmath.json_number(e["p"], "p"),
+                     swapped=qmath.json_bool(e["swapped"], "swapped"))
             for e in obj["perEdge"])
         groups = tuple(tuple(tuple(e) for e in g) for g in obj["compressedGroups"])
         return cls(coeffs=coeffs, tree=tree, per_edge=per_edge, groups=groups)

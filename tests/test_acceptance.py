@@ -66,7 +66,7 @@ class TestCriterion2Sandwich:
     def _sandwich(w, level):
         t0 = time.time()
         q = hardy.q_of_w(w)
-        ss = seesaw.seesaw_tilted_hardy(w, restarts=10)
+        ss = seesaw.seesaw_tilted_hardy(w)
         basis = moments.MomentBasis(SINGLE_SOURCE_CHSH_SHAPE, level)
         bound, sol = moments.max_value(
             SINGLE_SOURCE_CHSH_SHAPE, level,

@@ -126,6 +126,53 @@ class TestSimulateVerify:
         extracted = _jsonio.load(report)["extractedCoefficients"]["0,0"]
         assert np.max(np.abs(np.array(extracted) - c / np.linalg.norm(c))) < 1e-7
 
+    @staticmethod
+    def _qudit_files(tmp_path, perturb=None):
+        """d = 3 protocol and canonical realization files; ``perturb`` is
+        added to rho_00 of the realization."""
+        from bellselftest.scenario import ClassicalQuantumState, Realization
+        from bellselftest.selftest import canonical_qudit_realization
+        from bellselftest.tree import SchmidtVector, protocol_of
+        c = SchmidtVector(np.array([3.0, 2.0, 1.0]))
+        proto = protocol_of(c)
+        dev = canonical_qudit_realization(c, proto)
+        if perturb is not None:
+            cq = dev.cq
+            cq = ClassicalQuantumState(shape=cq.shape, dims=cq.dims,
+                                       states={(0, 0): cq.states[(0, 0)] + perturb})
+            dev = Realization(cq=cq, alice=dev.alice, bob=dev.bob)
+        rpath, ppath = tmp_path / "real.json", tmp_path / "proto.json"
+        _jsonio.dump(dev.to_json(), rpath)
+        _jsonio.dump(proto.to_json(), ppath)
+        return rpath, ppath
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_non_hermitian_state_exits_2(self, tmp_path, capsys, command):
+        skew = np.zeros((9, 9))
+        skew[0, 4], skew[4, 0] = 1e-3, -1e-3
+        rpath, ppath = self._qudit_files(tmp_path, skew)
+        args = ["--protocol", str(ppath)] if command == "verify" else []
+        assert main([command, "--realization", str(rpath), *args]) == 2
+        assert "rho_00 is not Hermitian PSD" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("swapped", "false"), ("w", "0.5"),
+                                              ("theta", "0.3"), ("p", "0.5")])
+    def test_mistyped_protocol_field_exits_2(self, tmp_path, capsys, field, value):
+        rpath, ppath = self._qudit_files(tmp_path)
+        obj = _jsonio.load(ppath)
+        obj["perEdge"][0][field] = value
+        _jsonio.dump(obj, ppath)
+        assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath)]) == 2
+        assert f"error: {field}: '{value}' is not a " in capsys.readouterr().err
+
+    def test_string_protocol_coeff_exits_2(self, tmp_path, capsys):
+        rpath, ppath = self._qudit_files(tmp_path)
+        obj = _jsonio.load(ppath)
+        obj["coeffs"] = [str(v) for v in obj["coeffs"]]
+        _jsonio.dump(obj, ppath)
+        assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath)]) == 2
+        assert "coeffs entries must be numbers, got str" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         assert main(["simulate", "--realization", "/nonexistent.json"]) == 2
 
@@ -484,7 +531,7 @@ class TestDemos:
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         for d in (d1, d2):
             assert main(["demo", "chsh-counterexample", "--out", str(d),
-                         "--grid", "5", "--seed", "3"]) == 0
+                         "--grid", "5"]) == 0
         f1 = (d1 / "chsh_counterexample.csv").read_bytes()
         f2 = (d2 / "chsh_counterexample.csv").read_bytes()
         assert f1 == f2

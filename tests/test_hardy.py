@@ -162,7 +162,7 @@ class TestSandwich:
         rng = np.random.default_rng(3)
         grid = np.linspace(-0.23, 0.97, 20)
         for w in grid:
-            val, theta, t1 = hardy.maximize_tilted(w, restarts=12, seed=5)
+            val, theta, t1 = hardy.maximize_tilted(w)
             assert val >= q_of_w(w) - 1e-6
         # level-2 upper bound dominates the achieved value on a subgrid
         for w in [grid[2], grid[10], grid[17]]:
@@ -172,7 +172,7 @@ class TestSandwich:
                 moments.tilted_hardy_objective(basis, w),
                 zeros=moments.hardy_zero_events(SINGLE_SOURCE_CHSH_SHAPE),
                 weights={(0, 0): 1.0})
-            val, _, _ = hardy.maximize_tilted(w, restarts=8, seed=5)
+            val, _, _ = hardy.maximize_tilted(w)
             assert val <= bound + 1e-6
 
 
@@ -187,7 +187,7 @@ class TestStationaryPoint:
 
     def test_optimizer_agrees(self):
         for w in self.GRID:
-            val, _, _ = hardy.maximize_tilted(w, restarts=8, seed=5)
+            val, _, _ = hardy.maximize_tilted(w)
             assert abs(val - q_of_w(w)) <= 1e-10
 
     def test_closed_form_zeros_exact(self):
@@ -198,12 +198,12 @@ class TestStationaryPoint:
             for (a, b, x, y) in hardy.ZERO_TRIPLES:
                 assert abs(beh.tensor[0, 0, a, b, x, y]) <= 1e-14
 
-    @pytest.mark.parametrize("w", [0.95, 0.97, 0.99])
+    @pytest.mark.parametrize("w", [0.95, 0.97, 0.99, 0.995, 0.999, 0.9995])
     def test_optimizer_reaches_corner(self, w):
-        # the landscape flattens as w -> 1, where a search on
-        # finite-difference gradients stops short of q(w)
-        val, _, _ = hardy.maximize_tilted(w, restarts=8, seed=5)
-        assert abs(val - q_of_w(w)) <= 1e-12
+        # the landscape flattens as w -> 1 and theta_w -> 0 (3.3e-4 at
+        # w = 0.999), below the smallest theta of a linear grid
+        val, _, _ = hardy.maximize_tilted(w)
+        assert abs(val - q_of_w(w)) <= 1e-14
 
     def test_domain(self):
         for w in (-0.25, 1.0):
@@ -238,8 +238,8 @@ class TestTiltedValueGrad:
             assert abs(d_t - fd_t) <= 1e-7 * (1 + abs(d_t))
 
     def test_value_exactly_even_in_t1(self):
-        # why maximize_tilted searches t1 > 0 only: a run over -t1 retraces
-        # the same path bit for bit
+        # why maximize_tilted returns the positive root t1 = sqrt(cot theta):
+        # -t1 gives the same value bit for bit
         for w, theta, t1 in _samples(13, 5000):
             assert hardy.tilted_value(w, theta, -t1) == hardy.tilted_value(w, theta, t1)
 
@@ -247,29 +247,50 @@ class TestTiltedValueGrad:
 class TestMaximizeTilted:
     def test_returns_positive_t1(self):
         for w in (-0.2, 0.3, 0.9):
-            _, _, t1 = hardy.maximize_tilted(w, restarts=4, seed=2)
+            _, _, t1 = hardy.maximize_tilted(w)
             assert t1 > 0
 
-    def test_one_batched_ascent_over_all_starts(self, monkeypatch):
-        value_grad, thetas = hardy.tilted_value_grad, []
+    def test_profile_dominates_the_family(self):
+        # AM-GM: at a fixed theta the value is largest at t1 = sqrt(cot theta)
+        # wherever it is positive, and df/dt1 vanishes there
+        for w, theta, t1 in _samples(14, 5000):
+            f, _, _ = hardy.tilted_value_grad(w, theta, t1)
+            r = 1.0 / np.tan(theta)
+            g, _, d_t = hardy.tilted_value_grad(w, theta, np.sqrt(r))
+            assert f <= max(g, 0.0) + 1e-15
+            # d_t is g times two cancelling terms of size 2 r^(5/2) over
+            # D = (1 + r^3)^2: zero up to a few rounding units of them
+            scale = 4.0 * abs(g) * r ** 2.5 / (1.0 + r ** 3) ** 2
+            assert abs(d_t) <= 8 * np.finfo(float).eps * scale
+
+    def test_one_grid_call_then_scalar_bisection(self, monkeypatch):
+        value_grad, calls = hardy.tilted_value_grad, []
 
         def recording(w, theta, t1):
-            thetas.append(np.array(theta))
+            calls.append(np.shape(theta))
             return value_grad(w, theta, t1)
 
         monkeypatch.setattr(hardy, "tilted_value_grad", recording)
-        restarts = 6
-        hardy.maximize_tilted(0.4, restarts=restarts, seed=3)
-        # the first evaluation holds every start, the 15 grid starts first
-        assert thetas[0].shape[-1] == 15 + restarts
-        grid = np.linspace(0.005, np.pi / 4 - 0.005, 15)
-        assert np.array_equal(thetas[0][0, :15], grid)
-        assert all(th.shape[-1] <= 15 + restarts for th in thetas)
+        hardy.maximize_tilted(0.4)
+        # one batched call on the theta grid, then one scalar call per halving
+        assert calls[0] == hardy._THETA_GRID.shape
+        assert all(shape == () for shape in calls[1:])
+        assert len(calls) <= 80
         monkeypatch.undo()
         for w in (-0.2, 0.4, 0.99):
-            val, theta, t1 = hardy.maximize_tilted(w, restarts=restarts, seed=3)
-            assert hardy.maximize_tilted(w, restarts=restarts, seed=3) == (val, theta, t1)
-            f, d_theta, d_t = hardy.tilted_value_grad(w, theta, t1)
-            assert f == pytest.approx(val, abs=1e-15)
-            on_box = theta in (1e-5, np.pi / 4 - 1e-9) or t1 in (1e-6, 200.0)
-            assert on_box or np.hypot(d_theta, d_t) <= 1e-8
+            val, theta, t1 = hardy.maximize_tilted(w)
+            assert hardy.maximize_tilted(w) == (val, theta, t1)
+            assert t1 == np.sqrt(1.0 / np.tan(theta))
+            f, d_theta, _ = hardy.tilted_value_grad(w, theta, t1)
+            assert f == val
+            assert abs(d_theta) <= 1e-6
+
+    def test_search_never_consults_the_closed_form(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the search consulted the closed form")
+
+        for name in ("stationary_point", "theta_of_w", "q_of_w"):
+            monkeypatch.setattr(hardy, name, forbidden)
+        val, _, _ = hardy.maximize_tilted(0.3)
+        monkeypatch.undo()
+        assert abs(val - q_of_w(0.3)) <= 1e-14

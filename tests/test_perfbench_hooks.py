@@ -62,7 +62,7 @@ def test_traced_seesaw_records_its_search(monkeypatch):
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        seesaw.seesaw_tilted_hardy(0.3, restarts=2)
+        seesaw.seesaw_tilted_hardy(0.3)
     finally:
         tracer.uninstall()
     assert [sp.name for sp in tracer.spans].count("hardy.maximize") == 1

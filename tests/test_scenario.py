@@ -300,3 +300,30 @@ class TestJsonRoundTrip:
             table[0][1][1][0] = bad
             with pytest.raises(ValueError, match=r"table entry at \[0, 1, 1, 0\]"):
                 ObservedBehavior.from_json({**obj, "table": table})
+
+    @pytest.mark.parametrize("bad, kind", [("0.0625", "str"), (True, "bool")],
+                             ids=["string", "bool"])
+    def test_behavior_rejects_non_number_entry(self, rng, bad, kind):
+        obj = behavior_of(random_untrusted(rng)).to_json()
+        tensor = obj["tensor"].tolist()
+        tensor[1][0][1][0][0][1] = bad
+        with pytest.raises(ValueError, match=rf"^tensor entries must be numbers, got "
+                                             rf"{kind} as tensor entry at \[1, 0, 1, 0, 0, 1\]"):
+            Behavior.from_json({**obj, "tensor": tensor})
+
+    @pytest.mark.parametrize("bad, kind", [("0.0625", "str"), (True, "bool")],
+                             ids=["string", "bool"])
+    def test_observed_rejects_non_number_entry(self, rng, bad, kind):
+        obj = observed(behavior_of(random_untrusted(rng))).to_json()
+        table = obj["table"].tolist()
+        table[0][1][1][0] = bad
+        with pytest.raises(ValueError, match=rf"^table entries must be numbers, got "
+                                             rf"{kind} as table entry at \[0, 1, 1, 0\]"):
+            ObservedBehavior.from_json({**obj, "table": table})
+
+    @pytest.mark.parametrize("value", [2.7, True, "2", 0],
+                             ids=["float", "bool", "string", "zero"])
+    def test_measurement_rejects_non_integer_dim(self, value):
+        obj = {**COMP.to_json(), "dim": value}
+        with pytest.raises(ValueError, match="^dim must be an integer >= 1"):
+            ProjectiveMeasurement.from_json(obj)

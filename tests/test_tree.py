@@ -169,6 +169,30 @@ class TestJsonRoundTrip:
             QuditProtocol.from_json(obj)
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("w", "0.5", "^w: '0.5' is not a number"),
+        ("theta", True, "^theta: True is not a number"),
+        ("p", None, "^p: None is not a number"),
+        ("swapped", "false", "^swapped: 'false' is not a boolean"),
+        ("swapped", 0, "^swapped: 0 is not a boolean"),
+    ], ids=["w-string", "theta-bool", "p-null", "swapped-string", "swapped-int"])
+    def test_protocol_rejects_mistyped_edge_field(self, field, value, message):
+        obj = protocol_of(SchmidtVector(FIG2)).to_json()
+        obj["perEdge"][1][field] = value
+        with pytest.raises(ValueError, match=message):
+            QuditProtocol.from_json(obj)
+
+    @pytest.mark.parametrize("bad, kind", [("0.25", "str"), (True, "bool")],
+                             ids=["string", "bool"])
+    def test_protocol_rejects_non_number_coeff(self, bad, kind):
+        obj = protocol_of(SchmidtVector(FIG2)).to_json()
+        obj["coeffs"] = [float(v) for v in obj["coeffs"]]
+        obj["coeffs"][2] = bad
+        with pytest.raises(ValueError, match=rf"^coeffs entries must be numbers, got "
+                                             rf"{kind} as coeffs entry at \[2\]"):
+            QuditProtocol.from_json(obj)
+
+
 class TestCompressedGroups:
     def test_star_gives_singletons(self):
         groups = compressed_groups([(0, 1), (0, 2), (0, 3)])
