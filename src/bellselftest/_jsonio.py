@@ -1,16 +1,22 @@
 """Deterministic JSON serialization: sorted keys, floats with 17 significant
 digits, so reruns produce byte-identical artifacts.
 
-A float64 array is written row by row along its last axis: rows of +0.0
-only, most of a realization's matrices, share one finished text, and one
-``%``-format call fills in the values of the other rows. ``'%.17g' % x`` and
-``format(x, '.17g')`` go through the same CPython routine, so an array and the
-nested list of its elements are written as the same bytes.
+Most matrices of a realization are the zero effects that pad dichotomic
+settings to d outcomes, so all-zero data takes a short path both ways. A
+float64 array whose bits are all zero (every entry +0.0) is written as a
+text cached by shape. Any other array is written row by row along its last
+axis: rows of +0.0 only share one finished text, and one ``%``-format call
+fills in the values of the other rows. ``'%.17g' % x`` and
+``format(x, '.17g')`` go through the same CPython routine, so an array and
+the nested list of its elements are written as the same bytes. Containers
+append their pieces to one list, joined once.
 
 The reader returns each matrix's ``"entries"`` pair list as a float64
-``(n, 2)`` array. Lists in the writer's compact form are decoded together in
-one numpy pass; the rest of the text, and any text the fast path does not
-take, goes through ``json.loads``, whose errors therefore surface unchanged.
+``(n, 2)`` array. A list that is the writer's text of n ``[0,0]`` pairs
+becomes a fresh ``np.zeros((n, 2))`` without being decoded; the other lists
+in the writer's compact form are decoded together in one numpy pass. The
+rest of the text, and any text the fast path does not take, goes through
+``json.loads``, whose errors therefore surface unchanged.
 """
 
 from __future__ import annotations
@@ -23,20 +29,37 @@ import re
 import numpy as np
 
 
+@functools.lru_cache(maxsize=64)
+def _zeros(shape: tuple) -> str:
+    """The text of an array of +0.0 of this shape.  The matrices of one file
+    come in a few shapes, so each text is built once."""
+    text = "0"
+    for m in reversed(shape):
+        text = "[" + ",".join([text] * m) + "]"
+    return text
+
+
 def _format_floats(a: np.ndarray) -> str:
     """Write a non-empty float64 array as nested lists, row by row along the
-    last axis.  Every row of +0.0 only shares one finished text; the other
-    rows (a nonzero or a -0.0) get the row template, and one ``%`` call over
-    the whole nested template fills in their values."""
+    last axis.  An array whose bits are all zero (every entry +0.0) is the
+    cached text of its shape.  Otherwise every row of +0.0 only shares one
+    finished text; the other rows (a nonzero or a -0.0) get the row
+    template, and one ``%`` call over the whole nested template fills in
+    their values."""
+    bits = a.view(np.int64)
+    if not np.count_nonzero(bits):
+        return _zeros(a.shape)
     finite = np.isfinite(a)
     if not finite.all():
         raise ValueError(f"non-finite float {float(a[~finite][0])} in JSON payload")
     if a.ndim == 0:
         return "%.17g" % float(a)
-    rows = a.reshape(-1, a.shape[-1])
-    n = rows.shape[1]
-    special = ((rows != 0) | np.signbit(rows)).any(axis=1)
-    text = ["[" + ",".join(["0"] * n) + "]"] * len(rows)
+    n = a.shape[-1]
+    rows = a.reshape(-1, n)
+    # a row is special when any of its entries has a bit set; reducing the
+    # transposed mask runs along rows, much faster than along a short axis
+    special = np.ascontiguousarray((bits.reshape(-1, n) != 0).T).any(axis=0)
+    text = [_zeros((n,))] * len(rows)
     row = "[" + ",".join(["%.17g"] * n) + "]"
     for i in np.flatnonzero(special).tolist():
         text[i] = row
@@ -45,7 +68,13 @@ def _format_floats(a: np.ndarray) -> str:
     return text[0] % tuple(rows[special].ravel().tolist())
 
 
-def _format(value) -> str:
+@functools.lru_cache(maxsize=256)
+def _key(name: str) -> str:
+    """``"name":``.  Each matrix of a realization repeats the same three."""
+    return json.dumps(name) + ":"
+
+
+def _scalar(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
@@ -58,25 +87,44 @@ def _format(value) -> str:
         return str(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: str(kv[0]))
-        inner = ",".join(f"{json.dumps(str(k))}:{_format(v)}" for k, v in items)
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_format(v) for v in value) + "]"
-    if isinstance(value, np.ndarray):
-        if value.dtype == np.float64 and value.size:
-            return _format_floats(value)
-        return _format(value.tolist())
     if isinstance(value, np.integer):
         return str(int(value))
     if isinstance(value, np.floating):
-        return _format(float(value))
+        return _scalar(float(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _write(value, out: list) -> None:
+    """Append the text of ``value`` to ``out``.  A container appends its
+    pieces instead of joining them, so the one join in ``dumps`` copies each
+    piece once, however deep it sits."""
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.size:
+            out.append(_format_floats(value))
+        else:
+            _write(value.tolist(), out)
+    elif isinstance(value, dict):
+        sep = "{"
+        for k, v in sorted(value.items(), key=lambda kv: str(kv[0])):
+            out.append(sep + _key(str(k)))
+            _write(v, out)
+            sep = ","
+        out.append("}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        sep = "["
+        for v in value:
+            out.append(sep)
+            _write(v, out)
+            sep = ","
+        out.append("]" if value else "[]")
+    else:
+        out.append(_scalar(value))
+
+
 def dumps(obj) -> str:
-    return _format(obj)
+    out = []
+    _write(obj, out)
+    return "".join(out)
 
 
 def dump(obj, path) -> None:
@@ -121,14 +169,16 @@ def _pair_lists(text: str):
     """Cut each compact ``"entries":[[re,im],...]`` value out of ``text``.
 
     A value is taken when its key's quote follows ``{`` or ``,`` (so the key
-    opens a string) and, with its number characters deleted, it reads
-    exactly ``[[,],[,],...]``.  A value holds no quote, so the search for
-    its end stops at the next key and the scan stays linear in the text.
-    Each taken value is replaced by the string placeholder
-    ``"\\u0000<k>"``.  Returns the rewritten text, the taken values as
-    ASCII bytes and their numbers of pairs.
+    opens a string) and either it is the writer's text of n ``[0,0]`` pairs,
+    or, with its number characters deleted, it reads exactly
+    ``[[,],[,],...]``.  A value holds no quote, so the search for its end
+    stops at the next key and the scan stays linear in the text.  Each taken
+    value is replaced by the string placeholder ``"\\u0000<k>"``.  Returns
+    the rewritten text; for each taken value in order, a fresh zero array
+    if it is all zeros and None if not; and the other values as ASCII bytes
+    with their numbers of pairs.
     """
-    pieces, lists, counts = [], [], []
+    pieces, taken, lists, counts = [], [], [], []
     pos = 0
     start = text.find(_ENTRIES)
     while start >= 0:
@@ -136,17 +186,29 @@ def _pair_lists(text: str):
         value = start + len(_ENTRIES) - 2
         end = text.find("]]", value, len(text) if following < 0 else following) + 2
         if end > value and start and text[start - 1] in "{,":
-            raw = text[value:end].encode("ascii", "replace")
-            skeleton = raw.translate(None, _NUMBER_CHARS)
-            n = (len(skeleton) - 1) // 4
-            if skeleton == _skeleton(n):
-                pieces += (text[pos:value], f'"\\u0000{len(lists)}"')
+            n, extra = divmod(end - value - 1, 6)
+            # the first and last pairs go first, so that a value holding
+            # numbers seldom builds and caches a zero text of its length
+            if not extra and text.startswith("[[0,0]", value) \
+                    and text.startswith("[0,0]]", end - 6) \
+                    and text.startswith(_zeros((n, 2)), value):
+                array = np.zeros((n, 2))
+            else:
+                raw = text[value:end].encode("ascii", "replace")
+                skeleton = raw.translate(None, _NUMBER_CHARS)
+                n = (len(skeleton) - 1) // 4
+                if skeleton != _skeleton(n):
+                    start = following
+                    continue
+                array = None
                 lists.append(raw)
                 counts.append(n)
-                pos = end
+            pieces += (text[pos:value], f'"\\u0000{len(taken)}"')
+            taken.append(array)
+            pos = end
         start = following
     pieces.append(text[pos:])
-    return "".join(pieces), lists, counts
+    return "".join(pieces), taken, lists, counts
 
 
 def _all_numbers(flat: bytes) -> bool:
@@ -201,10 +263,15 @@ def _decode_pairs(lists: list, counts: list):
 def loads(text):
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text), "surrogatepass")
-    if _ENTRIES in text and "\\u0000" not in text:
-        compact, lists, counts = _pair_lists(text)
-        arrays = _decode_pairs(lists, counts) if lists else None
-        if arrays is not None:
+    if _ENTRIES in text:
+        compact, arrays, lists, counts = _pair_lists(text)
+        decoded = _decode_pairs(lists, counts) if lists else []
+        # The taken values hold no backslash and each placeholder one \u0000
+        # escape, so any other one in the rewritten text is the text's own.
+        if arrays and decoded is not None and compact.count("\\u0000") == len(arrays):
+            decoded = iter(decoded)
+            arrays = [next(decoded) if a is None else a for a in arrays]
+
             def swap_in(obj: dict) -> dict:
                 entries = obj.get("entries")
                 if type(entries) is str and entries[:1] == _PLACEHOLDER:

@@ -12,6 +12,7 @@ validation and the Jordan decomposition use the constants as they are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +76,14 @@ def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
 def matrix_to_json(m: np.ndarray) -> dict:
     """Encode as {"rows", "cols", "entries"} with flat row-major [re, im] pairs.
 
-    ``entries`` is a (rows*cols, 2) float64 array, which ``_jsonio`` writes
-    in one pass.
+    ``entries`` is a read-only (rows*cols, 2) float64 view of the matrix,
+    copied only when it is not C-contiguous, which ``_jsonio`` writes in
+    one pass.
     """
-    m = as_matrix(m)
-    flat = m.reshape(-1)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": np.stack((flat.real, flat.imag), axis=1),
-    }
+    m = np.ascontiguousarray(as_matrix(m))
+    entries = m.reshape(-1).view(np.float64).reshape(-1, 2)
+    entries.flags.writeable = False
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
 
 
 def json_count(value, name: str, minimum: int) -> int:
@@ -104,10 +103,18 @@ def is_json_number(value) -> bool:
 
 
 def json_number(value, name: str) -> float:
-    """``value`` as a float; anything but a number raises ``ValueError``."""
+    """``value`` as a finite float.  Anything but a number, and the NaN and
+    ±Infinity that Python's JSON parser reads as floats, raise
+    ``ValueError`` naming ``name``."""
     if not is_json_number(value):
         raise ValueError(f"{name}: {value!r} is not a number")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name}: {value!r} is not finite")
+    return x
 
 
 def json_bool(value, name: str) -> bool:

@@ -165,6 +165,18 @@ class TestSimulateVerify:
         assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath)]) == 2
         assert f"error: {field}: '{value}' is not a " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["w", "theta", "p"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_protocol_field_exits_2(self, tmp_path, capsys, field, value):
+        rpath, ppath = self._qudit_files(tmp_path)
+        obj = _jsonio.load(ppath)
+        obj["perEdge"][0][field] = value
+        # json.dumps writes the NaN and Infinity tokens that _jsonio refuses
+        ppath.write_text(json.dumps(obj))
+        assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath)]) == 2
+        assert f"error: {field}: {value!r} is not finite" in capsys.readouterr().err
+
     def test_string_protocol_coeff_exits_2(self, tmp_path, capsys):
         rpath, ppath = self._qudit_files(tmp_path)
         obj = _jsonio.load(ppath)
@@ -297,6 +309,20 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize("change, named", [
+        ({"objective": [[[0, 0, 0, 0, 0, 0], float("nan")]]}, "objective: nan"),
+        ({"weights": {"0,0": float("inf")}}, "weights: inf"),
+        ({"valueConstraints": [[[[[0, 0, 0, 0, 0, 0], 1.0]], float("-inf")]]},
+         "valueConstraints: -inf"),
+    ], ids=["objective", "weights", "valueConstraints"])
+    def test_problem_file_rejects_non_finite_numbers(self, tmp_path, capsys, change, named):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({**HARDY_SPEC, **change}))
+        assert main(["bound", "--problem", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} is not finite")
 
     @pytest.mark.parametrize("preset, w, level, bounds, digest", [
         ("chsh", None, 2, (0.2, 0.3), "9a9a0ac80a4d0ce3"),

@@ -133,6 +133,28 @@ class TestGoldenBytes:
         assert_same_text(_jsonio.dumps(obj), reference_format(obj))
 
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1, 2), (5, 2), (256, 2), (3, 1),
+                                       (2, 9), (2, 3, 4), (4, 1, 2), (6,), (1, 6), (6, 1),
+                                       (2, 3), (3, 2), (1, 2, 3)])
+    def test_zero_arrays(self, shape):
+        """An array of +0.0 is a text cached by shape, so shapes of one size
+        are kept apart; one -0.0 anywhere, or a strided view, must still give
+        the reference bytes."""
+        zeros = np.zeros(shape)
+        negative = np.zeros(shape)
+        negative.flat[-1] = -0.0
+        one = np.zeros(shape)
+        one.flat[0] = 5e-324
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., 1::2] = -0.0
+        obj = {"zeros": zeros, "again": np.zeros(shape), "negative": negative,
+               "all_negative": np.full(shape, -0.0), "one": one,
+               "even_columns": wide[..., ::2], "odd_columns": wide[..., 1::2],
+               "transposed": np.zeros(shape[::-1]).T,
+               "list": zeros.tolist()}
+        assert_same_text(_jsonio.dumps(obj), reference_format(obj))
+
+
 class TestRoundTrip:
     def test_reloaded_realization_keeps_its_bytes(self):
         text = _jsonio.dumps(canonical_device(6).to_json())
@@ -314,6 +336,86 @@ class TestReader:
         assert_reads_as_reference(text)
 
 
+def entries_in_text_order(obj):
+    """The "entries" values of a ``json.loads`` result in the order of the
+    text: dicts keep their keys in the order they were read."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if k == "entries":
+                yield v
+            else:
+                yield from entries_in_text_order(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from entries_in_text_order(v)
+
+
+def all_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [a for v in obj for a in all_arrays(v)]
+    return []
+
+
+class TestZeroLists:
+    def test_each_zero_list_is_its_own_array(self):
+        zeros = ",".join(["[0,0]"] * 4)
+        text = ("[" + ",".join([matrix_text(f"[{zeros}]", 2, 2)] * 3) + ","
+                + matrix_text("[[0,0],[0.5,0],[0,0],[0,0]]", 2, 2) + ","
+                + matrix_text("[[0,0]]") + "]")
+        assert_reads_as_reference(text)
+        arrays = [m["entries"] for m in _jsonio.loads(text)]
+        for a in arrays:
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64
+            assert a.flags.writeable and a.shape == (len(a), 2)
+        assert [len(a) for a in arrays] == [4, 4, 4, 4, 1]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        arrays[0][1, 0] = 2.0
+        assert not arrays[1].any() and not arrays[2].any()
+
+    def test_realization_arrays_share_no_memory(self, realization_texts):
+        arrays = all_arrays(_jsonio.loads(realization_texts["d6"]))
+        assert len(arrays) > 100 and all(a.flags.writeable for a in arrays)
+        assert sum(not a.any() for a in arrays) > len(arrays) // 2
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("entries", [
+        "[[0,0.0]]", "[[-0,0]]", "[[0,-0]]", "[[0, 0]]", "[[0,0],[0,0.0]]",
+        "[[0,0] ,[0,0]]", "[[00,0]]", "[[0,0],[0,0]", "[[0,0]]]", "[[0,0],[0,0],]",
+        "[[0,0,0]]", "[[0,0],[0]]", "[[0,0][0,0]]"])
+    def test_near_misses(self, entries):
+        assert_reads_as_reference(matrix_text(entries, 2))
+        assert_reads_as_reference(matrix_text(entries, 1))
+
+    def test_unclosed_zero_list(self):
+        assert_reads_as_reference('{"cols":1,"entries":[[0,0],[0,0]')
+        assert_reads_as_reference('{"cols":1,"entries":[[0,0')
+
+    def test_only_other_lists_are_decoded(self, realization_texts, monkeypatch):
+        text = realization_texts["d16"]
+        plain = json.loads(text, parse_int=_jsonio._parse_int)
+        lists = [np.asarray(e, dtype=float) for e in entries_in_text_order(plain)]
+        wanted = [len(e) for e in lists if np.count_nonzero(e.view(np.int64))]
+        assert 0 < len(wanted) < len(lists)
+        seen = []
+        decode_pairs = _jsonio._decode_pairs
+
+        def recording(lists, counts):
+            seen.extend(counts)
+            return decode_pairs(lists, counts)
+
+        monkeypatch.setattr(_jsonio, "_decode_pairs", recording)
+        assert_same_value(decode(_jsonio.loads(text)), decode(plain))
+        assert seen == wanted
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_matrix(self, bad):
@@ -339,3 +441,43 @@ class TestNumpyScalars:
 
     def test_integer_and_float_scalars(self):
         assert _jsonio.dumps({"n": np.int64(3), "x": np.float32(0.5)}) == '{"n":3,"x":0.5}'
+
+
+class TestContainers:
+    def test_nesting_and_empties(self):
+        obj = {"b": {}, "a": [], "c": (), 10: [[], {}, [[]]], 9: {"z": 1, "y": (2, 3)},
+               "mixed": [1, -2.5, None, True, "s\u00e9\"", np.int64(4), np.float64(-0.0)],
+               "ints": np.arange(3), "empty": np.zeros(0), "flat_empty": np.zeros((3, 0))}
+        assert_same_text(_jsonio.dumps(obj), reference_format(obj))
+        for value in ([], {}, (), [[{}]], "x", 0, -0.0):
+            assert _jsonio.dumps(value) == reference_format(value)
+
+    @pytest.mark.parametrize("value, error", [
+        ({"a": [1, {"b": float("nan")}]}, ValueError), ([object()], TypeError),
+        ({"k": {1, 2}}, TypeError), ([np.zeros(2), np.array([0.0, np.inf])], ValueError)])
+    def test_errors(self, value, error):
+        with pytest.raises(error):
+            reference_format(value)
+        with pytest.raises(error):
+            _jsonio.dumps(value)
+
+
+class TestMatrixEntries:
+    def test_entries_are_a_read_only_view(self):
+        m = np.arange(6.0).reshape(2, 3) * (1 - 2j)
+        entries = matrix_to_json(m)["entries"]
+        assert entries.dtype == np.float64 and entries.shape == (6, 2)
+        assert np.shares_memory(entries, m)
+        assert np.array_equal(entries, np.stack((m.real.ravel(), m.imag.ravel()), axis=1))
+        with pytest.raises(ValueError, match="read-only"):
+            entries[0, 0] = 1.0
+        assert m[0, 0] == 0
+
+    def test_strided_matrix_is_written_in_row_major_order(self):
+        m = (np.arange(12.0) - 1j * np.arange(12.0)[::-1]).reshape(3, 4)
+        for view in (m.T, m[:, ::2], m[::-1]):
+            obj = matrix_to_json(view)
+            assert_same_text(_jsonio.dumps(obj), reference_format(
+                {"cols": view.shape[1], "entries": [[z.real, z.imag] for z in view.ravel()],
+                 "rows": view.shape[0]}))
+            assert np.array_equal(matrix_from_json(obj), view)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellselftest import _jsonio
 from bellselftest.qmath import (
     ProjectiveMeasurement,
     PureState,
@@ -8,6 +9,7 @@ from bellselftest.qmath import (
     eig_hermitian,
     is_unitary,
     jordan_blocks,
+    json_number,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -209,3 +211,19 @@ class TestMatrixJson:
         back = matrix_from_json(matrix_to_json(m))
         assert np.array_equal(np.signbit(back.real), [[True, False]])
         assert np.array_equal(np.signbit(back.imag), [[False, True]])
+
+
+class TestJsonNumber:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_rejects_non_finite(self, token):
+        # the reader takes NaN and Infinity as floats, 1e400 as inf and a
+        # long integer token as an int beyond the float range
+        with pytest.raises(ValueError, match="^p: .* is not finite$"):
+            json_number(_jsonio.loads(token), "p")
+
+    @pytest.mark.parametrize("token, value", [("2", 2.0), ("-0", -0.0), ("0.25", 0.25),
+                                              ("1e308", 1e308)])
+    def test_reads_finite(self, token, value):
+        x = json_number(_jsonio.loads(token), "p")
+        assert type(x) is float and x == value
+        assert np.signbit(x) == np.signbit(value)
