@@ -30,7 +30,6 @@ from numbers import Real
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import qr
 
 from ..scenario import ScenarioShape
 from . import monomials as mono
@@ -457,13 +456,8 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
     rank = int(np.sum(sv > RANK_TOL * sv[0]))
     e_pinv = vt[:rank].T @ (u[:, :rank] / sv[:rank]).T
     null_basis, complement = _range_complement(c_mat @ vt[rank:].T)
-    # rotated by a pivoted QR, each row of A stays close to one coordinate of
-    # x, so the solver's max-norm residuals are read per coordinate; A is
-    # Q^T complement^T, the triangular factor with its columns unpivoted
-    r, piv = qr(complement.T, mode="r", pivoting=True)
-    a_mat = np.empty_like(r)
-    a_mat[:, piv] = r
-    # null_basis copied, so that the entry does not keep the SVD factor alive
+    # both copied, so that the entry does not keep the SVD factor alive
+    a_mat = np.ascontiguousarray(complement.T)
     return _Structure(*_read_only(e_mat, e_pinv, a_mat, np.ascontiguousarray(null_basis),
                                   a_mat @ c_mat @ e_pinv),
                       cone, MappingProxyType(faces), value_row, data_row)

@@ -34,7 +34,6 @@ from enum import Enum
 from functools import cache, wraps
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class Status(Enum):
@@ -65,7 +64,8 @@ class ConicSolution:
 
 # ------------------------------------------------------------- BLAS threads
 
-# (get, set) symbol pairs: numpy's and scipy's wheels, then system builds
+# (get, set) symbol pairs: the scipy-openblas builds that the numpy and scipy
+# wheels ship, then system builds
 _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -89,9 +89,10 @@ def _openblas_controls(path: str):
 @cache
 def _loaded_openblas() -> tuple:
     """(get, set) pairs of every OpenBLAS mapped into this process; none when
-    /proc/self/maps cannot be read.  Looked up once: numpy's and scipy's
-    copies are both loaded by this module's imports, and reading the map
-    costs about a millisecond."""
+    /proc/self/maps cannot be read.  Looked up once: numpy's copy is loaded
+    by this module's imports, and reading the map costs about a
+    millisecond.  A copy that a later import brings in is not held at one
+    thread."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh
@@ -342,6 +343,14 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
                          dual_residual=dres, gap=gap, iterations=sol.iterations)
 
 
+def cho_factor(mat: np.ndarray) -> np.ndarray:
+    """L^{-1} for the lower Cholesky factor L of the positive definite mat,
+    so that mat^{-1} r = L^{-T} (L^{-1} r); LinAlgError when mat does not
+    factor.  The tests and perfbench's tracer count failures through this
+    name."""
+    return np.linalg.inv(np.linalg.cholesky(mat))
+
+
 def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
                 cone: Cone, null_basis: np.ndarray) -> ConicSolution:
     m = a_mat.shape[0]
@@ -393,13 +402,13 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
             scal = _Scaling(cone, x, s)
             hb = scal.apply_h(null_basis.T)
             reduced = hb @ null_basis
-            fact = cho_factor(0.5 * (reduced + reduced.T), lower=True)
+            linv = cho_factor(0.5 * (reduced + reduced.T))
         except np.linalg.LinAlgError:
             return best[1]
 
         def null_space_step(f: np.ndarray, g: np.ndarray):
             u0 = a_mat.T @ g            # orthonormal rows: A^+ = A^T
-            z = cho_solve(fact, null_basis.T @ f - hb @ u0, check_finite=False)
+            z = linv.T @ (linv @ (null_basis.T @ f - hb @ u0))
             u = u0 + null_basis @ z
             hu = scal.apply_h(u)
             return u, a_mat @ (hu - f), hu

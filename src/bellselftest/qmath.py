@@ -102,16 +102,21 @@ def is_json_number(value) -> bool:
         and not isinstance(value, bool)
 
 
+def _as_float(value) -> float:
+    """float(value), with an integer beyond the float range read as ±inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def json_number(value, name: str) -> float:
     """``value`` as a finite float.  Anything but a number, and the NaN and
     ±Infinity that Python's JSON parser reads as floats, raise
     ``ValueError`` naming ``name``."""
     if not is_json_number(value):
         raise ValueError(f"{name}: {value!r} is not a number")
-    try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
+    x = _as_float(value)
     if not math.isfinite(x):
         raise ValueError(f"{name}: {value!r} is not finite")
     return x
@@ -142,7 +147,11 @@ def json_floats(values, name: str, null_as_nan: bool = False) -> np.ndarray:
             raise ValueError(f"{name} entries must be numbers, got "
                              f"{type(leaves[tuple(index)]).__name__} as {name} "
                              f"entry at {index}")
-    t = np.asarray(values, dtype=float, order="C")
+    try:
+        t = np.asarray(values, dtype=float, order="C")
+    except OverflowError:  # an integer beyond the float range: read as ±inf
+        t = np.array([math.nan if v is None else _as_float(v) for v in leaves.flat]
+                     ).reshape(leaves.shape)
     finite = np.isfinite(t)
     if not finite.all():
         raise ValueError(f"non-finite {name} entry at {_first_false(finite)}")

@@ -255,18 +255,45 @@ class QuditProtocol:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuditProtocol":
+        """Read a ``protocol.v1`` object.  ``coeffs`` must hold d numbers,
+        the root and every edge's two vertices must be integers in [0, d),
+        and ``perEdge[i].edge`` must be ``edges[i]``; else ``ValueError``
+        names the field."""
+        d = qmath.json_count(obj["d"], "d", 2)
         coeffs = qmath.json_floats(obj["coeffs"], "coeffs")
-        tree = CoveringTree(d=qmath.json_count(obj["d"], "d", 2),
-                            edges=tuple(tuple(e) for e in obj["edges"]),
-                            root=qmath.json_count(obj["root"], "root", 0))
+        if coeffs.shape != (d,):
+            raise ValueError(f"coeffs must hold d = {d} numbers, got shape {coeffs.shape}")
+        edges = tuple(_json_edge(e, f"edges[{i}]", d) for i, e in enumerate(obj["edges"]))
+        tree = CoveringTree(d=d, edges=edges, root=_json_vertex(obj["root"], "root", d))
+        tests = obj["perEdge"]
+        if len(tests) != len(edges):
+            raise ValueError(f"perEdge has {len(tests)} entries for {len(edges)} edges")
+        for i, (edge, e) in enumerate(zip(edges, tests)):
+            if e["edge"] != list(edge):
+                raise ValueError(f"perEdge[{i}].edge: {e['edge']!r} is not "
+                                 f"edges[{i}] = {list(edge)}")
         per_edge = tuple(
-            EdgeTest(edge=tuple(e["edge"]), w=qmath.json_number(e["w"], "w"),
+            EdgeTest(edge=edge, w=qmath.json_number(e["w"], "w"),
                      theta=qmath.json_number(e["theta"], "theta"),
                      p=qmath.json_number(e["p"], "p"),
                      swapped=qmath.json_bool(e["swapped"], "swapped"))
-            for e in obj["perEdge"])
+            for edge, e in zip(edges, tests))
         groups = tuple(tuple(tuple(e) for e in g) for g in obj["compressedGroups"])
         return cls(coeffs=coeffs, tree=tree, per_edge=per_edge, groups=groups)
+
+
+def _json_vertex(value, name: str, d: int) -> int:
+    """``value`` as a vertex: an integer in [0, d)."""
+    if qmath.json_count(value, name, 0) >= d:
+        raise ValueError(f"{name} must be below d = {d}, got {value!r}")
+    return int(value)
+
+
+def _json_edge(value, name: str, d: int) -> tuple[int, int]:
+    """``value`` as an edge: a list of two vertices."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{name} must be a list of two vertices, got {value!r}")
+    return tuple(_json_vertex(v, name, d) for v in value)
 
 
 def protocol_of(c: SchmidtVector, tree: CoveringTree | None = None) -> QuditProtocol:

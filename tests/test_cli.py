@@ -185,6 +185,44 @@ class TestSimulateVerify:
         assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath)]) == 2
         assert "coeffs entries must be numbers, got str" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_huge_integer_protocol_coeff_exits_2(self, tmp_path, capsys, sign):
+        rpath, ppath = self._qudit_files(tmp_path)
+        obj = _jsonio.load(ppath)
+        obj["coeffs"][0] = sign * 10 ** 400
+        ppath.write_text(json.dumps(obj))
+        assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath)]) == 2
+        assert "error: non-finite coeffs entry at [0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p.update(coeffs=p["coeffs"][:2]), "coeffs must hold d = 3 numbers"),
+        (lambda p: p.update(coeffs=p["coeffs"] + [0.5]), "coeffs must hold d = 3 numbers"),
+        (lambda p: p.update(coeffs=[p["coeffs"]]), "coeffs must hold d = 3 numbers"),
+        (lambda p: p["edges"].__setitem__(0, [0, 7]), "edges[0] must be below d = 3, got 7"),
+        (lambda p: p["edges"].__setitem__(1, [0, -1]), "edges[1] must be an integer >= 0"),
+        (lambda p: p["edges"].__setitem__(0, [0, 1, 2]), "edges[0] must be a list of two"),
+        (lambda p: p["edges"].__setitem__(0, [0.5, 1]), "edges[0] must be an integer >= 0"),
+        (lambda p: p.update(root=3), "root must be below d = 3, got 3"),
+        (lambda p: p.update(root="0"), "root must be an integer >= 0"),
+        (lambda p: p.update(perEdge=p["perEdge"][:1]), "perEdge has 1 entries for 2 edges"),
+        (lambda p: p["perEdge"][0].update(edge=["a", 1]),
+         "perEdge[0].edge: ['a', 1] is not edges[0] = [0, 1]"),
+        (lambda p: p["perEdge"][0].update(edge=[1, 0]),
+         "perEdge[0].edge: [1, 0] is not edges[0] = [0, 1]"),
+        (lambda p: p["perEdge"].reverse(), "perEdge[0].edge: [0, 2] is not edges[0] = [0, 1]"),
+    ], ids=["coeffs_short", "coeffs_long", "coeffs_nested", "edge_vertex_7",
+            "edge_vertex_negative", "edge_triple", "edge_vertex_float", "root_3",
+            "root_string", "per_edge_short", "per_edge_string_vertex",
+            "per_edge_flipped", "per_edge_reordered"])
+    def test_malformed_protocol_indices_exit_2(self, tmp_path, capsys, change, message):
+        rpath, ppath = self._qudit_files(tmp_path)
+        obj = _jsonio.load(ppath)
+        assert obj["d"] == 3 and obj["edges"] == [[0, 1], [0, 2]] and obj["root"] == 0
+        change(obj)
+        _jsonio.dump(obj, ppath)
+        assert main(["verify", "--realization", str(rpath), "--protocol", str(ppath)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         assert main(["simulate", "--realization", "/nonexistent.json"]) == 2
 
@@ -207,6 +245,16 @@ class TestSimulateVerify:
         args = ["--w", "0.25"] if command == "verify" else []
         assert main([command, "--realization", str(bad), *args]) == 2
         assert "matrix entries must be numbers, got str" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_huge_integer_matrix_entry_exits_2(self, tmp_path, capsys, command):
+        obj = json.loads(_jsonio.dumps(hardy.canonical_realization(0.25).to_json()))
+        obj["states"]["0,0"]["entries"][0][0] = 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        args = ["--w", "0.25"] if command == "verify" else []
+        assert main([command, "--realization", str(bad), *args]) == 2
+        assert "error: non-finite matrix entry at [0, 0]" in capsys.readouterr().err
 
     def test_schema_violation_reports_pointer(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -405,6 +453,15 @@ class TestMembershipCommand:
         _jsonio.dump(pr_box_observed().to_json(), opath)
         assert main(["membership", "--observed", str(opath), "--level", "7"]) == 2
 
+    def test_huge_integer_table_entry_exits_2(self, tmp_path, capsys):
+        obj = json.loads(_jsonio.dumps(pr_box_observed().to_json()))
+        obj["table"][1][0][1][1] = 10 ** 400
+        opath = tmp_path / "big.json"
+        opath.write_text(json.dumps(obj))
+        assert main(["membership", "--observed", str(opath), "--level", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{opath}: non-finite table entry at [1, 0, 1, 1]" in err
+
     def test_null_entry_exits_2_before_assembly(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("membership_test reached with a non-finite table")
@@ -527,31 +584,40 @@ class TestDemos:
         assert outs[0] == outs[1]
 
     def test_bound_never_imports_the_optimizer(self, tmp_path):
-        """No command needs scipy.optimize: a bound, a membership test and the
-        Hardy demo, whose see-saw searches without it, all leave it
-        unimported, so its import time and memory are not paid."""
+        """No command needs scipy: a bound, a membership test, a qudit verify
+        and both demos leave every scipy module unimported, so its import
+        time and memory are not paid."""
+        from bellselftest.selftest import canonical_qudit_realization
+        from bellselftest.tree import SchmidtVector, protocol_of
         src = str(Path(bellselftest.__file__).resolve().parents[1])
-        opath = tmp_path / "pr.json"
+        opath, rpath, ppath = tmp_path / "pr.json", tmp_path / "real.json", tmp_path / "proto.json"
         _jsonio.dump(pr_box_observed().to_json(), opath)
+        proto = protocol_of(SchmidtVector(np.array([0.8, 0.6])))
+        _jsonio.dump(proto.to_json(), ppath)
+        _jsonio.dump(canonical_qudit_realization(proto.coeffs, proto).to_json(), rpath)
         commands = [
             ["bound", "--preset", "chsh", "--level", "1"],
             ["membership", "--observed", str(opath), "--level", "1",
              "--l", "0.25", "--u", "0.25"],
+            ["verify", "--realization", str(rpath), "--protocol", str(ppath)],
             ["demo", "hardy-selftest", "--out", str(tmp_path), "--w-grid", "0,0.5"],
+            ["demo", "chsh-counterexample", "--out", str(tmp_path), "--grid", "3"],
         ]
         proc = subprocess.run(
             [sys.executable, "-c",
              "import json, sys; from bellselftest.cli import main\n"
              "for argv in json.loads(sys.argv[1]):\n"
              "    rc = main(argv)\n"
-             "    print('imported', rc, 'scipy.optimize' in sys.modules)",
+             "    print('imported', rc, sorted(m for m in sys.modules\n"
+             "                                 if m.split('.')[0] == 'scipy'))",
              json.dumps(commands)],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert [line for line in proc.stdout.splitlines()
                 if line.startswith("imported")] == [
-            "imported 0 False", "imported 1 False", "imported 0 False"]
+            "imported 0 []", "imported 1 []", "imported 0 []", "imported 0 []",
+            "imported 0 []"]
 
     def test_demo_csv_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

@@ -2,7 +2,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
 
 from bellselftest.npa import sdp
 from bellselftest.npa.sdp import (
@@ -72,10 +71,11 @@ class TestSvec:
 def solve_rows(a, b, c, cone):
     """solve_conic on A x = b of full row rank, restated with orthonormal
     rows as the solver requires: A^T = Q R gives Q^T x = R^{-T} b, and the
-    null basis of A is passed with them."""
+    null basis of A, the last right singular vectors, is passed with them."""
     a = np.asarray(a, dtype=float)
     q, r = np.linalg.qr(a.T)
-    return solve_conic(q.T, np.linalg.solve(r.T, b), c, cone, null_space(a))
+    null_basis = np.linalg.svd(a)[2][len(a):].T
+    return solve_conic(q.T, np.linalg.solve(r.T, b), c, cone, null_basis)
 
 
 class TestLinearPrograms:
