@@ -3,8 +3,9 @@
 Everything downstream (scenarios, Hardy tests, qudit protocols, the moment
 engine) works with plain ``numpy`` complex matrices.  This module collects the
 structural predicates (Hermitian, unitary, projector), the two decompositions
-the verification machinery relies on (Schmidt, simultaneous Jordan blocks of a
-projector pair), and the JSON matrix encoding shared by the file formats.
+the verification machinery relies on (Schmidt, simultaneous Jordan blocks of
+projector pairs, for one pair or a whole stack of pairs in one pass), and the
+JSON matrix encoding shared by the file formats.
 
 The predicates take a tolerance that defaults to the module constants below;
 validation and the Jordan decomposition use the constants as they are.
@@ -32,7 +33,13 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
+    """Conjugate transpose of a vector, a matrix or each matrix of a stack."""
+    m = np.conj(np.asarray(m))
+    return m.swapaxes(-1, -2) if m.ndim > 1 else m
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,9 +59,21 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= tol
 
 
+def _projector_each(m: np.ndarray, tol: float = PROJECTOR_TOL) -> np.ndarray:
+    """For each matrix of the stack m (k, n, n), whether it is Hermitian and
+    idempotent within tol."""
+    return ((np.max(np.abs(m - dag(m)), axis=(1, 2), initial=0.0) <= tol)
+            & (np.max(np.abs(m @ m - m), axis=(1, 2), initial=0.0) <= tol))
+
+
 def is_projector(m: np.ndarray, tol: float = PROJECTOR_TOL) -> bool:
     m = as_matrix(m)
-    return is_hermitian(m, tol) and np.max(np.abs(m @ m - m)) <= tol
+    return m.shape[0] == m.shape[1] and bool(_projector_each(m[None], tol)[0])
+
+
+def _projector_stack(m: np.ndarray) -> bool:
+    """Whether m is a stack (k, n, n) of projectors within ``PROJECTOR_TOL``."""
+    return m.ndim == 3 and m.shape[1] == m.shape[2] and bool(_projector_each(m).all())
 
 
 def is_psd(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -213,19 +232,32 @@ class ProjectiveMeasurement:
         return len(self.effects)
 
     def validate(self) -> None:
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, e in enumerate(self.effects):
-            if e.shape != (self.dim, self.dim):
-                raise ValueError(f"effect {i} has shape {e.shape}, expected {(self.dim,)*2}")
-            if not is_projector(e, PROJECTOR_TOL):
-                raise ValueError(f"effect {i} is not a projector within {PROJECTOR_TOL}")
-            total += e
-        if np.max(np.abs(total - np.eye(self.dim))) > PROJECTOR_TOL:
+        """Raise ``ValueError`` on the first failure, in this order: the
+        first effect of the wrong shape or not a projector within
+        ``PROJECTOR_TOL``, effects that do not sum to the identity, the first
+        pair of effects that is not orthogonal.  The effects are checked as
+        one stack, and an effect that is exactly zero, a projector orthogonal
+        to every effect, is left out of the products."""
+        shape = (self.dim, self.dim)
+        n_ok = next((i for i, e in enumerate(self.effects) if e.shape != shape),
+                    len(self.effects))
+        stack = np.array(self.effects[:n_ok]).reshape(n_ok, *shape)
+        nonzero = np.flatnonzero(stack.any(axis=(1, 2)))
+        nz = stack[nonzero]
+        projector = _projector_each(nz)
+        if not projector.all():
+            i = nonzero[np.argmin(projector)]
+            raise ValueError(f"effect {i} is not a projector within {PROJECTOR_TOL}")
+        if n_ok < len(self.effects):
+            raise ValueError(f"effect {n_ok} has shape {self.effects[n_ok].shape}, "
+                             f"expected {shape}")
+        if _max_abs(nz.sum(axis=0) - np.eye(self.dim)) > PROJECTOR_TOL:
             raise ValueError("effects do not sum to the identity")
-        for i in range(len(self.effects)):
-            for j in range(i + 1, len(self.effects)):
-                if np.max(np.abs(self.effects[i] @ self.effects[j])) > PROJECTOR_TOL:
-                    raise ValueError(f"effects {i} and {j} are not orthogonal")
+        for a in range(len(nz) - 1):
+            overlap = np.max(np.abs(nz[a] @ nz[a + 1:]), axis=(1, 2)) > PROJECTOR_TOL
+            if overlap.any():
+                raise ValueError(f"effects {nonzero[a]} and "
+                                 f"{nonzero[a + 1 + np.argmax(overlap)]} are not orthogonal")
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "effects": [matrix_to_json(e) for e in self.effects]}
@@ -301,93 +333,143 @@ class JordanDecomposition:
             off += blk.size
 
 
-def jordan_blocks(p: np.ndarray, q: np.ndarray) -> JordanDecomposition:
-    """Simultaneously block-diagonalize two projectors into blocks of size <= 2.
+def _vector_norms(v: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis of a C-contiguous array, with the bits of
+    ``np.linalg.norm`` on each vector alone."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _unit_columns(v: np.ndarray) -> np.ndarray:
+    """The columns of the stack v (..., n, m), each divided by its 2-norm,
+    with the bits of ``v / np.linalg.norm(v)`` column by column."""
+    return v / _vector_norms(np.ascontiguousarray(v.swapaxes(-1, -2)))[..., None, :]
+
+
+def _paired_columns(p_of: np.ndarray, rot: np.ndarray, unit: np.ndarray) -> list:
+    """Basis columns and block sizes of 1 + c clusters, one per matrix of the
+    stacks: each rotated column v gives the 2x2 block of its P part u1 = P v
+    and its (1 - P) part u2 = v - u1, both normalized, or the 1x1 block of v
+    (``unit``) when either part is shorter than ``CLUSTER_TOL``."""
+    parts = []
+    for j in range(rot.shape[2]):
+        u1 = (p_of @ rot[:, :, j:j + 1])[..., 0]
+        u2 = rot[:, :, j] - u1
+        n1, n2 = _vector_norms(u1), _vector_norms(u2)
+        parts.append(((n1 >= CLUSTER_TOL) & (n2 >= CLUSTER_TOL),
+                      u1 / n1[:, None], u2 / n2[:, None]))
+    out = []
+    for r in range(len(rot)):
+        pieces, sizes = [], []
+        for j, (two, u1, u2) in enumerate(parts):
+            if two[r]:
+                pieces += [u1[r], u2[r]]
+                sizes.append(2)
+            else:
+                pieces.append(unit[r, :, j])
+                sizes.append(1)
+        out.append((np.column_stack(pieces), sizes))
+    return out
+
+
+def jordan_blocks(p: np.ndarray, q: np.ndarray):
+    """Simultaneously block-diagonalize projector pairs into blocks of size <= 2.
+
+    ``p`` and ``q`` are one pair of n x n projectors, which gives one
+    ``JordanDecomposition``, or stacks (k, n, n) of k pairs, which give a
+    list of k, each the same as its pair alone gives.
 
     Diagonalizes P + Q; eigenvalues 0, 1, 2 give one-dimensional invariant
     blocks, and each eigenvalue 1 + c with 0 < c < 1 pairs with its mirror
     1 - c into a two-dimensional block spanned by the P and (1-P) components
-    of the eigenvector.
+    of the eigenvector.  The whole stack goes through each step at once: one
+    eigendecomposition, the rotations of the eigenvalue clusters grouped by
+    cluster size, the block entries, and one unitarity and one
+    reconstruction check.  Each step computes what the pair alone would,
+    product by product, so a pair's decomposition has the same bits in any
+    stack.
     """
-    p = as_matrix(p)
-    q = as_matrix(q)
-    if not is_projector(p):
+    ps = np.asarray(p, dtype=complex)
+    qs = np.asarray(q, dtype=complex)
+    single = ps.ndim == 2
+    if single:
+        ps, qs = ps[None], qs[None]
+    if not _projector_stack(ps):
         raise ValueError("first input is not a projector within tolerance")
-    if not is_projector(q):
+    if not _projector_stack(qs):
         raise ValueError("second input is not a projector within tolerance")
-    n = p.shape[0]
-    vals, vecs = eig_hermitian(p + q, tol=10 * PROJECTOR_TOL)
+    if ps.shape != qs.shape:
+        raise ValueError(f"projector stacks of shapes {ps.shape} and {qs.shape} differ")
+    k, n, _ = ps.shape
+    h = ps + qs
+    if not _max_abs(h - dag(h)) <= 10 * PROJECTOR_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh(0.5 * (h + dag(h)))
 
-    # cluster eigenvalues within CLUSTER_TOL
-    clusters: list[list[int]] = []
-    for i in range(n):
-        if clusters and vals[i] - vals[clusters[-1][0]] < CLUSTER_TOL:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    # clusters of eigenvalues within CLUSTER_TOL of the cluster's first one
+    clusters = []
+    for i, row in enumerate(vals.tolist()):
+        start = 0
+        for j in range(1, n + 1):
+            if j == n or row[j] - row[start] >= CLUSTER_TOL:
+                clusters.append((i, start, j))
+                start = j
+    pair, start, stop = np.array(clusters).T
+    size = stop - start
+    lam = np.add.reduceat(vals.ravel(), pair * n + start) / size
+    # eigenvalues 0, 1 and 2 are the commuting sector, split by P into 1x1 blocks
+    commuting = (lam < CLUSTER_TOL) | (lam > 2 - CLUSTER_TOL) | (abs(lam - 1) < CLUSTER_TOL)
+    # a cluster 1 - c < 1 is spanned by the second vectors of its 1 + c partner
+    paired = ~commuting & (lam > 1)
 
-    def rotate_by_p(cols: np.ndarray) -> np.ndarray:
-        """Diagonalize P restricted to the span of the columns."""
-        psub = dag(cols) @ p @ cols
-        _, u = np.linalg.eigh(0.5 * (psub + dag(psub)))
-        return cols @ u
+    # each kept cluster's (n, m) basis columns and block sizes, by cluster
+    columns: dict = {}
+    kept = commuting | paired
+    for m in sorted(set(size[kept].tolist())):
+        idx = np.flatnonzero(kept & (size == m))
+        cols = np.ascontiguousarray(vecs.swapaxes(1, 2)[
+            pair[idx, None], start[idx, None] + np.arange(m)].swapaxes(1, 2))
+        p_of = ps[pair[idx]]
+        # diagonalize P restricted to the span of each cluster's columns
+        psub = dag(cols) @ p_of @ cols
+        rot = cols @ np.linalg.eigh(0.5 * (psub + dag(psub)))[1]
+        unit = _unit_columns(rot)
+        for r in np.flatnonzero(commuting[idx]).tolist():
+            columns[int(idx[r])] = (unit[r], [1] * m)
+        sel = np.flatnonzero(paired[idx])
+        columns.update(zip(idx[sel].tolist(),
+                           _paired_columns(p_of[sel], rot[sel], unit[sel])))
 
-    basis_cols: list[np.ndarray] = []
-    blocks: list[JordanBlock] = []
-
-    def add_1x1(v: np.ndarray):
-        v = v / np.linalg.norm(v)
-        pb = np.array([[dag(v) @ p @ v]])
-        qb = np.array([[dag(v) @ q @ v]])
-        basis_cols.append(v)
-        blocks.append(JordanBlock(size=1, p_block=pb, q_block=qb))
-
-    consumed = np.zeros(n, dtype=bool)
-    for cl in clusters:
-        if all(consumed[i] for i in cl):
-            continue
-        lam = float(np.mean(vals[cl]))
-        cols = vecs[:, cl]
-        if lam < CLUSTER_TOL or lam > 2 - CLUSTER_TOL or abs(lam - 1) < CLUSTER_TOL:
-            # commuting sector: split by P
-            for v in rotate_by_p(cols).T:
-                add_1x1(v)
-            consumed[cl] = True
-        elif lam > 1:
-            # pair each eigenvector with its mirror via the action of P
-            for v in rotate_by_p(cols).T:
-                u1 = p @ v
-                u2 = v - u1
-                n1, n2 = np.linalg.norm(u1), np.linalg.norm(u2)
-                if n1 < CLUSTER_TOL or n2 < CLUSTER_TOL:
-                    add_1x1(v)
-                    continue
-                u1, u2 = u1 / n1, u2 / n2
-                pb = np.array([[dag(u1) @ p @ u1, dag(u1) @ p @ u2],
-                               [dag(u2) @ p @ u1, dag(u2) @ p @ u2]])
-                qb = np.array([[dag(u1) @ q @ u1, dag(u1) @ q @ u2],
-                               [dag(u2) @ q @ u1, dag(u2) @ q @ u2]])
-                basis_cols.append(u1)
-                basis_cols.append(u2)
-                blocks.append(JordanBlock(size=2, p_block=pb, q_block=qb))
-            consumed[cl] = True
-            # the mirror cluster 1 - c is spanned by the second block vectors
-            mirror = 2.0 - lam
-            for cl2 in clusters:
-                if abs(vals[cl2[0]] - mirror) < CLUSTER_TOL:
-                    consumed[cl2] = True
-        # lam < 1 clusters are consumed as mirrors of their 1 + c partners
-
-    basis = np.column_stack(basis_cols)
-    dec = JordanDecomposition(block_basis=basis, blocks=tuple(blocks))
-
-    if not is_unitary(basis, 100 * PROJECTOR_TOL):
+    bases, block_sizes = [[] for _ in range(k)], [[] for _ in range(k)]
+    for c in sorted(columns):
+        cols, sizes = columns[c]
+        bases[pair[c]].append(cols)
+        block_sizes[pair[c]] += sizes
+    if any(sum(sizes) != n for sizes in block_sizes):
         raise ValueError("block basis failed unitarity; degenerate eigenstructure")
-    for mat, attr in ((p, "p_block"), (q, "q_block")):
-        rec = np.zeros((n, n), dtype=complex)
-        for blk, sl in dec.block_slices():
-            cols = basis[:, sl]
-            rec += cols @ getattr(blk, attr) @ dag(cols)
-        if np.max(np.abs(rec - mat)) > 1000 * PROJECTOR_TOL:
+    basis = np.stack([np.concatenate(b, axis=1) for b in bases])
+    if not _max_abs(dag(basis) @ basis - np.eye(n)) <= 100 * PROJECTOR_TOL:
+        raise ValueError("block basis failed unitarity; degenerate eigenstructure")
+    block_id = np.array([np.repeat(np.arange(len(s)), s) for s in block_sizes])
+    i, a, b = np.nonzero(block_id[:, :, None] == block_id[:, None, :])
+    # each entry v^H P w of a block, as a vector-matrix product then a dot
+    # product, which keeps the bits of one entry at a time
+    rows = np.ascontiguousarray(basis.swapaxes(1, 2))
+    conj_rows = np.conj(rows)[:, :, None, :]
+    restricted = []
+    for mat in (ps, qs):
+        entries = np.zeros((k, n, n), dtype=complex)
+        entries[i, a, b] = ((conj_rows @ mat[:, None])[i, a] @ rows[i, b, :, None])[:, 0, 0]
+        if _max_abs(basis @ entries @ dag(basis) - mat) > 1000 * PROJECTOR_TOL:
             raise ValueError("block reconstruction failed; degenerate eigenstructure")
-    return dec
+        restricted.append(entries)
+    p_bb, q_bb = restricted
+
+    out = []
+    for i, sizes in enumerate(block_sizes):
+        blocks, off = [], 0
+        for s in sizes:
+            sl = slice(off, off + s)
+            blocks.append(JordanBlock(size=s, p_block=p_bb[i, sl, sl], q_block=q_bb[i, sl, sl]))
+            off += s
+        out.append(JordanDecomposition(block_basis=basis[i], blocks=tuple(blocks)))
+    return out[0] if single else out

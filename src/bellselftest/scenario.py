@@ -93,6 +93,12 @@ class Realization:
 
     def validate(self) -> None:
         self.cq.validate()
+        self.validate_measurements()
+
+    def validate_measurements(self) -> None:
+        """The measurement half of ``validate``: counts, dimensions and
+        outcome numbers against the shape, then each measurement's own
+        checks.  The states are not looked at."""
         sh = self.shape
         da, db = self.cq.dims
         if len(self.alice) != sh.nx or len(self.bob) != sh.ny:

@@ -10,11 +10,14 @@ protocol and extracts the device state's Schmidt structure:
 * the isometry premises, namely P_A^k |psi> = P_B^k |psi> and the flip-chain
   ratio relation X_A^k X_B^k P_B^k |psi> = (c_k/c_0) P_A^0 |psi>, with the
   flip unitaries built from Jordan blocks of the virtual projector and the
-  edge's first dichotomic effect,
+  edge's first dichotomic effect, all 2E pairs decomposed in one stacked
+  ``qmath.jordan_blocks`` call,
 * Schmidt-coefficient extraction c_k = ||(A_{k|0} (x) 1)|psi>||.
 
-The verification consumes a full realization (state plus measurements); the
-report carries every residual so failures are attributable.
+The verification consumes a full realization (state plus measurements).  A
+state slice that is not Hermitian PSD, or a measurement that fails the
+checks ``simulate`` makes, raises ``ValueError``; otherwise the report
+carries every residual so failures are attributable.
 """
 
 from __future__ import annotations
@@ -85,12 +88,11 @@ def _expect(amp: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> float:
 
 # -------------------------------------------------------------- flip unitaries
 
-def _flip_from_jordan(p_eff: np.ndarray, q_eff: np.ndarray) -> np.ndarray:
-    """Unitary flipping every 2x2 Jordan block of (p_eff, q_eff), identity on
-    1x1 blocks; raises DegenerateBlockError when no 2x2 block exists."""
-    dec = qmath.jordan_blocks(p_eff, q_eff)
-    dim = p_eff.shape[0]
-    u = np.eye(dim, dtype=complex)
+def _flip_from_jordan(dec: qmath.JordanDecomposition, q_eff: np.ndarray) -> np.ndarray:
+    """Unitary flipping every 2x2 block of ``dec``, the Jordan decomposition
+    of (p_eff, q_eff), identity on 1x1 blocks; raises DegenerateBlockError
+    when no 2x2 block exists."""
+    u = np.eye(q_eff.shape[0], dtype=complex)
     flipped = 0
     for blk, sl in dec.block_slices():
         if blk.size != 2:
@@ -127,13 +129,22 @@ def flip_unitaries(r: Realization, proto: QuditProtocol) -> list:
 
 
 def _flip_unitaries(r: Realization, proto: QuditProtocol, amp: np.ndarray) -> list:
-    """``flip_unitaries`` calibrated on the (0,0)-slice amplitude matrix ``amp``."""
+    """``flip_unitaries`` calibrated on the (0,0)-slice amplitude matrix
+    ``amp``.  The Jordan decompositions of all 2E pairs, Alice's and Bob's
+    for each of the E edges, come from one stacked ``jordan_blocks`` call."""
     coeffs = proto.coeffs
-    out = []
-    for i, (m, n) in enumerate(proto.tree.edges):
+    edges = proto.tree.edges
+    p_effs, q_effs = [], []
+    for i, (m, _) in enumerate(edges):
         x0, _ = proto.edge_settings(i)
-        ua = _flip_from_jordan(r.alice[0].effects[m], r.alice[x0].effects[0])
-        ub = _flip_from_jordan(r.bob[0].effects[m], r.bob[x0].effects[0])
+        for party in (r.alice, r.bob):
+            p_effs.append(party[0].effects[m])
+            q_effs.append(party[x0].effects[0])
+    decs = qmath.jordan_blocks(np.array(p_effs), np.array(q_effs))
+    out = []
+    for i, (m, n) in enumerate(edges):
+        ua = _flip_from_jordan(decs[2 * i], q_effs[2 * i])
+        ub = _flip_from_jordan(decs[2 * i + 1], q_effs[2 * i + 1])
         lhs = ua @ amp @ (ub @ r.bob[0].effects[m]).T
         rhs = (coeffs[m] / coeffs[n]) * (r.alice[0].effects[n] @ amp)
         if np.linalg.norm(-lhs - rhs) < np.linalg.norm(lhs - rhs):
@@ -146,9 +157,10 @@ def _flip_unitaries(r: Realization, proto: QuditProtocol, amp: np.ndarray) -> li
 
 def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
     """Check all observable conditions and the isometry premises, each
-    residual against ``hardy.DEFAULT_VALUE_TOL``.  A state slice that is not
-    Hermitian PSD within ``PSD_TOL``, as ``simulate`` checks, raises
-    ``ValueError``.
+    residual against ``hardy.DEFAULT_VALUE_TOL``.  A measurement that fails
+    ``Realization.validate_measurements``, or a state slice that is not
+    Hermitian PSD within ``PSD_TOL``, raises ``ValueError`` as ``simulate``
+    does.
 
     The realization must supply, per party, the d-outcome measurement at
     setting 0 and two dichotomic settings per edge (the protocol's layout).
@@ -159,6 +171,7 @@ def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
         raise ValueError(
             f"realization has {len(r.alice)} settings, protocol needs "
             f"{proto.n_settings}")
+    r.validate_measurements()
     coeffs = proto.coeffs
     root = proto.tree.root
     tol = hardy.DEFAULT_VALUE_TOL
@@ -268,7 +281,8 @@ def verify_qudit(r: Realization, proto: QuditProtocol) -> VerificationReport:
 def verify_qubit(r: Realization, w: float) -> VerificationReport:
     """Tilted Hardy verification of a two-qubit device.
 
-    Checks the three zeros for every source slice and the maximal-value
+    Checks the measurements as ``simulate`` does (``ValueError`` on
+    failure), the three zeros for every source slice and the maximal-value
     equation on the (0,0) slice against ``hardy.DEFAULT_VALUE_TOL``, then
     independently extracts each slice's Schmidt coefficients and compares
     with (cos theta_w, sin theta_w) within ten times that.
@@ -278,6 +292,7 @@ def verify_qubit(r: Realization, w: float) -> VerificationReport:
         raise ValueError("verify_qubit needs two dichotomic settings per party")
     if len(r.alice) != sh.nx or len(r.bob) != sh.ny:
         raise ValueError("measurement count does not match the scenario shape")
+    r.validate_measurements()
     test = hardy.TiltedHardyTest.for_w(w)
     target = np.array([np.cos(test.theta), np.sin(test.theta)])
     beh = behavior_of(r)

@@ -256,6 +256,78 @@ class TestSimulateVerify:
         assert main([command, "--realization", str(bad), *args]) == 2
         assert "error: non-finite matrix entry at [0, 0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify --protocol", "verify --w"])
+    def test_non_projective_measurement_exits_2(self, tmp_path, capsys, command):
+        """Alice's setting-1 outcome-1 effect set to I/2: the verifiers never
+        read it, but they check every measurement as simulate does."""
+        from bellselftest.qmath import ProjectiveMeasurement
+        from bellselftest.scenario import Realization
+        from bellselftest.selftest import canonical_qudit_realization
+        from bellselftest.tree import SchmidtVector, protocol_of
+        if command == "verify --w":
+            dev, args = hardy.canonical_realization(0.25), ["--w", "0.25"]
+        else:
+            c = SchmidtVector(np.array([1 / 6, 1 / 8, 1 / 6, 1 / 6, 1 / 8, 1 / 4]))
+            proto = protocol_of(c)
+            dev = canonical_qudit_realization(c, proto)
+            ppath = tmp_path / "proto.json"
+            _jsonio.dump(proto.to_json(), ppath)
+            args = ["--protocol", str(ppath)] if command == "verify --protocol" else []
+        effects = list(dev.alice[1].effects)
+        effects[1] = 0.5 * np.eye(dev.alice[1].dim)
+        alice = list(dev.alice)
+        alice[1] = ProjectiveMeasurement(dim=dev.alice[1].dim, effects=tuple(effects))
+        rpath = tmp_path / "real.json"
+        _jsonio.dump(Realization(cq=dev.cq, alice=tuple(alice), bob=dev.bob).to_json(), rpath)
+        assert main([command.split()[0], "--realization", str(rpath), *args]) == 2
+        assert "error: effect 1 is not a projector within 1e-10" in capsys.readouterr().err
+
+    def test_report_bytes_pinned(self, tmp_path):
+        """sha256 of the report.v1 that verify --protocol writes for the
+        Figure-2 device, a d = 16 device whose edges share four tilts, and
+        that device with c_5 scaled by 1.004.  The flips enter premise 2, so
+        any change to their bits changes these files.  The verify runs in a
+        process on one OpenBLAS thread, because the state's eigenvectors at
+        d = 16 move in the last bits with the thread count."""
+        src = str(Path(bellselftest.__file__).resolve().parents[1])
+        script = (
+            "import contextlib, hashlib, io, json, sys\n"
+            "import numpy as np\n"
+            "from bellselftest import _jsonio, cli, scenario, selftest\n"
+            "from bellselftest.tree import QuditProtocol\n"
+            "out, digests = sys.argv[1], []\n"
+            "for coeffs, perturb in ((sys.argv[2], None), (sys.argv[3], None),\n"
+            "                        (sys.argv[3], 5)):\n"
+            "    p, r, rep = out + '/p.json', out + '/r.json', out + '/rep.json'\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(['protocol', '--coeffs', coeffs, '--out', p])\n"
+            "    proto = QuditProtocol.from_json(_jsonio.load(p))\n"
+            "    real = selftest.canonical_qudit_realization(proto.coeffs, proto)\n"
+            "    if perturb is not None:\n"
+            "        d, c = proto.d, proto.coeffs.copy()\n"
+            "        c[perturb] *= 1.004\n"
+            "        c /= np.linalg.norm(c)\n"
+            "        psi = np.zeros(d * d, dtype=complex)\n"
+            "        psi[np.arange(d) * (d + 1)] = c\n"
+            "        cq = scenario.ClassicalQuantumState(\n"
+            "            real.shape, real.cq.dims, {(0, 0): np.outer(psi, psi.conj())})\n"
+            "        real = scenario.Realization(cq=cq, alice=real.alice, bob=real.bob)\n"
+            "    _jsonio.dump(real.to_json(), r)\n"
+            "    rc = cli.main(['verify', '--realization', r, '--protocol', p, '--out', rep])\n"
+            "    with open(rep, 'rb') as fh:\n"
+            "        digests.append([rc, hashlib.sha256(fh.read()).hexdigest()])\n"
+            "print(json.dumps(digests))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), "1/6,1/8,1/6,1/6,1/8,1/4",
+             ",".join(["1", "1.5", "2", "2.5"] * 4)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            [0, "10fba61207cc6e8049d3f9b1355c3c23fd89d7f26a831076bd1254a145250dbc"],
+            [0, "2ed96277540af493bfa37774c65d94d2383f90e6b84d5d14be2a41282e6d96c9"],
+            [1, "4b2d5f10b87a50277cd7fc8496f98b5442480485038d1ffbeb6ea00fce421c87"]]
+
     def test_schema_violation_reports_pointer(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         _jsonio.dump({"version": "realization.v1", "shape": {}}, bad)

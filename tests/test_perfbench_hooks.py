@@ -83,7 +83,9 @@ def test_workload_runs_and_checks_clean(monkeypatch, tmp_path, name):
 def test_traced_round_trip_records_file_io(monkeypatch, tmp_path):
     """Every file the CLI and the workload write or read goes through
     ``_jsonio.dump`` and ``_jsonio.load``, so the tracer's ``jsonio`` spans
-    count the bytes on disk; a write past ``dump`` would read 0 silently."""
+    count the bytes on disk; a write past ``dump`` would read 0 silently.
+    Each ``verify --protocol`` records one ``qmath.jordan`` span, its single
+    stacked Jordan decomposition, under its ``selftest.verify_qudit`` span."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     proto_path, real_path = tmp_path / "protocol.json", tmp_path / "realization.json"
@@ -103,6 +105,10 @@ def test_traced_round_trip_records_file_io(monkeypatch, tmp_path):
 
     def io(name):
         return sorted(sp.attrs["bytes"] for sp in tracer.spans if sp.name == name)
+
+    verifies = [sp.sid for sp in tracer.spans if sp.name == "selftest.verify_qudit"]
+    assert len(verifies) == 1
+    assert [sp.parent for sp in tracer.spans if sp.name == "qmath.jordan"] == verifies
 
     size = {p: p.stat().st_size for p in (proto_path, real_path, report_path)}
     assert io("jsonio.dump") == sorted(size.values())

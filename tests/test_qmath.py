@@ -3,6 +3,7 @@ import pytest
 
 from bellselftest import _jsonio
 from bellselftest.qmath import (
+    JordanDecomposition,
     ProjectiveMeasurement,
     PureState,
     dag,
@@ -16,6 +17,7 @@ from bellselftest.qmath import (
     schmidt,
 )
 from conftest import random_projector_pair, random_unitary
+from jordan_reference import reference_jordan_blocks
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -171,6 +173,86 @@ class TestJordanBlocks:
     def test_rejects_non_projectors(self):
         with pytest.raises(ValueError):
             jordan_blocks(0.5 * np.eye(2), np.eye(2))
+
+
+def _commuting_pair(rng, d):
+    """Two projectors diagonal in one random basis: every block is 1x1."""
+    u = random_unitary(rng, d)
+    p, q = (u @ np.diag(rng.integers(0, 2, d).astype(float)) @ u.conj().T
+            for _ in range(2))
+    return p, q
+
+
+def _shared_angle_pair(rng, d, angle=0.7):
+    """Two projectors with d // 2 two-dimensional blocks at one angle, in a
+    random basis, so that P + Q has degenerate eigenvalues 1 +- cos(angle)."""
+    p, q = np.zeros((d, d)), np.zeros((d, d))
+    v = np.array([np.cos(angle), np.sin(angle)])
+    for b in range(0, d - 1, 2):
+        p[b, b] = 1.0
+        q[b:b + 2, b:b + 2] = np.outer(v, v)
+    u = random_unitary(rng, d)
+    return u @ p @ u.conj().T, u @ q @ u.conj().T
+
+
+def _bits_equal(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_bits(dec, other) -> bool:
+    """The same basis and blocks, bit for bit."""
+    return (_bits_equal(dec.block_basis, other.block_basis)
+            and [b.size for b in dec.blocks] == [b.size for b in other.blocks]
+            and all(_bits_equal(x.p_block, y.p_block) and _bits_equal(x.q_block, y.q_block)
+                    for x, y in zip(dec.blocks, other.blocks)))
+
+
+class TestJordanStack:
+    """A stack of k pairs decomposes as its k pairs do one by one, and as the
+    per-pair reference routine does, bit for bit."""
+
+    @staticmethod
+    def _check(pairs):
+        decs = jordan_blocks(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
+        assert len(decs) == len(pairs)
+        for (p, q), dec in zip(pairs, decs):
+            assert _same_bits(dec, jordan_blocks(p, q))
+            assert _same_bits(dec, reference_jordan_blocks(p, q))
+        return [[b.size for b in dec.blocks] for dec in decs]
+
+    @pytest.mark.parametrize("d", [2, 5, 8, 16])
+    def test_mixed_stack(self, d):
+        rng = np.random.default_rng(700 + d)
+        sizes = self._check([random_projector_pair(rng, d), _shared_angle_pair(rng, d),
+                             _commuting_pair(rng, d), random_projector_pair(rng, d)])
+        assert sizes[1].count(2) == d // 2
+        assert 2 not in sizes[2]
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_random_stacks(self, trial):
+        rng = np.random.default_rng(800 + trial)
+        for _ in range(10):
+            d = int(rng.integers(2, 17))
+            self._check([random_projector_pair(rng, d) for _ in range(int(rng.integers(1, 9)))])
+
+    def test_single_pair_is_a_stack_of_one(self):
+        rng = np.random.default_rng(12)
+        p, q = random_projector_pair(rng, 5)
+        dec = jordan_blocks(p, q)
+        (stacked,) = jordan_blocks(p[None], q[None])
+        assert isinstance(dec, JordanDecomposition) and _same_bits(dec, stacked)
+
+    @pytest.mark.parametrize("which, name", [(0, "first"), (1, "second")])
+    def test_non_projector_inside_stack(self, which, name):
+        rng = np.random.default_rng(13)
+        pairs = [random_projector_pair(rng, 4) for _ in range(4)]
+        stacks = [np.array([pair[0] for pair in pairs]), np.array([pair[1] for pair in pairs])]
+        stacks[which][2] = 0.5 * np.eye(4)
+        message = f"{name} input is not a projector within tolerance"
+        with pytest.raises(ValueError, match=message):
+            jordan_blocks(*stacks)
+        with pytest.raises(ValueError, match=message):
+            reference_jordan_blocks(stacks[0][2], stacks[1][2])
 
 
 class TestMatrixJson:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellselftest import hardy, selftest, tree
+from bellselftest import hardy, qmath, selftest, tree
 from bellselftest.qmath import dichotomic_qubit_measurement
 from bellselftest.scenario import (
     CHSH_SHAPE,
@@ -17,6 +17,7 @@ from bellselftest.selftest import (
     verify_qudit,
 )
 from bellselftest.tree import SchmidtVector, protocol_of
+from jordan_reference import reference_jordan_blocks
 
 FIG2 = SchmidtVector(np.array([1 / 6, 1 / 8, 1 / 6, 1 / 6, 1 / 8, 1 / 4]))
 
@@ -262,6 +263,38 @@ class TestFlipUnitaries:
         broken = Realization(cq=dev.cq, alice=tuple(ms), bob=dev.bob)
         with pytest.raises(DegenerateBlockError):
             flip_unitaries(broken, proto)
+
+    def test_verify_makes_one_jordan_call(self, fig2_proto, fig2_device, monkeypatch):
+        """All 2E pairs, Alice's and Bob's per edge, go into one stacked call."""
+        shapes = []
+
+        def counted(p, q):
+            shapes.append(np.shape(p))
+            return jordan(p, q)
+
+        jordan = qmath.jordan_blocks
+        monkeypatch.setattr(qmath, "jordan_blocks", counted)
+        assert verify_qudit(fig2_device, fig2_proto).passed
+        assert shapes == [(2 * len(fig2_proto.tree.edges), 6, 6)]
+
+    @pytest.mark.parametrize("coeffs", [FIG2.coeffs, [1, 1.5, 2, 2.5] * 4],
+                             ids=["figure2", "d16_shared_tilts"])
+    def test_flips_match_per_pair_reference(self, coeffs):
+        """The flips from the stacked decomposition carry the bits of flips
+        built pair by pair from the reference routine."""
+        c = SchmidtVector(np.array(coeffs, dtype=float))
+        proto = protocol_of(c)
+        dev = canonical_qudit_realization(c, proto)
+        flips = flip_unitaries(dev, proto)
+        for i, (m, _) in enumerate(proto.tree.edges):
+            x0, _ = proto.edge_settings(i)
+            for party, u, signs in ((dev.alice, flips[i][0], (1,)),
+                                    (dev.bob, flips[i][1], (1, -1))):
+                q_eff = party[x0].effects[0]
+                ref = selftest._flip_from_jordan(
+                    reference_jordan_blocks(party[0].effects[m], q_eff), q_eff)
+                # the calibration may negate Bob's flip, which is exact
+                assert ref.tobytes() in [(s * u).tobytes() for s in signs]
 
     def test_verify_decomposes_each_state_once(self, fig2_proto, fig2_device,
                                                monkeypatch):
