@@ -5,8 +5,9 @@ Most matrices of a realization are the zero effects that pad dichotomic
 settings to d outcomes, so all-zero data takes a short path both ways. A
 float64 array whose bits are all zero (every entry +0.0) is written as a
 text cached by shape. Any other array is written row by row along its last
-axis: rows of +0.0 only share one finished text, and one ``%``-format call
-fills in the values of the other rows. ``'%.17g' % x`` and
+axis: the runs of rows of +0.0 only are slices of that cached text, and one
+``%``-format call fills in the values of the other rows, so the Python work
+grows with the rows that hold a set bit. ``'%.17g' % x`` and
 ``format(x, '.17g')`` go through the same CPython routine, so an array and
 the nested list of its elements are written as the same bytes. Containers
 append their pieces to one list, joined once.
@@ -42,10 +43,11 @@ def _zeros(shape: tuple) -> str:
 def _format_floats(a: np.ndarray) -> str:
     """Write a non-empty float64 array as nested lists, row by row along the
     last axis.  An array whose bits are all zero (every entry +0.0) is the
-    cached text of its shape.  Otherwise every row of +0.0 only shares one
-    finished text; the other rows (a nonzero or a -0.0) get the row
-    template, and one ``%`` call over the whole nested template fills in
-    their values."""
+    cached text of its shape.  Otherwise the rows that hold a set bit (a
+    nonzero or a -0.0) are cut out of that cached text and replaced by the
+    row template, and one ``%`` call fills in their values; the runs of +0.0
+    rows between them are slices of the cached text, so the Python work
+    grows with the other rows alone."""
     bits = a.view(np.int64)
     if not np.count_nonzero(bits):
         return _zeros(a.shape)
@@ -58,14 +60,26 @@ def _format_floats(a: np.ndarray) -> str:
     rows = a.reshape(-1, n)
     # a row is special when any of its entries has a bit set; reducing the
     # transposed mask runs along rows, much faster than along a short axis
-    special = np.ascontiguousarray((bits.reshape(-1, n) != 0).T).any(axis=0)
-    text = [_zeros((n,))] * len(rows)
-    row = "[" + ",".join(["%.17g"] * n) + "]"
-    for i in np.flatnonzero(special).tolist():
-        text[i] = row
+    special = np.flatnonzero(np.ascontiguousarray((bits.reshape(-1, n) != 0).T).any(axis=0))
+    # Where each special row starts in the zero text: one "[" per enclosing
+    # list, then its index along each axis times the length of one element's
+    # text and its comma.  Every +0.0 row's text has the same length.
+    width = 2 * n + 1
+    start = np.zeros(len(special), dtype=np.int64)
+    index, length = special, width
     for m in reversed(a.shape[:-1]):
-        text = ["[" + ",".join(text[k:k + m]) + "]" for k in range(0, len(text), m)]
-    return text[0] % tuple(rows[special].ravel().tolist())
+        index, i = np.divmod(index, m)
+        start += 1 + i * (length + 1)
+        length = m * (length + 1) + 1
+    zeros = _zeros(a.shape)
+    pieces = [None] * (2 * len(special) + 1)
+    pieces[::2] = [zeros[i:j] for i, j in zip([0, *(start + width).tolist()],
+                                              [*start.tolist(), len(zeros)])]
+    # no number's text holds a newline, so it cuts the filled rows apart
+    row = "[" + ",".join(["%.17g"] * n) + "]"
+    filled = "\n".join([row] * len(special)) % tuple(rows[special].ravel().tolist())
+    pieces[1::2] = filled.split("\n")
+    return "".join(pieces)
 
 
 @functools.lru_cache(maxsize=256)

@@ -71,12 +71,31 @@ class VerificationReport:
 
 def _principal_state(rho: np.ndarray, tol: float):
     """Normalized principal eigenvector, trace, a rank-one flag and whether
-    rho is Hermitian PSD within ``PSD_TOL``, from one eigendecomposition."""
+    rho is Hermitian PSD within ``PSD_TOL``, from one eigendecomposition.
+
+    The decomposition runs on the support S of rho: the indices whose row or
+    column holds an entry that is not exactly zero (an all-zero rho takes
+    every index).  The rows and columns outside S are exactly zero, so
+    0.5 (rho + rho^dag) is block-diagonal with a zero block there, and its
+    spectrum is that of the S block plus one exact zero per index outside
+    S; both enter the rank-one and PSD tests in sorted order.  The principal
+    vector is the S block's top eigenvector, embedded back at S.  A
+    canonical d-dimensional state has d nonzero rows of d^2, so this is a
+    d x d ``eigh``, whose bits do not depend on the BLAS thread count; on a
+    full support it is the full decomposition, bit for bit.  The Hermitian
+    check reads the whole of rho."""
     trace = float(np.real(np.trace(rho)))
-    vals, vecs = np.linalg.eigh(0.5 * (rho + dag(rho)))
+    nonzero = rho != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    if not len(support):
+        support = np.arange(len(rho))
+    block = rho[np.ix_(support, support)]
+    block_vals, block_vecs = np.linalg.eigh(0.5 * (block + dag(block)))
+    vals = np.sort(np.concatenate([block_vals, np.zeros(len(rho) - len(support))]))
     rank_one = vals[-2] <= tol * max(trace, 1e-300) if len(vals) > 1 else True
     psd = qmath.is_hermitian(rho, PSD_TOL) and vals[0] >= -PSD_TOL
-    psi = vecs[:, -1]
+    psi = np.zeros(len(rho), dtype=block_vecs.dtype)
+    psi[support] = block_vecs[:, -1]
     return psi / np.linalg.norm(psi), trace, bool(rank_one), bool(psd)
 
 

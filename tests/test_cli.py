@@ -287,8 +287,8 @@ class TestSimulateVerify:
         Figure-2 device, a d = 16 device whose edges share four tilts, and
         that device with c_5 scaled by 1.004.  The flips enter premise 2, so
         any change to their bits changes these files.  The verify runs in a
-        process on one OpenBLAS thread, because the state's eigenvectors at
-        d = 16 move in the last bits with the thread count."""
+        process on one OpenBLAS thread and again on two: the bytes must not
+        depend on the thread count."""
         src = str(Path(bellselftest.__file__).resolve().parents[1])
         script = (
             "import contextlib, hashlib, io, json, sys\n"
@@ -317,16 +317,20 @@ class TestSimulateVerify:
             "    with open(rep, 'rb') as fh:\n"
             "        digests.append([rc, hashlib.sha256(fh.read()).hexdigest()])\n"
             "print(json.dumps(digests))\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path), "1/6,1/8,1/6,1/6,1/8,1/4",
-             ",".join(["1", "1.5", "2", "2.5"] * 4)],
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src),
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [
-            [0, "10fba61207cc6e8049d3f9b1355c3c23fd89d7f26a831076bd1254a145250dbc"],
-            [0, "2ed96277540af493bfa37774c65d94d2383f90e6b84d5d14be2a41282e6d96c9"],
-            [1, "4b2d5f10b87a50277cd7fc8496f98b5442480485038d1ffbeb6ea00fce421c87"]]
+        digests = {}
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path), "1/6,1/8,1/6,1/6,1/8,1/4",
+                 ",".join(["1", "1.5", "2", "2.5"] * 4)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests[threads] = json.loads(proc.stdout)
+        assert digests["1"] == digests["2"]
+        assert digests["1"] == [
+            [0, "832b7aebf92d6f548236608d8d096b92e585a735defa2f0bd810b14436c7f5c3"],
+            [0, "b07db0dd8f30b885d73d60656df0bcaf94a3b90c4a9efb837a74ccfe6cf732ed"],
+            [1, "b7663947f8227b95f78f02e4dff2c30add27bdb0b65e92dfda315f769d5cc844"]]
 
     def test_schema_violation_reports_pointer(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -17,7 +17,9 @@ from bellselftest.selftest import (
     verify_qudit,
 )
 from bellselftest.tree import SchmidtVector, protocol_of
+from conftest import random_unitary
 from jordan_reference import reference_jordan_blocks
+from principal_reference import reference_principal_state
 
 FIG2 = SchmidtVector(np.array([1 / 6, 1 / 8, 1 / 6, 1 / 6, 1 / 8, 1 / 4]))
 
@@ -314,6 +316,111 @@ class TestFlipUnitaries:
         rep = verify_qudit(fig2_device, fig2_proto)
         for st, chat in rep.extracted.items():
             assert abs(np.sum(np.asarray(chat) ** 2) - 1.0) <= 10 * 1e-7
+
+
+def _embedded(block: np.ndarray, support, n: int) -> np.ndarray:
+    """An n x n state that holds ``block`` at rows and columns ``support``."""
+    rho = np.zeros((n, n), dtype=complex)
+    rho[np.ix_(support, support)] = block
+    return rho
+
+
+def _mixed(rng, eigenvalues) -> np.ndarray:
+    u = random_unitary(rng, len(eigenvalues))
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+class TestPrincipalState:
+    """The support-restricted decomposition against the full ``eigh``."""
+
+    TOL = hardy.DEFAULT_VALUE_TOL
+
+    def cases(self):
+        rng = np.random.default_rng(20261019)
+        pure = np.zeros(9, dtype=complex)
+        pure[[1, 4, 8]] = [0.6, 0.48j, 0.64]
+        rank_two = _embedded(_mixed(rng, [0.7, 0.3]), [2, 5], 9)
+        negative = _embedded(_mixed(rng, [0.8, 0.4, -0.2]), [0, 3, 7], 9)
+        off_diagonal = np.zeros((4, 4), dtype=complex)
+        off_diagonal[0, 0] = 1.0
+        off_diagonal[1, 2] = 0.5          # row 2 is zero, column 2 is not
+        signed_zeros = np.outer(pure, pure.conj())
+        signed_zeros[[0, 3], [6, 2]] = -0.0
+        tiny = np.outer(pure, pure.conj())
+        tiny[6, 6] = 1e-300
+        return {
+            "zero": np.zeros((9, 9), dtype=complex),
+            "full_support": _mixed(rng, rng.dirichlet(np.ones(9))),
+            "pure_strict_support": np.outer(pure, pure.conj()),
+            "rank_two_strict_support": rank_two,
+            "negative_in_support": negative,
+            "off_diagonal_only": off_diagonal,
+            "negative_zeros": signed_zeros,
+            "tiny_entry": tiny,
+        }
+
+    @pytest.mark.parametrize("name", ["zero", "full_support", "pure_strict_support",
+                                      "rank_two_strict_support", "negative_in_support",
+                                      "off_diagonal_only", "negative_zeros", "tiny_entry"])
+    def test_agrees_with_full_eigh(self, name):
+        rho = self.cases()[name]
+        psi, trace, rank_one, psd = selftest._principal_state(rho, self.TOL)
+        ref_psi, ref_trace, ref_rank_one, ref_psd = reference_principal_state(rho, self.TOL)
+        assert (trace, rank_one, psd) == (ref_trace, ref_rank_one, ref_psd)
+        assert np.max(np.abs(np.abs(psi) - np.abs(ref_psi))) <= 1e-14
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
+
+    def test_flags(self):
+        flags = {name: selftest._principal_state(rho, self.TOL)[2:]
+                 for name, rho in self.cases().items()}
+        assert flags["zero"] == (True, True)
+        assert flags["pure_strict_support"] == (True, True)
+        assert flags["rank_two_strict_support"] == (False, True)
+        assert flags["negative_in_support"] == (False, False)
+        assert flags["off_diagonal_only"][1] is False
+        assert flags["negative_zeros"] == (True, True)
+
+    def test_full_support_is_bit_identical(self):
+        rho = self.cases()["full_support"]
+        got = selftest._principal_state(rho, self.TOL)
+        ref = reference_principal_state(rho, self.TOL)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1:] == ref[1:]
+
+    def test_signed_and_tiny_zeros(self):
+        """-0.0 is zero and leaves the support; 1e-300 is not and joins it.
+        Indices outside the support get an exact zero amplitude."""
+        decomposed = []
+
+        def recorded(m):
+            decomposed.append(m.shape)
+            return eigh(m)
+
+        eigh = np.linalg.eigh
+        cases = self.cases()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", recorded)
+            for name in ("pure_strict_support", "negative_zeros", "tiny_entry"):
+                psi, *_ = selftest._principal_state(cases[name], self.TOL)
+                assert psi[[0, 2, 3, 5, 7]].tolist() == [0.0] * 5
+        assert decomposed == [(3, 3), (3, 3), (4, 4)]
+
+    def test_d16_verify_decomposes_a_16x16_state(self, monkeypatch):
+        """A canonical d = 16 state has 16 nonzero rows of 256: every
+        ``eigh`` of a verify is at most 16 x 16, the state's among them."""
+        c = SchmidtVector(np.array([1, 1.5, 2, 2.5] * 4, dtype=float))
+        proto = protocol_of(c)
+        dev = canonical_qudit_realization(c, proto)
+        shapes = []
+
+        def recorded(m):
+            shapes.append(np.shape(m))
+            return eigh(m)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        assert verify_qudit(dev, proto).passed
+        assert (16, 16) in shapes
+        assert max(shape[-1] for shape in shapes) == 16
 
 
 class TestReportSerialization:
