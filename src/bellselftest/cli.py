@@ -264,20 +264,14 @@ def _preset_problem(name: str, w: float | None, level: int,
         if w is None:
             raise StructuralError("preset tilted-hardy needs --w")
         w = hardy._check_w(w, closed=False)
-        if bounds is None:
-            shape = SINGLE_SOURCE_CHSH_SHAPE
-            basis = moments.MomentBasis(shape, level)
-            return moments.build_moment_problem(
-                shape, level, weights={(0, 0): 1.0},
-                zeros=moments.hardy_zero_events(shape),
-                objective=moments.tilted_hardy_objective(basis, w))
-        shape = CHSH_SHAPE
-        basis = moments.MomentBasis(shape, level)
-        weights = {(s, t): 0.25 for s in range(2) for t in range(2)}
+        # one source, or with residual bounds four equally likely untrusted ones
+        shape = SINGLE_SOURCE_CHSH_SHAPE if bounds is None else CHSH_SHAPE
+        weights = {(s, t): 1.0 / (shape.ns * shape.nt)
+                   for s in range(shape.ns) for t in range(shape.nt)}
         return moments.build_moment_problem(
             shape, level, weights=weights,
             zeros=moments.hardy_zero_events(shape),
-            objective=moments.tilted_hardy_objective(basis, w),
+            objective=moments.tilted_hardy_objective(moments.MomentBasis(shape, level), w),
             residual_bounds=bounds)
     raise StructuralError(f"unknown preset {name!r}")
 
@@ -350,11 +344,7 @@ def _demo_hardy(args) -> int:
         r = hardy.canonical_realization(w)
         vrep = selftest.verify_qubit(r, w)
         ss = seesaw.seesaw_tilted_hardy(w)
-        shape = SINGLE_SOURCE_CHSH_SHAPE
-        basis = moments.MomentBasis(shape, 2)
-        bound, _ = moments.max_value(
-            shape, 2, moments.tilted_hardy_objective(basis, w),
-            zeros=moments.hardy_zero_events(shape), weights={(0, 0): 1.0})
+        bound = moments.solve_sdp(_preset_problem("tilted-hardy", w, 2, None)).value
         return [float(w), hardy.q_of_w(w), ss.value, bound,
                 "true" if vrep.passed else "false"]
 

@@ -23,7 +23,6 @@ from .scenario import (
     ClassicalQuantumState,
     ObservedBehavior,
     Realization,
-    ScenarioShape,
     SINGLE_SOURCE_CHSH_SHAPE,
     behavior_of,
 )
@@ -43,6 +42,14 @@ class OptimizerError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved {achieved!r})")
         self.achieved = achieved
+
+
+def evaluate(p: np.ndarray, w: float) -> tuple[tuple, float, float]:
+    """(zero residuals, value, weight) of a table p[a][b][x][y]: |p| at each
+    of ``ZERO_TRIPLES``, p(00|00) + w p(11|00) and the weight sum_ab p(ab|00)
+    of the settings (0, 0)."""
+    zeros = tuple(float(abs(p[a, b, x, y])) for (a, b, x, y) in ZERO_TRIPLES)
+    return zeros, float(p[0, 0, 0, 0] + w * p[1, 1, 0, 0]), float(p[:, :, 0, 0].sum())
 
 
 def _check_w(w: float, closed: bool = True) -> float:
@@ -88,8 +95,6 @@ class TiltedHardyTest:
     w: float
     theta: float
     q_value: float
-    zeros: tuple = ZERO_TRIPLES
-    # violation expression: coefficient 1 on (a,b)=(0,0) and w on (1,1) at x=y=0
 
     @classmethod
     def for_w(cls, w: float) -> "TiltedHardyTest":
@@ -240,8 +245,7 @@ def canonical_realization(w: float) -> Realization:
     behavior against ``DEFAULT_ZERO_TOL``.
     """
     r = realization_from_angles(*canonical_angles(w))
-    beh = behavior_of(r)
-    zmax = max(beh.tensor[0, 0, a, b, x, y] for (a, b, x, y) in ZERO_TRIPLES)
+    zmax = max(evaluate(behavior_of(r).tensor[0, 0], w)[0])
     if zmax > DEFAULT_ZERO_TOL:
         raise OptimizerError(
             f"canonical realization for w={w} violates a zero", zmax)
@@ -265,39 +269,35 @@ class HardyReport:
                 "pass": self.passed}
 
 
-def _wired_table(o) -> tuple[np.ndarray, ScenarioShape]:
+def _wired_table(o) -> np.ndarray:
     """Accept an ObservedBehavior (wired) or a single-source Behavior.
 
-    Returns a table t[x, y, a, b]: for wired scenarios the slice (s,t) = (x,y)
+    Returns a table p[a, b, x, y]: for wired scenarios slice (s, t) = (x, y)
     of the observed diagonal, for a single source the full p(ab|xy).
     """
     if isinstance(o, ObservedBehavior):
         sh = o.shape
         if (sh.nx, sh.ny, sh.na, sh.nb) != (2, 2, 2, 2) or not sh.wired:
             raise ValueError("expected the wired 2,2,2,2,2,2 shape")
-        return o.table, sh
+        return np.transpose(o.table, (2, 3, 0, 1))
     if isinstance(o, Behavior):
         sh = o.shape
         if (sh.ns, sh.nt) != (1, 1) or (sh.nx, sh.ny, sh.na, sh.nb) != (2, 2, 2, 2):
             raise ValueError("Behavior input must be single-source 2x2")
-        table = np.transpose(o.tensor[0, 0], (2, 3, 0, 1))  # [x][y][a][b]
-        return table, sh
+        return o.tensor[0, 0]
     raise TypeError(f"unsupported input {type(o)!r}")
 
 
-def check_conditions(o, st: tuple[int, int], test: TiltedHardyTest) -> HardyReport:
-    """Check the three observable zeros and the violation on slice st, each
-    against ``DEFAULT_VALUE_TOL``.
+def check_conditions(o, test: TiltedHardyTest) -> HardyReport:
+    """Check the three observable zeros and the violation, each against
+    ``DEFAULT_VALUE_TOL``.
 
     For wired scenarios each zero triple (a,b,x,y) is observed in the slice
-    (s,t) = (x,y); the violation uses slice st (normally (0,0)) with weight
-    p(st) recovered as the slice sum.
+    (s,t) = (x,y), and the violation in slice (0, 0), the only one that
+    observes the settings (0, 0), with weight p(00) recovered as the slice
+    sum.
     """
-    table, _ = _wired_table(o)
-    zeros = tuple(float(abs(table[x, y, a, b])) for (a, b, x, y) in test.zeros)
-    s0, t0 = st
-    weight = float(table[s0, t0].sum())
-    value = float(table[s0, t0, 0, 0] + test.w * table[s0, t0, 1, 1])
+    zeros, value, weight = evaluate(_wired_table(o), test.w)
     violation = abs(value - weight * test.q_value)
     passed = max(zeros) <= DEFAULT_VALUE_TOL and violation <= DEFAULT_VALUE_TOL
     return HardyReport(w=test.w, q_value=test.q_value, zero_residuals=zeros,

@@ -31,6 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from ..hardy import ZERO_TRIPLES
 from ..scenario import ScenarioShape
 from . import monomials as mono
 from .sdp import (
@@ -203,13 +204,16 @@ class MomentProblem:
 
     shape: ScenarioShape
     level: int
-    basis: MomentBasis
     weights: dict | None              # {(s,t): p(st)} or None for free weights
     zeros: tuple                      # [(s,t,a,b,x,y)] eliminated by reduction
     value_constraints: tuple          # [(LinearExpr, const)]: expr = const
     objective: LinearExpr             # maximized
     residual_bounds: tuple | None     # (l, u) or None
     data: np.ndarray | None = None    # observed p(stab|st), pinned, or None
+
+    @property
+    def basis(self) -> MomentBasis:
+        return MomentBasis(self.shape, self.level)
 
     @property
     def block_keys(self) -> list:
@@ -220,10 +224,11 @@ class MomentProblem:
             return {"const": e.const,
                     "terms": [[list(k), v] for k, v in sorted(e.terms.items())]}
 
-        eqs, ineqs = _residual_rows(self.basis, self.residual_bounds, self.zeros)
+        basis = self.basis
+        eqs, ineqs = _residual_rows(basis, self.residual_bounds, self.zeros)
         eqs = [*self.value_constraints, *((e, 0.0) for e in eqs)]
         if self.data is not None:
-            eqs += [(self.basis.prob_expr(s, t, a, b, s, t), float(v))
+            eqs += [(basis.prob_expr(s, t, a, b, s, t), float(v))
                     for (s, t, a, b), v in np.ndenumerate(self.data)]
         return {
             "version": "sdp.v1",
@@ -255,7 +260,7 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     equalities inconsistent and the solve returns PrimalInfeasible with a
     certificate, without running the interior-point loop.
     """
-    basis = MomentBasis(shape, level)
+    MomentBasis(shape, level)   # rejects a bad level
     zeros = tuple(tuple(int(v) for v in z) for z in zeros)
     if residual_bounds is not None:
         try:
@@ -272,7 +277,7 @@ def build_moment_problem(shape: ScenarioShape, level: int,
         closed, present = dict.fromkeys(z[2:] for z in zeros), set(zeros)
         zeros += tuple(st + e for st in product(range(shape.ns), range(shape.nt))
                        for e in closed if st + e not in present)
-    return MomentProblem(shape=shape, level=level, basis=basis,
+    return MomentProblem(shape=shape, level=level,
                          weights=None if weights is None else dict(weights),
                          zeros=zeros,
                          value_constraints=tuple((expr, float(const))
@@ -472,8 +477,7 @@ def to_conic(problem: MomentProblem) -> ConicData:
     sides and objective, so a stream of membership tests or bounds that
     differ only there builds and factors its rows once.  Each call builds e,
     the objective c and b = A C E^+ e, and checks E y = e for consistency."""
-    basis = problem.basis
-    st = _structure(basis.shape, basis.level, problem.weights is None, problem.zeros,
+    st = _structure(problem.shape, problem.level, problem.weights is None, problem.zeros,
                     tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints),
                     problem.residual_bounds, problem.data is not None)
     block_keys = problem.block_keys
@@ -489,9 +493,10 @@ def to_conic(problem: MomentProblem) -> ConicData:
         e[st.data_row:] = problem.data.ravel()
         row_spec[st.data_row:] = [("data", *k) for k in np.ndindex(problem.data.shape)]
 
+    size = problem.basis.size
     objective = {}          # symmetric coefficient matrix F_st of the entry terms
     for (s, t, u, v), coeff in problem.objective.terms.items():
-        f = objective.setdefault((s, t), np.zeros((basis.size, basis.size)))
+        f = objective.setdefault((s, t), np.zeros((size, size)))
         f[u, v] += 0.5 * coeff
         f[v, u] += 0.5 * coeff
     c = np.zeros(st.cone.dim)
@@ -598,7 +603,6 @@ def tilted_hardy_objective(basis: MomentBasis, w: float) -> LinearExpr:
 
 
 def hardy_zero_events(shape: ScenarioShape):
-    """The three zero events, for every (s, t)."""
-    triples = ((0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1, 1))
-    return [(s, t, a, b, x, y) for s in range(shape.ns) for t in range(shape.nt)
-            for (a, b, x, y) in triples]
+    """The three zero events ``hardy.ZERO_TRIPLES``, for every (s, t)."""
+    return [(s, t, *triple) for s in range(shape.ns) for t in range(shape.nt)
+            for triple in ZERO_TRIPLES]

@@ -240,8 +240,8 @@ class _Scaling:
         self.cone = cone
         nl = cone.n_lin
         self.x_lin, self.s_lin = x[:nl], s[:nl]
-        self.w_lin = np.sqrt(self.x_lin / self.s_lin) if nl else np.zeros(0)
-        self.lam_lin = np.sqrt(self.x_lin * self.s_lin) if nl else np.zeros(0)
+        self.w_lin = np.sqrt(self.x_lin / self.s_lin)
+        self.lam_lin = np.sqrt(self.x_lin * self.s_lin)
         self.G, self.Ginv, self.Winv, self.lam, self.l_inv = [], [], [], [], []
         for xs in cone.mats(np.stack([x, s])):
             lxs = np.linalg.cholesky(xs)
@@ -269,8 +269,8 @@ class _Scaling:
         """Scaled directions (orthant values, PSD stacks) for the corrector."""
         c = self.cone
         nl = c.n_lin
-        lx = dx[:nl] / self.w_lin if nl else np.zeros(0)
-        ls = ds[:nl] * self.w_lin if nl else np.zeros(0)
+        lx = dx[:nl] / self.w_lin
+        ls = ds[:nl] * self.w_lin
         mats_x = [ginv @ mx @ _mt(ginv) for ginv, mx in zip(self.Ginv, c.mats(dx))]
         mats_s = [_mt(g) @ ms @ g for g, ms in zip(self.G, c.mats(ds))]
         return lx, ls, mats_x, mats_s
@@ -280,8 +280,7 @@ class _Scaling:
         lambda o (dxbar + dsbar) = tgt at dx = 0."""
         c = self.cone
         out = np.empty(c.dim)
-        if c.n_lin:
-            out[:c.n_lin] = (tgt_lin / self.lam_lin) / self.w_lin
+        out[:c.n_lin] = (tgt_lin / self.lam_lin) / self.w_lin
         mats = []
         for lam, ginv, tgt in zip(self.lam, self.Ginv, tgt_mats):
             r = tgt / (0.5 * (lam[..., :, None] + lam[..., None, :]))
@@ -424,15 +423,13 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
         denom = float(b @ v2 - c @ u2) + kappa / tau
 
         def direction(eta: float, sigma_mu: float, corr=None):
-            nl = cone.n_lin
-            tgt_lin = sigma_mu - scal.lam_lin ** 2 if nl else np.zeros(0)
+            tgt_lin = sigma_mu - scal.lam_lin ** 2
             tgt_mats = [sigma_mu * np.eye(n) - lam[..., :, None] ** 2 * np.eye(n)
                         for (n, _, _), lam in zip(cone.runs, scal.lam)]
             tgt_tk = sigma_mu - tau * kappa
             if corr is not None:
                 corr_lin, corr_mats, corr_tk = corr
-                if nl:
-                    tgt_lin = tgt_lin - corr_lin
+                tgt_lin = tgt_lin - corr_lin
                 tgt_mats = [t - cm for t, cm in zip(tgt_mats, corr_mats)]
                 tgt_tk -= corr_tk
             f0 = -eta * rd + scal.vr(tgt_lin, tgt_mats)

@@ -29,7 +29,5 @@ def seesaw_tilted_hardy(w: float) -> SeesawResult:
     """Best lower bound over the exact-zero family from the search in theta."""
     _, theta, t1 = hardy.maximize_tilted(w)
     r = hardy.realization_from_angles(theta, *hardy._angles_from(theta, t1))
-    p = behavior_of(r).tensor[0, 0]
-    value = float(p[0, 0, 0, 0] + w * p[1, 1, 0, 0])
-    zres = max(float(abs(p[a, b, x, y])) for (a, b, x, y) in hardy.ZERO_TRIPLES)
-    return SeesawResult(value=value, zero_residual=zres, theta=theta)
+    zeros, value, _ = hardy.evaluate(behavior_of(r).tensor[0, 0], w)
+    return SeesawResult(value=value, zero_residual=max(zeros), theta=theta)

@@ -76,13 +76,6 @@ def _projector_stack(m: np.ndarray) -> bool:
     return m.ndim == 3 and m.shape[1] == m.shape[2] and bool(_projector_each(m).all())
 
 
-def is_psd(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    m = as_matrix(m)
-    if not is_hermitian(m, tol):
-        return False
-    return float(np.linalg.eigvalsh(0.5 * (m + dag(m)))[0]) >= -tol
-
-
 def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
     """Eigenvalues (ascending) and unitary eigenbasis of a Hermitian matrix."""
     h = as_matrix(h)

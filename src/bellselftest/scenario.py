@@ -53,6 +53,25 @@ CHSH_SHAPE = ScenarioShape(2, 2, 2, 2, 2, 2)
 SINGLE_SOURCE_CHSH_SHAPE = ScenarioShape(1, 1, 2, 2, 2, 2)
 
 
+def support_eigh(rho: np.ndarray) -> tuple:
+    """(S, vals, vecs, psd) of a state slice: its support S, the indices
+    whose row or column holds an entry that is not exactly zero (an all-zero
+    rho takes every index), the ascending eigenvalues and the eigenvectors
+    of 0.5 (rho_SS + rho_SS^dag), and whether rho is Hermitian PSD within
+    ``PSD_TOL``.  Every entry outside S x S is exactly zero and so is its
+    mirror, so the Hermitian check on the block decides for the whole of
+    rho, whose Hermitian part has the block's spectrum plus one exact zero
+    per index outside S."""
+    nonzero = rho != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    if not len(support):
+        support = np.arange(len(rho))
+    block = rho[np.ix_(support, support)]
+    vals, vecs = np.linalg.eigh(0.5 * (block + dag(block)))
+    psd = qmath.is_hermitian(block, PSD_TOL) and vals[0] >= -PSD_TOL
+    return support, vals, vecs, bool(psd)
+
+
 @dataclass(frozen=True)
 class ClassicalQuantumState:
     """Map (s,t) -> subnormalized rho_st with tr(rho_st) = p(st)."""
@@ -72,7 +91,7 @@ class ClassicalQuantumState:
                 rho = as_matrix(self.states[(s, t)])
                 if rho.shape != (da * db, da * db):
                     raise ValueError(f"rho_{s}{t} has shape {rho.shape}")
-                if not qmath.is_psd(rho, PSD_TOL):
+                if not support_eigh(rho)[3]:
                     raise ValueError(f"rho_{s}{t} is not Hermitian PSD")
                 total += self.weight(s, t)
         if abs(total - 1.0) > PSD_TOL:

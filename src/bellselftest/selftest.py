@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy, qmath
-from .qmath import ProjectiveMeasurement, dag, dichotomic_qubit_measurement
+from .qmath import ProjectiveMeasurement, dichotomic_qubit_measurement
 from .scenario import (
-    PSD_TOL,
     ClassicalQuantumState,
     Realization,
     ScenarioShape,
     behavior_of,
+    support_eigh,
 )
 from .tree import QuditProtocol, root_path
 
@@ -73,30 +73,21 @@ def _principal_state(rho: np.ndarray, tol: float):
     """Normalized principal eigenvector, trace, a rank-one flag and whether
     rho is Hermitian PSD within ``PSD_TOL``, from one eigendecomposition.
 
-    The decomposition runs on the support S of rho: the indices whose row or
-    column holds an entry that is not exactly zero (an all-zero rho takes
-    every index).  The rows and columns outside S are exactly zero, so
-    0.5 (rho + rho^dag) is block-diagonal with a zero block there, and its
-    spectrum is that of the S block plus one exact zero per index outside
-    S; both enter the rank-one and PSD tests in sorted order.  The principal
-    vector is the S block's top eigenvector, embedded back at S.  A
-    canonical d-dimensional state has d nonzero rows of d^2, so this is a
-    d x d ``eigh``, whose bits do not depend on the BLAS thread count; on a
-    full support it is the full decomposition, bit for bit.  The Hermitian
-    check reads the whole of rho."""
+    The decomposition is ``scenario.support_eigh``'s, on the support S of
+    rho; the spectrum of 0.5 (rho + rho^dag) is the S block's plus one
+    exact zero per index outside S, and both enter the rank-one test in
+    sorted order.  The principal vector is the S block's top eigenvector,
+    embedded back at S.  A canonical d-dimensional state has d nonzero rows
+    of d^2, so this is a d x d ``eigh``, whose bits do not depend on the
+    BLAS thread count; on a full support it is the full decomposition, bit
+    for bit."""
     trace = float(np.real(np.trace(rho)))
-    nonzero = rho != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    if not len(support):
-        support = np.arange(len(rho))
-    block = rho[np.ix_(support, support)]
-    block_vals, block_vecs = np.linalg.eigh(0.5 * (block + dag(block)))
+    support, block_vals, block_vecs, psd = support_eigh(rho)
     vals = np.sort(np.concatenate([block_vals, np.zeros(len(rho) - len(support))]))
     rank_one = vals[-2] <= tol * max(trace, 1e-300) if len(vals) > 1 else True
-    psd = qmath.is_hermitian(rho, PSD_TOL) and vals[0] >= -PSD_TOL
     psi = np.zeros(len(rho), dtype=block_vecs.dtype)
     psi[support] = block_vecs[:, -1]
-    return psi / np.linalg.norm(psi), trace, bool(rank_one), bool(psd)
+    return psi / np.linalg.norm(psi), trace, bool(rank_one), psd
 
 
 def _expect(amp: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> float:
@@ -309,8 +300,6 @@ def verify_qubit(r: Realization, w: float) -> VerificationReport:
     sh = r.shape
     if (sh.nx, sh.ny, sh.na, sh.nb) != (2, 2, 2, 2):
         raise ValueError("verify_qubit needs two dichotomic settings per party")
-    if len(r.alice) != sh.nx or len(r.bob) != sh.ny:
-        raise ValueError("measurement count does not match the scenario shape")
     r.validate_measurements()
     test = hardy.TiltedHardyTest.for_w(w)
     target = np.array([np.cos(test.theta), np.sin(test.theta)])
@@ -325,13 +314,10 @@ def verify_qubit(r: Realization, w: float) -> VerificationReport:
     passed = True
     for s in range(sh.ns):
         for t in range(sh.nt):
-            zeros = tuple(float(abs(beh.tensor[s, t, a, b, x, y]))
-                          for (a, b, x, y) in test.zeros)
+            zeros, value, weight = hardy.evaluate(beh.tensor[s, t], test.w)
             violation = None
             if (s, t) == (0, 0):
-                weight = float(beh.tensor[s, t, :, :, 0, 0].sum())
-                val = beh.tensor[s, t, 0, 0, 0, 0] + w * beh.tensor[s, t, 1, 1, 0, 0]
-                violation = abs(float(val) - weight * test.q_value)
+                violation = abs(value - weight * test.q_value)
             cond[(s, t)] = {0: {"zeros": zeros, "normalization": 0.0,
                                 "violation": violation}}
             if max(zeros) > tol or (violation or 0.0) > tol:

@@ -155,6 +155,24 @@ class TestSimulateVerify:
         assert main([command, "--realization", str(rpath), *args]) == 2
         assert "rho_00 is not Hermitian PSD" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["one_sided", "negative"])
+    def test_state_defect_in_support_same_message(self, tmp_path, capsys, defect):
+        """The only asymmetry, or the only negative eigenvalue, of rho_00
+        lies in its support: simulate and verify reject it alike."""
+        perturb = np.zeros((9, 9))
+        if defect == "one_sided":
+            perturb[0, 1] = 1e-3
+        else:
+            u = np.zeros(9)
+            u[0], u[4] = 2.0, -3.0   # orthogonal to the state 3|00> + 2|11> + |22>
+            perturb = -1e-3 * np.outer(u, u) / (u @ u)
+        rpath, ppath = self._qudit_files(tmp_path, perturb)
+        errs = []
+        for args in (["simulate"], ["verify", "--protocol", str(ppath)]):
+            assert main([*args, "--realization", str(rpath)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == ["error: rho_00 is not Hermitian PSD\n"] * 2
+
     @pytest.mark.parametrize("field, value", [("swapped", "false"), ("w", "0.5"),
                                               ("theta", "0.3"), ("p", "0.5")])
     def test_mistyped_protocol_field_exits_2(self, tmp_path, capsys, field, value):

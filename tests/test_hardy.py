@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,19 @@ from bellselftest.hardy import (
     theta_of_w,
     w_of_theta,
 )
+from bellselftest.npa import moments
 from bellselftest.qmath import schmidt
-from bellselftest.scenario import CHSH_SHAPE, behavior_of, observed, source_independent
+from bellselftest.scenario import (
+    CHSH_SHAPE,
+    SINGLE_SOURCE_CHSH_SHAPE,
+    behavior_of,
+    observed,
+    source_independent,
+)
+from bellselftest.selftest import verify_qubit
+
+SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1]
+                  / "src" / "bellselftest").rglob("*.py"))
 
 
 class TestClosedForms:
@@ -113,7 +127,7 @@ class TestCheckConditions:
         lifted = source_independent(CHSH_SHAPE, (2, 2), can.cq.states[(0, 0)],
                                     can.alice, can.bob)
         obs = observed(behavior_of(lifted))
-        rep = check_conditions(obs, (0, 0), TiltedHardyTest.for_w(0.0))
+        rep = check_conditions(obs, TiltedHardyTest.for_w(0.0))
         assert rep.passed
         assert max(rep.zero_residuals) < 1e-9
 
@@ -126,7 +140,7 @@ class TestCheckConditions:
         table[0, 1, 0, 1] = 0.01  # p(0101|01) must vanish
         from bellselftest.scenario import ObservedBehavior
         rep = check_conditions(ObservedBehavior(shape=obs.shape, table=table),
-                               (0, 0), TiltedHardyTest.for_w(0.0))
+                               TiltedHardyTest.for_w(0.0))
         assert not rep.passed
         assert rep.zero_residuals[0] == pytest.approx(0.01, abs=1e-12)
 
@@ -139,20 +153,54 @@ class TestCheckConditions:
         table[0, 0, 0, 0] *= 0.9
         from bellselftest.scenario import ObservedBehavior
         rep = check_conditions(ObservedBehavior(shape=obs.shape, table=table),
-                               (0, 0), TiltedHardyTest.for_w(0.0))
+                               TiltedHardyTest.for_w(0.0))
         assert not rep.passed
         assert rep.violation_residual > 1e-4
 
     def test_single_source_behavior_input(self):
         r = canonical_realization(0.25)
-        rep = check_conditions(behavior_of(r), (0, 0), TiltedHardyTest.for_w(0.25))
+        rep = check_conditions(behavior_of(r), TiltedHardyTest.for_w(0.25))
         assert rep.passed
 
     def test_report_json(self):
         r = canonical_realization(0.5)
-        rep = check_conditions(behavior_of(r), (0, 0), TiltedHardyTest.for_w(0.5))
+        rep = check_conditions(behavior_of(r), TiltedHardyTest.for_w(0.5))
         obj = rep.to_json()
         assert set(obj) == {"w", "qValue", "zeroResiduals", "violationResidual", "pass"}
+
+
+class TestOneDefinition:
+    """The tilted Hardy test is defined in ``hardy`` alone: its zero triples
+    in ``ZERO_TRIPLES`` and its evaluation on a table in ``evaluate``."""
+
+    @pytest.mark.parametrize("w", [-0.2, 0.0, 0.5])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_verify_qubit_reads_what_check_conditions_reads(self, w, perturbed):
+        theta, *angles = hardy.canonical_angles(w)
+        if perturbed:
+            theta, angles[1] = 1.01 * theta, angles[1] + 1e-2
+        r = hardy.realization_from_angles(theta, *angles)
+        rep = check_conditions(behavior_of(r), TiltedHardyTest.for_w(w))
+        cond = verify_qubit(r, w).condition_residuals[(0, 0)][0]
+        assert cond["zeros"] == rep.zero_residuals
+        assert cond["violation"] == rep.violation_residual
+        assert rep.passed is not perturbed
+
+    @pytest.mark.parametrize("shape", [SINGLE_SOURCE_CHSH_SHAPE, CHSH_SHAPE],
+                             ids=["single", "untrusted"])
+    def test_zero_events_are_blocks_times_triples(self, shape):
+        assert moments.hardy_zero_events(shape) == [
+            (s, t, *triple) for s in range(shape.ns) for t in range(shape.nt)
+            for triple in hardy.ZERO_TRIPLES]
+
+    @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "hardy.py"],
+                             ids=lambda p: p.relative_to(SOURCES[0].parents[1]).as_posix())
+    def test_no_other_module_spells_a_triple(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        literals = [ast.literal_eval(node) for node in ast.walk(tree)
+                    if isinstance(node, ast.Tuple)
+                    and all(isinstance(e, ast.Constant) for e in node.elts)]
+        assert not set(literals) & set(hardy.ZERO_TRIPLES)
 
 
 class TestSandwich:
