@@ -19,13 +19,24 @@ basis.  Each block is restricted to that face, which with the closure keeps
 the reduced problem strictly feasible; the equalities on y, face conditions
 included, are eliminated before the solver sees them.  A problem holds its
 constraints as given: the rows are built, and factored, once per structure.
+
+A problem without pinned data is solved on the moments that its relabeling
+group G fixes.  G holds the relabelings (party swap, each party's setting
+and source-value permutations) that act on y as permutations and map the
+objective, the equalities with their right-hand sides and the inequality
+rows onto themselves.  The relaxation is convex, so averaging an optimal y
+over G gives an optimal y that G fixes (Gatermann and Parrilo, J. Pure Appl.
+Algebra 192, 95, 2004).  The restriction shrinks the solver's null space
+and leaves the central path where it is, since G permutes the cone's
+coordinates orthogonally and fixes the identity start point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
-from itertools import product
+from functools import cache, lru_cache, partial
+from itertools import permutations, product
+from math import prod
 from numbers import Real
 from types import MappingProxyType
 
@@ -319,16 +330,19 @@ class ConicData:
     """Solver data for min c.x, A x = b, x in K over the moment vector y.
 
     The cone point is x = C y: the inequality values, then
-    svec(Q^T M_st(y) Q) for each block.  The equalities E y = e are solved
-    as y = y0 + N z with y0 = E^+ e, and the rows of A are an orthonormal
-    basis of the complement of range(C N), so A has full row rank and
-    A x = b = A C E^+ e holds exactly on the image of the equalities'
-    solutions.  null_basis is an orthonormal basis of range(C N) = null(A),
-    on which the solver solves its Newton systems.
+    svec(Q^T M_st(y) Q) for each block.  y = U w ranges over the moments
+    that the problem's relabeling group fixes (U = I when the group is
+    trivial).  The equalities E U w = e are solved as w = w0 + N z with
+    w0 = (E U)^+ e, and the rows of A are an orthonormal basis of the
+    complement of range(C U N), so A has full row rank and
+    A x = b = A C U (E U)^+ e holds exactly on the image of the equalities'
+    solutions.  null_basis is an orthonormal basis of range(C U N) =
+    null(A), on which the solver solves its Newton systems.
 
     a_mat, null_basis, eq_map, the cone and the faces depend on the
-    problem's structure alone: they are shared read-only with every other
-    ConicData of the same structure (see ``to_conic``)."""
+    problem's structure and group alone: they are shared read-only with
+    every other ConicData of the same structure and group (see
+    ``to_conic``)."""
 
     a_mat: np.ndarray
     b: np.ndarray
@@ -339,7 +353,7 @@ class ConicData:
     faces: dict                      # (s,t) -> Q (N x r) face basis
     block_keys: list
     row_spec: list                   # per equality: ("data", s,t,a,b) | ("const", e_i)
-    eq_map: np.ndarray               # A C E^+, from rows of A to equalities
+    eq_map: np.ndarray               # A C U (E U)^+, from rows of A to equalities
     inconsistency: np.ndarray | None  # r / (r.r) when E y = e has no solution
 
     def lift_block(self, key, reduced: np.ndarray) -> np.ndarray:
@@ -390,56 +404,46 @@ def _face(shape: ScenarioShape, level: int, events: tuple) -> tuple:
     return _read_only(q, face_rows, svec(q.T @ onehot @ q).T)
 
 
-STRUCTURE_CACHE_SIZE = 16   # constraint structures kept, least recently used out
-
-
-@dataclass(frozen=True)
-class _Structure:
-    """What ``to_conic`` derives from E and C alone; every array read-only."""
-
-    e_mat: np.ndarray
-    e_pinv: np.ndarray               # E^+
-    a_mat: np.ndarray
-    null_basis: np.ndarray
-    eq_map: np.ndarray               # A C E^+
-    cone: Cone
-    faces: MappingProxyType          # (s,t) -> Q (N x r) face basis
-    value_row: int                   # first row of the value constraints
-    data_row: int                    # first row of the data, if pinned
-
-
-@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
-def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
-               value_terms: tuple, bounds: tuple | None, pinned: bool) -> _Structure:
-    """E, E^+, A, the null basis, A C E^+, the cone and the faces of one
-    structure: a problem without its right-hand sides and objective.  E holds
-    the weight, face, zero-event, value (``value_terms``: entry terms),
-    residual and, when pinned, data rows; C the residual inequalities, then
-    each block's cone rows."""
-    basis = MomentBasis(shape, level)
-    ids = basis.moment_ids
+def _expr_vec(shape: ScenarioShape, level: int, terms) -> np.ndarray:
+    """Coefficients over y of the entry terms ((s, t, u, v), coeff): block
+    (s, t) holds moments (s nt + t) n_mom to (s nt + t + 1) n_mom - 1.
+    KeyError for a block that the shape does not have."""
+    ids = _moment_ids(shape, level)
     n_mom = int(ids.max()) + 1
+    vec = np.zeros(n_mom * shape.ns * shape.nt)
+    for (s, t, u, v), coeff in terms:
+        if not (0 <= s < shape.ns and 0 <= t < shape.nt):
+            raise KeyError((s, t))
+        if ids[u, v] >= 0:
+            vec[(s * shape.nt + t) * n_mom + ids[u, v]] += coeff
+    return vec
+
+
+def _rows(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
+          value_terms: tuple, bounds: tuple | None, pinned: bool) -> tuple:
+    """(E, C, cone, faces, face slice, value row, data row) of one structure.
+    E holds the weight, face (the rows of ``face slice``), zero-event, value
+    (``value_terms``: entry terms, from the value row on), residual and, when
+    pinned, data rows (from the data row on); C the residual inequalities,
+    then each block's cone rows."""
+    basis = MomentBasis(shape, level)
+    n_mom = len(_onehot(shape, level))
     block_keys = [(s, t) for s in range(shape.ns) for t in range(shape.nt)]
     col = {key: k * n_mom for k, key in enumerate(block_keys)}
     n_y = n_mom * len(block_keys)
-
-    def expr_vec(terms) -> np.ndarray:
-        vec = np.zeros(n_y)
-        for (s, t, u, v), coeff in terms:
-            if ids[u, v] >= 0:
-                vec[col[(s, t)] + ids[u, v]] += coeff
-        return vec
-
+    expr_vec = partial(_expr_vec, shape, level)
     norms = [((s, t, 0, 0), 1.0) for (s, t) in block_keys]     # L_st(1) = p(st)
     rows = [expr_vec(norms)] if free_weights else [expr_vec([n]) for n in norms]
     # faces: M_st(y) vanishes on the null vectors of the block's zero events
     faces, cone_rows = {}, {}
+    face_start = len(rows)
     for key in block_keys:
         events = tuple((a, b, x, y) for (s, t, a, b, x, y) in zeros if (s, t) == key)
         faces[key], face_rows, cone_rows[key] = _face(shape, level, events)
         face = np.zeros((len(face_rows), n_y))
         face[:, col[key]:col[key] + n_mom] = face_rows
         rows.extend(face)
+    face_slice = slice(face_start, len(rows))
     rows += [expr_vec(basis.prob_expr(*z).terms.items()) for z in zeros]
     value_row = len(rows)
     eqs, ineqs = _residual_rows(basis, bounds, zeros)
@@ -448,7 +452,6 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
     if pinned:
         rows += [expr_vec(basis.prob_expr(s, t, a, b, s, t).terms.items())
                  for s, t, a, b in np.ndindex(shape.ns, shape.nt, shape.na, shape.nb)]
-    e_mat = np.array(rows)
 
     cone = Cone(len(ineqs), [faces[key].shape[1] for key in block_keys])
     c_mat = np.zeros((cone.dim, n_y))
@@ -456,6 +459,58 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
         c_mat[i] = expr_vec(expr.terms.items())
     for key, n, off in zip(block_keys, cone.blocks, cone.offsets):
         c_mat[off:off + svec_dim(n), col[key]:col[key] + n_mom] = cone_rows[key]
+    return np.array(rows), c_mat, cone, faces, face_slice, value_row, data_row
+
+
+def _constants(size: int, value_row: int, weights: tuple | None,
+               value_consts: tuple) -> np.ndarray:
+    """e of E y = e without data: the weights, or 1 for their sum when they
+    are free, the value constraints' constants from the value row on, and
+    zero on every other row."""
+    e = np.zeros(size)
+    head = (1.0,) if weights is None else weights
+    e[:len(head)] = head
+    e[value_row:value_row + len(value_consts)] = value_consts
+    return e
+
+
+STRUCTURE_CACHE_SIZE = 16   # constraint structures kept, least recently used out
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """What ``to_conic`` derives from E, C and G alone; every array
+    read-only."""
+
+    e_mat: np.ndarray                # E U
+    e_pinv: np.ndarray               # (E U)^+
+    a_mat: np.ndarray
+    null_basis: np.ndarray
+    eq_map: np.ndarray               # A C U (E U)^+
+    cone: Cone
+    faces: MappingProxyType          # (s,t) -> Q (N x r) face basis
+    value_row: int                   # first row of the value constraints
+    data_row: int                    # first row of the data, if pinned
+
+
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
+               value_terms: tuple, bounds: tuple | None, pinned: bool,
+               group: tuple) -> _Structure:
+    """E U, (E U)^+, A, the null basis, A C U (E U)^+, the cone and the
+    faces of one structure, a problem without its right-hand sides and
+    objective, restricted to the moments that its relabeling group G fixes
+    (``group``, the relabelings other than the identity).  U is an
+    orthonormal basis of the G-fixed y, or the identity when G is trivial;
+    E and C are the rows of ``_rows``.  With y = U w the equalities are
+    E U w = e, and x = C U w; so A is longer and B narrower than without G,
+    and A C U (E U)^+ maps the rows of A to the equalities as before."""
+    e_mat, c_mat, cone, faces, _, value_row, data_row = _rows(
+        shape, level, free_weights, zeros, value_terms, bounds, pinned)
+    if group:
+        perms = dict(_relabelings(shape, level))
+        fixed = _fixed_basis([perms[g] for g in group], e_mat.shape[1])
+        e_mat, c_mat = e_mat @ fixed, c_mat @ fixed
 
     u, sv, vt = np.linalg.svd(e_mat)
     rank = int(np.sum(sv > RANK_TOL * sv[0]))
@@ -468,28 +523,160 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
                       cone, MappingProxyType(faces), value_row, data_row)
 
 
+# ------------------------------------------------------------------ symmetry
+
+RELABELING_LIMIT = 256   # candidate relabelings tried, beyond which the party swap alone
+
+
+def _relabel(word: tuple, g: tuple):
+    """Canonical form of word under the relabeling g (see _relabelings)."""
+    swap, settings = g[0], g[1:3]
+    return mono.canonical_form(tuple((party ^ swap, o, settings[party][x])
+                                     for party, o, x in word))
+
+
+@cache
+def _relabelings(shape: ScenarioShape, level: int) -> tuple:
+    """(g, perm) per candidate relabeling g other than the identity, each
+    acting on y as a permutation, built once per process.
+
+    g = (swap, Alice's settings, Bob's, Alice's source values, Bob's), each
+    a permutation of range(n): settings and source values are relabeled,
+    then the parties are swapped when swap is 1.  The swap is a candidate
+    when both parties have as many settings, outcomes and source values.
+    perm sends each moment of y to its image, so that the relabeled moment
+    vector y' has y'[perm] = y.  Every product of the factors is tried when
+    there are at most RELABELING_LIMIT of them, the party swap alone
+    otherwise."""
+    swappable = shape.nx == shape.ny and shape.na == shape.nb and shape.ns == shape.nt
+    sizes = (shape.nx, shape.ny, shape.ns, shape.nt)
+    perms = [tuple(permutations(range(n))) for n in sizes]
+    if (1 + swappable) * prod(len(p) for p in perms) <= RELABELING_LIMIT:
+        candidates = list(product(range(1 + swappable), *perms))[1:]   # identity first
+    else:
+        candidates = [(1, *(tuple(range(n)) for n in sizes))] if swappable else []
+    words, index = _words(shape, level)
+    ids = _moment_ids(shape, level)
+    known = ids >= 0
+    n_mom = int(ids.max()) + 1
+    out = []
+    for g in candidates:
+        swap, _, _, src_a, src_b = g
+        image = [index[_relabel(word, g)] for word in words]
+        moment = np.empty(n_mom, dtype=int)
+        moment[ids[known]] = ids[np.ix_(image, image)][known]
+        block = [(src_b[t], src_a[s]) if swap else (src_a[s], src_b[t])
+                 for s in range(shape.ns) for t in range(shape.nt)]
+        perm = np.concatenate([(s * shape.nt + t) * n_mom + moment for s, t in block])
+        perm.setflags(write=False)
+        out.append((g, perm))
+    return tuple(out)
+
+
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """rows in an order that depends on their values alone, to rounding."""
+    key = np.round(rows, 9) + 0.0       # + 0.0: -0.0 sorts with 0.0
+    return rows[sorted(range(len(rows)), key=lambda i: key[i].tobytes())]
+
+
+SYMMETRY_CACHE_SIZE = 64    # problems whose group is kept, least recently used out
+
+
+@lru_cache(maxsize=SYMMETRY_CACHE_SIZE)
+def _symmetry(shape: ScenarioShape, level: int, weights: tuple | None, zeros: tuple,
+              value_terms: tuple, value_consts: tuple, bounds: tuple | None,
+              objective_terms: tuple) -> tuple:
+    """The candidate relabelings (``_relabelings``) that fix a problem
+    without data: each maps the objective over y to itself, and both the
+    rows of E y = e, with their right-hand sides, and the inequality rows
+    onto themselves as sets.  They form a group G, returned without the
+    identity.  The face rows are not compared, since their bases are not
+    unique; the zero-event rows fix them, since a relabeling that maps the
+    events onto themselves maps each block's face onto its image's."""
+    e_mat, c_mat, cone, _, face_slice, value_row, _ = _rows(
+        shape, level, weights is None, zeros, value_terms, bounds, False)
+    e = _constants(len(e_mat), value_row, weights, value_consts)
+    keep = np.ones(len(e), dtype=bool)
+    keep[face_slice] = False
+    blocks = set(product(range(shape.ns), range(shape.nt)))
+    objective = [term for term in objective_terms if term[0][:2] in blocks]
+    sets = [np.append(_expr_vec(shape, level, objective), 0.0)[None],
+            np.column_stack([e_mat[keep], e[keep]]),
+            np.column_stack([c_mat[:cone.n_lin], np.zeros(cone.n_lin)])]
+    ordered = [_row_order(rows) for rows in sets]
+    group = []
+    for g, perm in _relabelings(shape, level):
+        image = np.append(perm, len(perm))      # the right-hand sides stay
+        moved = [np.empty_like(rows) for rows in sets]
+        for out, rows in zip(moved, sets):
+            out[:, image] = rows
+        if all(np.allclose(_row_order(m), o, rtol=0.0, atol=1e-12)
+               for m, o in zip(moved, ordered)):
+            group.append(g)
+    return tuple(group)
+
+
+def _fixed_basis(perms: list, size: int) -> np.ndarray:
+    """Orthonormal basis U of the vectors y with y[perm] = y for every
+    perm: one column per orbit, 1/sqrt(orbit size) on its members.  These
+    are eigenvectors of eigenvalue 1 of the group's average permutation
+    matrix, and span that eigenspace."""
+    label = np.arange(size)
+    while True:         # each orbit converges on its least member
+        new = np.min([label, *(label[p] for p in perms)], axis=0)
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, orbit, count = np.unique(label, return_inverse=True, return_counts=True)
+    u = np.zeros((size, len(count)))
+    u[np.arange(size), orbit] = 1.0 / np.sqrt(count[orbit])
+    return u
+
+
+def _constants_of(problem: MomentProblem) -> tuple:
+    """(weights, value constants) of a problem, as ``_constants`` takes them."""
+    weights = None if problem.weights is None else \
+        tuple(float(problem.weights[key]) for key in problem.block_keys)
+    return weights, tuple(const - expr.const for expr, const in problem.value_constraints)
+
+
+def _group(problem: MomentProblem) -> tuple:
+    """The relabeling group of the problem without the identity (see
+    ``_symmetry``).  A problem with pinned data keeps the trivial group: a
+    certificate from a restricted solve would be valid only on the tables
+    that the group leaves invariant."""
+    if problem.data is not None:
+        return ()
+    weights, value_consts = _constants_of(problem)
+    return _symmetry(problem.shape, problem.level, weights, problem.zeros,
+                     tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints),
+                     value_consts, problem.residual_bounds,
+                     tuple(problem.objective.terms.items()))
+
+
 @serial_blas
 def to_conic(problem: MomentProblem) -> ConicData:
-    """Assemble solver data; applies facial reduction per block.
+    """Assemble solver data; applies facial reduction per block, and
+    restricts a problem without data to the moments that its relabeling
+    group fixes.
 
     The rows E and C and all that is derived from them are built by
     ``_structure`` once per structure, the problem without its right-hand
-    sides and objective, so a stream of membership tests or bounds that
-    differ only there builds and factors its rows once.  Each call builds e,
-    the objective c and b = A C E^+ e, and checks E y = e for consistency."""
+    sides and objective, and group, so a stream of membership tests or
+    bounds that differ only there builds and factors its rows once.  The
+    group is found by ``_group`` at the first call for a structure with
+    its right-hand sides and objective, and kept.  Each call builds e, the
+    objective c and b = A C U (E U)^+ e, and checks E y = e for
+    consistency."""
+    value_terms = tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints)
+    pinned = problem.data is not None
     st = _structure(problem.shape, problem.level, problem.weights is None, problem.zeros,
-                    tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints),
-                    problem.residual_bounds, problem.data is not None)
+                    value_terms, problem.residual_bounds, pinned, _group(problem))
     block_keys = problem.block_keys
 
-    e = np.zeros(len(st.e_mat))
-    weights = [1.0] if problem.weights is None else \
-        [float(problem.weights[key]) for key in block_keys]
-    e[:len(weights)] = weights
-    e[st.value_row:st.value_row + len(problem.value_constraints)] = [
-        const - expr.const for expr, const in problem.value_constraints]
+    e = _constants(len(st.e_mat), st.value_row, *_constants_of(problem))
     row_spec = [("const", float(v)) for v in e]
-    if problem.data is not None:
+    if pinned:
         e[st.data_row:] = problem.data.ravel()
         row_spec[st.data_row:] = [("data", *k) for k in np.ndindex(problem.data.shape)]
 

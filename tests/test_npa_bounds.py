@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from bellselftest import hardy
 from bellselftest.npa import membership, moments, sdp
 from bellselftest.npa.sdp import Status
-from bellselftest.scenario import CHSH_SHAPE, SINGLE_SOURCE_CHSH_SHAPE, ObservedBehavior
+from bellselftest.scenario import (
+    CHSH_SHAPE,
+    SINGLE_SOURCE_CHSH_SHAPE,
+    ObservedBehavior,
+    ScenarioShape,
+)
 
 UNIFORM = {(s, t): 0.25 for s in range(2) for t in range(2)}
 
@@ -457,3 +463,193 @@ class TestStructureCache:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
+
+
+SWAP = (1, (0, 1), (0, 1), (0, 1), (0, 1))          # the party swap, (s, t) -> (t, s)
+SINGLE_SOURCE_SWAP = (1, (0, 1), (0, 1), (0,), (0,))
+
+
+def _scaled_chsh():
+    """CHSH L2 on [0.2, 0.3] with one correlator term scaled, which the
+    party swap moves onto an unscaled one."""
+    basis = moments.MomentBasis(CHSH_SHAPE, 2)
+    objective = moments.zero_expr()
+    for x, y in np.ndindex(2, 2):
+        scale = 1.1 if (x, y) == (0, 1) else (-1.0 if x * y else 1.0)
+        objective = objective + scale * moments.correlator_expr(basis, x, y, x, y)
+    return moments.build_moment_problem(CHSH_SHAPE, 2, objective=objective,
+                                        residual_bounds=(0.2, 0.3))
+
+
+def _weighted_hardy(weights, zero_blocks=((0, 0), (0, 1), (1, 0), (1, 1))):
+    basis = moments.MomentBasis(CHSH_SHAPE, 2)
+    return moments.build_moment_problem(
+        CHSH_SHAPE, 2, weights=dict(zip(UNIFORM, weights)),
+        zeros=[z for z in moments.hardy_zero_events(CHSH_SHAPE) if z[:2] in zero_blocks],
+        objective=moments.tilted_hardy_objective(basis, 0.75))
+
+
+def _bob_settings_problem():
+    """A Bell expression on two settings for Alice and three for Bob that
+    treats Bob's settings 1 and 2 alike."""
+    shape = ScenarioShape(1, 1, 2, 3, 2, 2)
+    basis = moments.MomentBasis(shape, 2)
+    objective = moments.zero_expr()
+    for x, y in np.ndindex(2, 3):
+        sign = -1.0 if x == 1 and y > 0 else 1.0
+        objective = objective + sign * moments.correlator_expr(basis, 0, 0, x, y)
+    return moments.build_moment_problem(shape, 2, weights={(0, 0): 1.0},
+                                        objective=objective)
+
+
+def _source_values_problem():
+    """Correlators at settings (0, 1) and (1, 0), summed over every source
+    block under residual bounds."""
+    basis = moments.MomentBasis(CHSH_SHAPE, 2)
+    objective = moments.zero_expr()
+    for s, t in np.ndindex(2, 2):
+        objective = objective + moments.correlator_expr(basis, s, t, 0, 1) \
+            + 0.5 * moments.correlator_expr(basis, s, t, 1, 0)
+    return moments.build_moment_problem(CHSH_SHAPE, 2, objective=objective,
+                                        residual_bounds=(0.2, 0.3))
+
+
+SYMMETRIC = {
+    "hardy_l2": lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 2),
+    "hardy_l3": lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 3),
+    "fourblock_l2": lambda: _hardy_problem(CHSH_SHAPE, 2),
+    "chsh_l2": lambda: _chsh_bounded(2, (0.2, 0.3)),
+    "chsh_l2_equal": lambda: _chsh_bounded(2, (0.25, 0.25)),
+}
+
+
+class TestSymmetry:
+    """A problem without data is solved on the moments that its relabeling
+    group fixes; the group is found from the problem, and the restricted
+    solve follows the unrestricted one."""
+
+    @pytest.mark.parametrize("make, group", [
+        (SYMMETRIC["hardy_l2"], (SINGLE_SOURCE_SWAP,)),
+        (SYMMETRIC["hardy_l3"], (SINGLE_SOURCE_SWAP,)),
+        (SYMMETRIC["fourblock_l2"], (SWAP,)),
+        (SYMMETRIC["chsh_l2"], (SWAP,)),
+        (SYMMETRIC["chsh_l2_equal"], (SWAP,)),
+        (_scaled_chsh, ()),
+        # p(01) = 0.4 and p(10) = 0.2 are not swapped onto each other
+        (lambda: _weighted_hardy((0.2, 0.4, 0.2, 0.2)), ()),
+        # block (0, 0) is its own image under the swap
+        (lambda: _weighted_hardy((0.4, 0.2, 0.2, 0.2)), (SWAP,)),
+        # zero events in block (0, 1) alone, which the swap moves to (1, 0)
+        (lambda: _weighted_hardy((0.25,) * 4, [(0, 1)]), ()),
+        (lambda: _weighted_hardy((0.25,) * 4, [(0, 0)]), (SWAP,)),
+    ], ids=[*SYMMETRIC, "chsh_l2_scaled_term", "fourblock_l2_weights_0.2_0.4",
+            "fourblock_l2_weights_0.4_0.2", "fourblock_l2_zeros_01", "fourblock_l2_zeros_00"])
+    def test_detected_group(self, make, group):
+        assert moments._group(make()) == group
+
+    @pytest.mark.parametrize("make, order", [(_bob_settings_problem, 2),
+                                             (_source_values_problem, 8)],
+                             ids=["bob_settings", "source_values"])
+    def test_setting_and_source_relabelings(self, make, order, monkeypatch):
+        """Groups beyond the party swap: Bob's settings 1 and 2 swapped,
+        and the source values with the settings of both parties.  The
+        stopping test reads the residual in A's basis, which the
+        restriction changes, so a solve may stop one iteration apart."""
+        group = moments._group(make())
+        assert len(group) == order - 1
+        sol = moments.solve_sdp(make())
+        monkeypatch.setattr(moments, "_group", lambda problem: ())
+        ref = moments.solve_sdp(make())
+        assert sol.status is ref.status is Status.OPTIMAL
+        assert abs(sol.iterations - ref.iterations) <= 1
+        assert sol.value == pytest.approx(ref.value, abs=2e-7)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("bounds", MEMBER_BOUNDS)
+    def test_membership_is_not_restricted(self, level, bounds):
+        problem = _member(level, bounds)
+        assert moments._group(problem) == ()
+        # the PR box is swap-invariant: without its data the problem would be
+        assert SWAP in moments._group(replace(problem, data=None))
+
+    def test_relabelings_are_permutations(self):
+        for shape, level in ((CHSH_SHAPE, 2), (SINGLE_SOURCE_CHSH_SHAPE, 3)):
+            relabelings = dict(moments._relabelings(shape, level))
+            n_y = len(moments._expr_vec(shape, level, ()))
+            assert len(relabelings) == (32 if shape.ns == 2 else 8) - 1
+            for perm in relabelings.values():
+                assert sorted(perm) == list(range(n_y))
+            swap = relabelings[SWAP if shape.ns == 2 else SINGLE_SOURCE_SWAP]
+            assert np.array_equal(swap[swap], np.arange(n_y))
+
+    def test_candidates(self):
+        # Bob has three settings: no party swap, 2! 3! - 1 relabelings
+        candidates = [g for g, _ in moments._relabelings(ScenarioShape(1, 1, 2, 3, 2, 2), 1)]
+        assert len(candidates) == 11 and not any(g[0] for g in candidates)
+        # 2 (3!)^4 candidates exceed RELABELING_LIMIT: the party swap alone
+        identity = tuple(range(3))
+        assert [g for g, _ in moments._relabelings(ScenarioShape(3, 3, 3, 3, 2, 2), 1)] == \
+            [(1, identity, identity, identity, identity)]
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_restricted_solve_agrees(self, name, monkeypatch):
+        restricted = moments.to_conic(SYMMETRIC[name]())
+        sol = moments.solve_sdp(SYMMETRIC[name]())
+        monkeypatch.setattr(moments, "_group", lambda problem: ())
+        full = moments.to_conic(SYMMETRIC[name]())
+        assert restricted.null_basis.shape[1] < full.null_basis.shape[1]
+        ref = moments.solve_sdp(SYMMETRIC[name]())
+        assert sol.status is ref.status is Status.OPTIMAL
+        assert sol.iterations == ref.iterations
+        assert sol.value == pytest.approx(ref.value, abs=1e-9)
+
+    @staticmethod
+    def moments_of(problem, null_basis):
+        """The moment vectors y with E y = 0 whose cone points C y are the
+        columns of null_basis."""
+        e_mat, c_mat, *_ = moments._rows(problem.shape, problem.level, True, problem.zeros,
+                                         (), problem.residual_bounds, False)
+        _, sv, vt = np.linalg.svd(e_mat)
+        null_e = vt[int(np.sum(sv > moments.RANK_TOL * sv[0])):].T
+        y = null_e @ np.linalg.lstsq(c_mat @ null_e, null_basis, rcond=None)[0]
+        assert np.abs(c_mat @ y - null_basis).max() <= 1e-12
+        return y
+
+    def test_restricted_null_basis_is_fixed(self, monkeypatch):
+        problem = _chsh_bounded(2, (0.2, 0.3))
+        conic = moments.to_conic(problem)
+        a_mat, basis = conic.a_mat, conic.null_basis
+        assert basis.shape == (conic.cone.dim, 66)
+        assert np.abs(basis.T @ basis - np.eye(66)).max() <= 1e-12
+        assert np.abs(a_mat @ a_mat.T - np.eye(len(a_mat))).max() <= 1e-12
+        assert np.abs(a_mat @ basis).max() <= 1e-12
+        swap = dict(moments._relabelings(CHSH_SHAPE, 2))[SWAP]
+        y = self.moments_of(problem, basis)
+        assert np.abs(y[swap] - y).max() <= 1e-12
+        monkeypatch.setattr(moments, "_group", lambda problem: ())
+        y = self.moments_of(problem, moments.to_conic(problem).null_basis)
+        assert np.abs(y[swap] - y).max() > 0.1
+
+    def test_restricted_structure_is_no_larger(self):
+        problem = _chsh_bounded(2, (0.2, 0.3))
+        key = (CHSH_SHAPE, 2, True, problem.zeros, (), problem.residual_bounds, False)
+        arrays = ("e_mat", "e_pinv", "a_mat", "null_basis", "eq_map")
+        restricted, full = moments._structure(*key, (SWAP,)), moments._structure(*key, ())
+        n = full.cone.dim
+        for st in (restricted, full):
+            assert st.a_mat.size + st.null_basis.size == n * n
+        assert sum(getattr(restricted, f).nbytes for f in arrays) <= \
+            sum(getattr(full, f).nbytes for f in arrays)
+
+    def test_hit_finds_the_group_once(self, monkeypatch):
+        moments.to_conic(_chsh_bounded(2, (0.2, 0.3)))
+        calls = []
+        rows = moments._rows
+
+        def counted(*args):
+            calls.append(args)
+            return rows(*args)
+
+        monkeypatch.setattr(moments, "_rows", counted)
+        moments.to_conic(_chsh_bounded(2, (0.2, 0.3)))
+        assert calls == []

@@ -347,8 +347,8 @@ class TestStackedSchur:
         return calls, factored, n - m
 
     @pytest.mark.parametrize("problem, blocks, orthant, k", [
-        ("chsh_l2", [13] * 4, True, 123), ("hardy_l3", [16], False, 20),
-        ("membership_l1", [5] * 4, True, 28), ("mixed_l2", [10, 13, 13, 13], False, 103)],
+        ("chsh_l2", [13] * 4, True, 66), ("hardy_l3", [16], False, 11),
+        ("membership_l1", [5] * 4, True, 28), ("mixed_l2", [10, 13, 13, 13], False, 54)],
         ids=["chsh_l2", "hardy_l3", "membership_l1", "mixed_l2"])
     def test_matches_row_loop(self, monkeypatch, problem, blocks, orthant, k):
         calls, factored, null_dim = self.stacked_calls(monkeypatch, SOLVES[problem])
@@ -441,6 +441,27 @@ class TestMixedSizeCone:
         assert sol.status is Status.OPTIMAL
         assert sol.iterations == 8
         assert val == pytest.approx(0.08056496, abs=5e-9)
+
+
+class TestChoFactor:
+    """cho_factor inverts the Cholesky factor by halves above 32 rows; a
+    general inverse of the factor is the reference."""
+
+    @pytest.mark.parametrize("k", [1, 31, 32, 33, 66, 123, 200])
+    def test_matches_general_inverse(self, rng, k):
+        a = rng.standard_normal((k, k))
+        mat = a @ a.T + k * np.eye(k)
+        ref = np.linalg.inv(np.linalg.cholesky(mat))
+        linv = sdp.cho_factor(mat)
+        assert np.abs(linv - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(linv.T @ (linv @ mat) - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [5, 66])
+    def test_not_positive_definite_raises(self, k):
+        mat = np.eye(k)
+        mat[k - 2, k - 2] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp.cho_factor(mat)
 
 
 class TestFactorizationFailure:
