@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from itertools import permutations, product
-from math import prod
+from math import factorial
 from numbers import Real
 from types import MappingProxyType
 
@@ -419,13 +419,16 @@ def _expr_vec(shape: ScenarioShape, level: int, terms) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=1)
 def _rows(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
           value_terms: tuple, bounds: tuple | None, pinned: bool) -> tuple:
     """(E, C, cone, faces, face slice, value row, data row) of one structure.
     E holds the weight, face (the rows of ``face slice``), zero-event, value
     (``value_terms``: entry terms, from the value row on), residual and, when
     pinned, data rows (from the data row on); C the residual inequalities,
-    then each block's cone rows."""
+    then each block's cone rows.  E and C are read-only and kept for the
+    last structure only: a problem without data reads them twice when it is
+    new, in ``_symmetry`` and then in ``_structure``."""
     basis = MomentBasis(shape, level)
     n_mom = len(_onehot(shape, level))
     block_keys = [(s, t) for s in range(shape.ns) for t in range(shape.nt)]
@@ -459,7 +462,8 @@ def _rows(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
         c_mat[i] = expr_vec(expr.terms.items())
     for key, n, off in zip(block_keys, cone.blocks, cone.offsets):
         c_mat[off:off + svec_dim(n), col[key]:col[key] + n_mom] = cone_rows[key]
-    return np.array(rows), c_mat, cone, faces, face_slice, value_row, data_row
+    return (*_read_only(np.array(rows), c_mat), cone, faces, face_slice, value_row,
+            data_row)
 
 
 def _constants(size: int, value_row: int, weights: tuple | None,
@@ -474,7 +478,7 @@ def _constants(size: int, value_row: int, weights: tuple | None,
     return e
 
 
-STRUCTURE_CACHE_SIZE = 16   # constraint structures kept, least recently used out
+STRUCTURE_CACHE_SIZE = 16   # structures and problem groups kept, least recently used out
 
 
 @dataclass(frozen=True)
@@ -525,7 +529,7 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
 
 # ------------------------------------------------------------------ symmetry
 
-RELABELING_LIMIT = 256   # candidate relabelings tried, beyond which the party swap alone
+RELABELING_LIMIT = 256   # candidate relabelings tried at most, the identity included
 
 
 def _relabel(word: tuple, g: tuple):
@@ -542,19 +546,25 @@ def _relabelings(shape: ScenarioShape, level: int) -> tuple:
 
     g = (swap, Alice's settings, Bob's, Alice's source values, Bob's), each
     a permutation of range(n): settings and source values are relabeled,
-    then the parties are swapped when swap is 1.  The swap is a candidate
-    when both parties have as many settings, outcomes and source values.
-    perm sends each moment of y to its image, so that the relabeled moment
-    vector y' has y'[perm] = y.  Every product of the factors is tried when
-    there are at most RELABELING_LIMIT of them, the party swap alone
-    otherwise."""
+    then the parties are swapped when swap is 1.  perm sends each moment of
+    y to its image, so that the relabeled moment vector y' has y'[perm] = y.
+    The candidates are every product of the party swap, when both parties
+    have as many settings, outcomes and source values, with the setting
+    permutations of both parties and then with their source-value
+    permutations.  A pair of factors stays at the identity when it would
+    take the count beyond RELABELING_LIMIT; the count is taken from
+    factorials before any permutation is listed.  The candidates, identity
+    included, form a group, since the swap exchanges the factors of a
+    pair."""
     swappable = shape.nx == shape.ny and shape.na == shape.nb and shape.ns == shape.nt
-    sizes = (shape.nx, shape.ny, shape.ns, shape.nt)
-    perms = [tuple(permutations(range(n))) for n in sizes]
-    if (1 + swappable) * prod(len(p) for p in perms) <= RELABELING_LIMIT:
-        candidates = list(product(range(1 + swappable), *perms))[1:]   # identity first
-    else:
-        candidates = [(1, *(tuple(range(n)) for n in sizes))] if swappable else []
+    count, factors = 1 + swappable, []
+    for pair in ((shape.nx, shape.ny), (shape.ns, shape.nt)):
+        size = factorial(pair[0]) * factorial(pair[1])
+        free = count * size <= RELABELING_LIMIT
+        count *= size if free else 1
+        factors += [tuple(permutations(range(n))) if free else (tuple(range(n)),)
+                    for n in pair]
+    candidates = list(product(range(1 + swappable), *factors))[1:]   # identity first
     words, index = _words(shape, level)
     ids = _moment_ids(shape, level)
     known = ids >= 0
@@ -579,10 +589,7 @@ def _row_order(rows: np.ndarray) -> np.ndarray:
     return rows[sorted(range(len(rows)), key=lambda i: key[i].tobytes())]
 
 
-SYMMETRY_CACHE_SIZE = 64    # problems whose group is kept, least recently used out
-
-
-@lru_cache(maxsize=SYMMETRY_CACHE_SIZE)
+@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def _symmetry(shape: ScenarioShape, level: int, weights: tuple | None, zeros: tuple,
               value_terms: tuple, value_consts: tuple, bounds: tuple | None,
               objective_terms: tuple) -> tuple:

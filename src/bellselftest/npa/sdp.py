@@ -347,24 +347,7 @@ def cho_factor(mat: np.ndarray) -> np.ndarray:
     so that mat^{-1} r = L^{-T} (L^{-1} r); LinAlgError when mat does not
     factor.  The tests and perfbench's tracer count failures through this
     name."""
-    return _lower_inv(np.linalg.cholesky(mat))
-
-
-def _lower_inv(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower triangular matrix by halves: with L = [[P, 0],
-    [R, Q]], L^{-1} = [[P^{-1}, 0], [-Q^{-1} R P^{-1}, Q^{-1}]].  A general
-    inverse of all k columns costs about three times as much at k = 123;
-    at 32 rows or fewer np.linalg.inv is called directly."""
-    k = len(low)
-    if k <= 32:
-        return np.linalg.inv(low)
-    h = k // 2
-    p_inv, q_inv = _lower_inv(low[:h, :h]), _lower_inv(low[h:, h:])
-    out = np.zeros_like(low)
-    out[:h, :h] = p_inv
-    out[h:, h:] = q_inv
-    out[h:, :h] = -(q_inv @ low[h:, :h]) @ p_inv
-    return out
+    return np.linalg.inv(np.linalg.cholesky(mat))
 
 
 def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,

@@ -586,10 +586,12 @@ class TestSymmetry:
         # Bob has three settings: no party swap, 2! 3! - 1 relabelings
         candidates = [g for g, _ in moments._relabelings(ScenarioShape(1, 1, 2, 3, 2, 2), 1)]
         assert len(candidates) == 11 and not any(g[0] for g in candidates)
-        # 2 (3!)^4 candidates exceed RELABELING_LIMIT: the party swap alone
+        # the swap with both parties' settings gives 2 (3!)^2 candidates; the
+        # source values would take them to 2 (3!)^4, beyond RELABELING_LIMIT
         identity = tuple(range(3))
-        assert [g for g, _ in moments._relabelings(ScenarioShape(3, 3, 3, 3, 2, 2), 1)] == \
-            [(1, identity, identity, identity, identity)]
+        candidates = [g for g, _ in moments._relabelings(ScenarioShape(3, 3, 3, 3, 2, 2), 1)]
+        assert len(candidates) == 2 * 6 * 6 - 1
+        assert all(g[3] == g[4] == identity for g in candidates)
 
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_restricted_solve_agrees(self, name, monkeypatch):
@@ -653,3 +655,20 @@ class TestSymmetry:
         monkeypatch.setattr(moments, "_rows", counted)
         moments.to_conic(_chsh_bounded(2, (0.2, 0.3)))
         assert calls == []
+
+    def test_new_problem_builds_its_rows_once(self, monkeypatch):
+        """A new problem without data reads its rows for its group and again
+        for its structure; they are built once."""
+        for cached in (moments._symmetry, moments._structure, moments._rows):
+            cached.cache_clear()
+        calls = []
+        residual_rows = moments._residual_rows
+
+        def counted(*args):
+            calls.append(args)
+            return residual_rows(*args)
+
+        monkeypatch.setattr(moments, "_residual_rows", counted)
+        conic = moments.to_conic(_chsh_bounded(2, (0.2, 0.3)))
+        assert conic.null_basis.shape[1] == 66
+        assert len(calls) == 1

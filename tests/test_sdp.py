@@ -443,27 +443,6 @@ class TestMixedSizeCone:
         assert val == pytest.approx(0.08056496, abs=5e-9)
 
 
-class TestChoFactor:
-    """cho_factor inverts the Cholesky factor by halves above 32 rows; a
-    general inverse of the factor is the reference."""
-
-    @pytest.mark.parametrize("k", [1, 31, 32, 33, 66, 123, 200])
-    def test_matches_general_inverse(self, rng, k):
-        a = rng.standard_normal((k, k))
-        mat = a @ a.T + k * np.eye(k)
-        ref = np.linalg.inv(np.linalg.cholesky(mat))
-        linv = sdp.cho_factor(mat)
-        assert np.abs(linv - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert np.abs(linv.T @ (linv @ mat) - np.eye(k)).max() <= 1e-12
-
-    @pytest.mark.parametrize("k", [5, 66])
-    def test_not_positive_definite_raises(self, k):
-        mat = np.eye(k)
-        mat[k - 2, k - 2] = -1.0
-        with pytest.raises(np.linalg.LinAlgError):
-            sdp.cho_factor(mat)
-
-
 class TestFactorizationFailure:
     def test_failed_cholesky_returns_best_iterate(self, monkeypatch):
         """B^T H B failing to factor at iteration 9 of the CHSH L2 solve ends
