@@ -20,23 +20,22 @@ the reduced problem strictly feasible; the equalities on y, face conditions
 included, are eliminated before the solver sees them.  A problem holds its
 constraints as given: the rows are built, and factored, once per structure.
 
-A problem without pinned data is solved on the moments that its relabeling
-group G fixes.  G holds the relabelings (party swap, each party's setting
-and source-value permutations) that act on y as permutations and map the
+A problem without pinned data is solved on the moments that the party swap
+fixes, when the parties have as many settings, outcomes and source values
+and the swap (Alice <-> Bob, source pair (s, t) -> (t, s)) maps the
 objective, the equalities with their right-hand sides and the inequality
 rows onto themselves.  The relaxation is convex, so averaging an optimal y
-over G gives an optimal y that G fixes (Gatermann and Parrilo, J. Pure Appl.
-Algebra 192, 95, 2004).  The restriction shrinks the solver's null space
-and leaves the central path where it is, since G permutes the cone's
-coordinates orthogonally and fixes the identity start point.
+with its swap gives an optimal y that the swap fixes (Gatermann and Parrilo,
+J. Pure Appl. Algebra 192, 95, 2004).  The restriction shrinks the solver's
+null space and leaves the central path where it is, since the swap permutes
+the cone's coordinates orthogonally and fixes the identity start point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
-from itertools import permutations, product
-from math import factorial
+from itertools import product
 from numbers import Real
 from types import MappingProxyType
 
@@ -331,8 +330,8 @@ class ConicData:
 
     The cone point is x = C y: the inequality values, then
     svec(Q^T M_st(y) Q) for each block.  y = U w ranges over the moments
-    that the problem's relabeling group fixes (U = I when the group is
-    trivial).  The equalities E U w = e are solved as w = w0 + N z with
+    that the party swap fixes when it fixes the problem, and U = I
+    otherwise.  The equalities E U w = e are solved as w = w0 + N z with
     w0 = (E U)^+ e, and the rows of A are an orthonormal basis of the
     complement of range(C U N), so A has full row rank and
     A x = b = A C U (E U)^+ e holds exactly on the image of the equalities'
@@ -340,8 +339,8 @@ class ConicData:
     null(A), on which the solver solves its Newton systems.
 
     a_mat, null_basis, eq_map, the cone and the faces depend on the
-    problem's structure and group alone: they are shared read-only with
-    every other ConicData of the same structure and group (see
+    problem's structure and swap test alone: they are shared read-only with
+    every other ConicData of the same structure and swap test (see
     ``to_conic``)."""
 
     a_mat: np.ndarray
@@ -478,13 +477,13 @@ def _constants(size: int, value_row: int, weights: tuple | None,
     return e
 
 
-STRUCTURE_CACHE_SIZE = 16   # structures and problem groups kept, least recently used out
+STRUCTURE_CACHE_SIZE = 16   # structures and swap tests kept, least recently used out
 
 
 @dataclass(frozen=True)
 class _Structure:
-    """What ``to_conic`` derives from E, C and G alone; every array
-    read-only."""
+    """What ``to_conic`` derives from E, C and the swap test alone; every
+    array read-only."""
 
     e_mat: np.ndarray                # E U
     e_pinv: np.ndarray               # (E U)^+
@@ -500,20 +499,19 @@ class _Structure:
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
                value_terms: tuple, bounds: tuple | None, pinned: bool,
-               group: tuple) -> _Structure:
+               symmetric: bool) -> _Structure:
     """E U, (E U)^+, A, the null basis, A C U (E U)^+, the cone and the
     faces of one structure, a problem without its right-hand sides and
-    objective, restricted to the moments that its relabeling group G fixes
-    (``group``, the relabelings other than the identity).  U is an
-    orthonormal basis of the G-fixed y, or the identity when G is trivial;
-    E and C are the rows of ``_rows``.  With y = U w the equalities are
-    E U w = e, and x = C U w; so A is longer and B narrower than without G,
-    and A C U (E U)^+ maps the rows of A to the equalities as before."""
+    objective, restricted to the swap-fixed moments when ``symmetric``
+    (the party swap fixes the problem).  U is an orthonormal basis of the
+    swap-fixed y, or the identity when not ``symmetric``; E and C are the
+    rows of ``_rows``.  With y = U w the equalities are E U w = e, and
+    x = C U w; so A is longer and B narrower than without the swap, and
+    A C U (E U)^+ maps the rows of A to the equalities as before."""
     e_mat, c_mat, cone, faces, _, value_row, data_row = _rows(
         shape, level, free_weights, zeros, value_terms, bounds, pinned)
-    if group:
-        perms = dict(_relabelings(shape, level))
-        fixed = _fixed_basis([perms[g] for g in group], e_mat.shape[1])
+    if symmetric:
+        fixed = _fixed_basis(_swap(shape, level))
         e_mat, c_mat = e_mat @ fixed, c_mat @ fixed
 
     u, sv, vt = np.linalg.svd(e_mat)
@@ -529,58 +527,27 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
 
 # ------------------------------------------------------------------ symmetry
 
-RELABELING_LIMIT = 256   # candidate relabelings tried at most, the identity included
-
-
-def _relabel(word: tuple, g: tuple):
-    """Canonical form of word under the relabeling g (see _relabelings)."""
-    swap, settings = g[0], g[1:3]
-    return mono.canonical_form(tuple((party ^ swap, o, settings[party][x])
-                                     for party, o, x in word))
-
-
 @cache
-def _relabelings(shape: ScenarioShape, level: int) -> tuple:
-    """(g, perm) per candidate relabeling g other than the identity, each
-    acting on y as a permutation, built once per process.
-
-    g = (swap, Alice's settings, Bob's, Alice's source values, Bob's), each
-    a permutation of range(n): settings and source values are relabeled,
-    then the parties are swapped when swap is 1.  perm sends each moment of
-    y to its image, so that the relabeled moment vector y' has y'[perm] = y.
-    The candidates are every product of the party swap, when both parties
-    have as many settings, outcomes and source values, with the setting
-    permutations of both parties and then with their source-value
-    permutations.  A pair of factors stays at the identity when it would
-    take the count beyond RELABELING_LIMIT; the count is taken from
-    factorials before any permutation is listed.  The candidates, identity
-    included, form a group, since the swap exchanges the factors of a
-    pair."""
-    swappable = shape.nx == shape.ny and shape.na == shape.nb and shape.ns == shape.nt
-    count, factors = 1 + swappable, []
-    for pair in ((shape.nx, shape.ny), (shape.ns, shape.nt)):
-        size = factorial(pair[0]) * factorial(pair[1])
-        free = count * size <= RELABELING_LIMIT
-        count *= size if free else 1
-        factors += [tuple(permutations(range(n))) if free else (tuple(range(n)),)
-                    for n in pair]
-    candidates = list(product(range(1 + swappable), *factors))[1:]   # identity first
+def _swap(shape: ScenarioShape, level: int) -> np.ndarray | None:
+    """The party swap as a permutation of y, or None when the parties differ
+    in settings, outcomes or source values; built once per process and
+    read-only.  The swap exchanges Alice's and Bob's operators and sends
+    block (s, t) to (t, s); perm sends each moment of y to its image, so
+    that the swapped moment vector y' has y'[perm] = y.  It is an
+    involution."""
+    if (shape.nx, shape.na, shape.ns) != (shape.ny, shape.nb, shape.nt):
+        return None
     words, index = _words(shape, level)
     ids = _moment_ids(shape, level)
     known = ids >= 0
-    n_mom = int(ids.max()) + 1
-    out = []
-    for g in candidates:
-        swap, _, _, src_a, src_b = g
-        image = [index[_relabel(word, g)] for word in words]
-        moment = np.empty(n_mom, dtype=int)
-        moment[ids[known]] = ids[np.ix_(image, image)][known]
-        block = [(src_b[t], src_a[s]) if swap else (src_a[s], src_b[t])
-                 for s in range(shape.ns) for t in range(shape.nt)]
-        perm = np.concatenate([(s * shape.nt + t) * n_mom + moment for s, t in block])
-        perm.setflags(write=False)
-        out.append((g, perm))
-    return tuple(out)
+    image = [index[mono.canonical_form(tuple((party ^ 1, o, x) for party, o, x in word))]
+             for word in words]
+    moment = np.empty(int(ids.max()) + 1, dtype=int)
+    moment[ids[known]] = ids[np.ix_(image, image)][known]
+    perm = np.concatenate([(t * shape.nt + s) * len(moment) + moment
+                           for s, t in product(range(shape.ns), range(shape.nt))])
+    perm.setflags(write=False)
+    return perm
 
 
 def _row_order(rows: np.ndarray) -> np.ndarray:
@@ -592,14 +559,16 @@ def _row_order(rows: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def _symmetry(shape: ScenarioShape, level: int, weights: tuple | None, zeros: tuple,
               value_terms: tuple, value_consts: tuple, bounds: tuple | None,
-              objective_terms: tuple) -> tuple:
-    """The candidate relabelings (``_relabelings``) that fix a problem
-    without data: each maps the objective over y to itself, and both the
-    rows of E y = e, with their right-hand sides, and the inequality rows
-    onto themselves as sets.  They form a group G, returned without the
-    identity.  The face rows are not compared, since their bases are not
-    unique; the zero-event rows fix them, since a relabeling that maps the
-    events onto themselves maps each block's face onto its image's."""
+              objective_terms: tuple) -> bool:
+    """Whether the party swap (``_swap``) fixes a problem without data: it
+    maps the objective over y to itself, and both the rows of E y = e, with
+    their right-hand sides, and the inequality rows onto themselves as sets.
+    The face rows are not compared, since their bases are not unique; the
+    zero-event rows fix them, since a swap that maps the events onto
+    themselves maps each block's face onto its image's."""
+    perm = _swap(shape, level)
+    if perm is None:
+        return False
     e_mat, c_mat, cone, _, face_slice, value_row, _ = _rows(
         shape, level, weights is None, zeros, value_terms, bounds, False)
     e = _constants(len(e_mat), value_row, weights, value_consts)
@@ -607,36 +576,25 @@ def _symmetry(shape: ScenarioShape, level: int, weights: tuple | None, zeros: tu
     keep[face_slice] = False
     blocks = set(product(range(shape.ns), range(shape.nt)))
     objective = [term for term in objective_terms if term[0][:2] in blocks]
-    sets = [np.append(_expr_vec(shape, level, objective), 0.0)[None],
-            np.column_stack([e_mat[keep], e[keep]]),
-            np.column_stack([c_mat[:cone.n_lin], np.zeros(cone.n_lin)])]
-    ordered = [_row_order(rows) for rows in sets]
-    group = []
-    for g, perm in _relabelings(shape, level):
-        image = np.append(perm, len(perm))      # the right-hand sides stay
-        moved = [np.empty_like(rows) for rows in sets]
-        for out, rows in zip(moved, sets):
-            out[:, image] = rows
-        if all(np.allclose(_row_order(m), o, rtol=0.0, atol=1e-12)
-               for m, o in zip(moved, ordered)):
-            group.append(g)
-    return tuple(group)
+    image = np.append(perm, len(perm))      # the right-hand sides stay
+    for rows in (np.append(_expr_vec(shape, level, objective), 0.0)[None],
+                 np.column_stack([e_mat[keep], e[keep]]),
+                 np.column_stack([c_mat[:cone.n_lin], np.zeros(cone.n_lin)])):
+        moved = np.empty_like(rows)
+        moved[:, image] = rows
+        if not np.allclose(_row_order(moved), _row_order(rows), rtol=0.0, atol=1e-12):
+            return False
+    return True
 
 
-def _fixed_basis(perms: list, size: int) -> np.ndarray:
-    """Orthonormal basis U of the vectors y with y[perm] = y for every
-    perm: one column per orbit, 1/sqrt(orbit size) on its members.  These
-    are eigenvectors of eigenvalue 1 of the group's average permutation
-    matrix, and span that eigenspace."""
-    label = np.arange(size)
-    while True:         # each orbit converges on its least member
-        new = np.min([label, *(label[p] for p in perms)], axis=0)
-        if np.array_equal(new, label):
-            break
-        label = new
-    _, orbit, count = np.unique(label, return_inverse=True, return_counts=True)
-    u = np.zeros((size, len(count)))
-    u[np.arange(size), orbit] = 1.0 / np.sqrt(count[orbit])
+def _fixed_basis(perm: np.ndarray) -> np.ndarray:
+    """Orthonormal basis U of the vectors y with y[perm] = y, for an
+    involution perm: one column per orbit {i, perm[i]}, in the order of the
+    orbits' least members, 1/sqrt(orbit size) on its members."""
+    _, orbit, count = np.unique(np.minimum(np.arange(len(perm)), perm),
+                                return_inverse=True, return_counts=True)
+    u = np.zeros((len(perm), len(count)))
+    u[np.arange(len(perm)), orbit] = 1.0 / np.sqrt(count[orbit])
     return u
 
 
@@ -647,13 +605,13 @@ def _constants_of(problem: MomentProblem) -> tuple:
     return weights, tuple(const - expr.const for expr, const in problem.value_constraints)
 
 
-def _group(problem: MomentProblem) -> tuple:
-    """The relabeling group of the problem without the identity (see
-    ``_symmetry``).  A problem with pinned data keeps the trivial group: a
-    certificate from a restricted solve would be valid only on the tables
-    that the group leaves invariant."""
+def _group(problem: MomentProblem) -> bool:
+    """Whether the party swap fixes the problem (see ``_symmetry``).  A
+    problem with pinned data is never restricted: a certificate from a
+    restricted solve would be valid only on the tables that the swap leaves
+    invariant."""
     if problem.data is not None:
-        return ()
+        return False
     weights, value_consts = _constants_of(problem)
     return _symmetry(problem.shape, problem.level, weights, problem.zeros,
                      tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints),
@@ -664,15 +622,15 @@ def _group(problem: MomentProblem) -> tuple:
 @serial_blas
 def to_conic(problem: MomentProblem) -> ConicData:
     """Assemble solver data; applies facial reduction per block, and
-    restricts a problem without data to the moments that its relabeling
-    group fixes.
+    restricts a problem without data that the party swap fixes to the
+    swap-fixed moments.
 
     The rows E and C and all that is derived from them are built by
     ``_structure`` once per structure, the problem without its right-hand
-    sides and objective, and group, so a stream of membership tests or
+    sides and objective, and swap test, so a stream of membership tests or
     bounds that differ only there builds and factors its rows once.  The
-    group is found by ``_group`` at the first call for a structure with
-    its right-hand sides and objective, and kept.  Each call builds e, the
+    swap is tested by ``_group`` at the first call for a structure with
+    its right-hand sides and objective, and the answer kept.  Each call builds e, the
     objective c and b = A C U (E U)^+ e, and checks E y = e for
     consistency."""
     value_terms = tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints)

@@ -15,8 +15,7 @@ from bellselftest.cli import (_preset_problem, _problem_from_spec, build_parser,
                               cmd_membership, main, read_csv)
 from bellselftest.npa import membership, moments
 from bellselftest.npa.membership import pr_box_observed
-from bellselftest.scenario import (CHSH_SHAPE, ScenarioShape, behavior_of, observed,
-                                  source_independent)
+from bellselftest.scenario import CHSH_SHAPE, behavior_of, observed, source_independent
 from bellselftest.tree import QuditProtocol
 
 
@@ -391,31 +390,17 @@ class TestBoundCommand:
         val = float(capsys.readouterr().out.strip())
         assert val == pytest.approx(hardy.q_of_w(0.5), abs=1e-4)
 
-    def test_problem_file_with_twelve_settings(self, tmp_path, capsys, monkeypatch):
-        """2 (12!)^2 relabelings of the settings would be candidates, far
-        beyond RELABELING_LIMIT: the settings stay fixed and no permutation
-        of them is listed.  The party swap alone is tried, and the objective
-        p(00|x = 0, y = 1) is not swap-invariant."""
+    def test_problem_file_with_twelve_settings(self, tmp_path, capsys):
+        """Twelve settings per party solve at once; the objective
+        p(00|x = 0, y = 1) is not swap-invariant, so the problem is not
+        restricted."""
         spec = {"shape": {"nS": 1, "nT": 1, "nX": 12, "nY": 12, "nA": 2, "nB": 2},
                 "level": 1, "weights": {"0,0": 1.0}, "objective": [[[0, 0, 0, 0, 0, 1], 1.0]]}
         path = tmp_path / "problem.json"
         _jsonio.dump(spec, path)
-        listed, permutations = [], moments.permutations
-
-        def counted(seq):
-            listed.append(len(seq))
-            return permutations(seq)
-
-        monkeypatch.setattr(moments, "permutations", counted)
-        moments._relabelings.cache_clear()
         assert main(["bound", "--problem", str(path)]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, abs=1e-6)
-        assert listed == [1, 1]
-        identity = tuple(range(12))
-        shape = ScenarioShape.from_json(spec["shape"])
-        assert [g for g, _ in moments._relabelings(shape, 1)] == \
-            [(1, identity, identity, (0,), (0,))]
-        assert moments._group(_problem_from_spec(spec)) == ()
+        assert moments._group(_problem_from_spec(spec)) is False
 
     @pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
     def test_problem_file_non_integer_shape_exits_2(self, tmp_path, capsys, value):

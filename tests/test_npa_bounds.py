@@ -465,10 +465,6 @@ class TestStructureCache:
         assert errors == []
 
 
-SWAP = (1, (0, 1), (0, 1), (0, 1), (0, 1))          # the party swap, (s, t) -> (t, s)
-SINGLE_SOURCE_SWAP = (1, (0, 1), (0, 1), (0,), (0,))
-
-
 def _scaled_chsh():
     """CHSH L2 on [0.2, 0.3] with one correlator term scaled, which the
     party swap moves onto an unscaled one."""
@@ -490,8 +486,8 @@ def _weighted_hardy(weights, zero_blocks=((0, 0), (0, 1), (1, 0), (1, 1))):
 
 
 def _bob_settings_problem():
-    """A Bell expression on two settings for Alice and three for Bob that
-    treats Bob's settings 1 and 2 alike."""
+    """A Bell expression on two settings for Alice and three for Bob, which
+    no party swap relates."""
     shape = ScenarioShape(1, 1, 2, 3, 2, 2)
     basis = moments.MomentBasis(shape, 2)
     objective = moments.zero_expr()
@@ -503,8 +499,9 @@ def _bob_settings_problem():
 
 
 def _source_values_problem():
-    """Correlators at settings (0, 1) and (1, 0), summed over every source
-    block under residual bounds."""
+    """Correlators at settings (0, 1) with weight 1 and (1, 0) with weight
+    0.5, summed over every source block under residual bounds: the party
+    swap exchanges the two correlators, so it does not fix the objective."""
     basis = moments.MomentBasis(CHSH_SHAPE, 2)
     objective = moments.zero_expr()
     for s, t in np.ndindex(2, 2):
@@ -524,80 +521,65 @@ SYMMETRIC = {
 
 
 class TestSymmetry:
-    """A problem without data is solved on the moments that its relabeling
-    group fixes; the group is found from the problem, and the restricted
-    solve follows the unrestricted one."""
+    """A problem without data that the party swap fixes is solved on the
+    swap-fixed moments; the swap is tested on the problem, and the
+    restricted solve follows the unrestricted one."""
 
-    @pytest.mark.parametrize("make, group", [
-        (SYMMETRIC["hardy_l2"], (SINGLE_SOURCE_SWAP,)),
-        (SYMMETRIC["hardy_l3"], (SINGLE_SOURCE_SWAP,)),
-        (SYMMETRIC["fourblock_l2"], (SWAP,)),
-        (SYMMETRIC["chsh_l2"], (SWAP,)),
-        (SYMMETRIC["chsh_l2_equal"], (SWAP,)),
-        (_scaled_chsh, ()),
+    @pytest.mark.parametrize("make, symmetric", [
+        (SYMMETRIC["hardy_l2"], True),
+        (SYMMETRIC["hardy_l3"], True),
+        (SYMMETRIC["fourblock_l2"], True),
+        (SYMMETRIC["chsh_l2"], True),
+        (SYMMETRIC["chsh_l2_equal"], True),
+        (_scaled_chsh, False),
         # p(01) = 0.4 and p(10) = 0.2 are not swapped onto each other
-        (lambda: _weighted_hardy((0.2, 0.4, 0.2, 0.2)), ()),
+        (lambda: _weighted_hardy((0.2, 0.4, 0.2, 0.2)), False),
         # block (0, 0) is its own image under the swap
-        (lambda: _weighted_hardy((0.4, 0.2, 0.2, 0.2)), (SWAP,)),
+        (lambda: _weighted_hardy((0.4, 0.2, 0.2, 0.2)), True),
         # zero events in block (0, 1) alone, which the swap moves to (1, 0)
-        (lambda: _weighted_hardy((0.25,) * 4, [(0, 1)]), ()),
-        (lambda: _weighted_hardy((0.25,) * 4, [(0, 0)]), (SWAP,)),
+        (lambda: _weighted_hardy((0.25,) * 4, [(0, 1)]), False),
+        (lambda: _weighted_hardy((0.25,) * 4, [(0, 0)]), True),
+        (_bob_settings_problem, False),
+        (_source_values_problem, False),
     ], ids=[*SYMMETRIC, "chsh_l2_scaled_term", "fourblock_l2_weights_0.2_0.4",
-            "fourblock_l2_weights_0.4_0.2", "fourblock_l2_zeros_01", "fourblock_l2_zeros_00"])
-    def test_detected_group(self, make, group):
-        assert moments._group(make()) == group
-
-    @pytest.mark.parametrize("make, order", [(_bob_settings_problem, 2),
-                                             (_source_values_problem, 8)],
-                             ids=["bob_settings", "source_values"])
-    def test_setting_and_source_relabelings(self, make, order, monkeypatch):
-        """Groups beyond the party swap: Bob's settings 1 and 2 swapped,
-        and the source values with the settings of both parties.  The
-        stopping test reads the residual in A's basis, which the
-        restriction changes, so a solve may stop one iteration apart."""
-        group = moments._group(make())
-        assert len(group) == order - 1
-        sol = moments.solve_sdp(make())
-        monkeypatch.setattr(moments, "_group", lambda problem: ())
-        ref = moments.solve_sdp(make())
-        assert sol.status is ref.status is Status.OPTIMAL
-        assert abs(sol.iterations - ref.iterations) <= 1
-        assert sol.value == pytest.approx(ref.value, abs=2e-7)
+            "fourblock_l2_weights_0.4_0.2", "fourblock_l2_zeros_01", "fourblock_l2_zeros_00",
+            "bob_settings", "source_values"])
+    def test_detected_group(self, make, symmetric):
+        assert moments._group(make()) is symmetric
 
     @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize("bounds", MEMBER_BOUNDS)
     def test_membership_is_not_restricted(self, level, bounds):
         problem = _member(level, bounds)
-        assert moments._group(problem) == ()
+        assert moments._group(problem) is False
         # the PR box is swap-invariant: without its data the problem would be
-        assert SWAP in moments._group(replace(problem, data=None))
+        assert moments._group(replace(problem, data=None)) is True
 
     def test_relabelings_are_permutations(self):
+        """The party swap is an involution of y that sends block (s, t) to
+        (t, s)."""
         for shape, level in ((CHSH_SHAPE, 2), (SINGLE_SOURCE_CHSH_SHAPE, 3)):
-            relabelings = dict(moments._relabelings(shape, level))
+            swap = moments._swap(shape, level)
             n_y = len(moments._expr_vec(shape, level, ()))
-            assert len(relabelings) == (32 if shape.ns == 2 else 8) - 1
-            for perm in relabelings.values():
-                assert sorted(perm) == list(range(n_y))
-            swap = relabelings[SWAP if shape.ns == 2 else SINGLE_SOURCE_SWAP]
+            assert sorted(swap) == list(range(n_y))
             assert np.array_equal(swap[swap], np.arange(n_y))
+            n_mom = n_y // (shape.ns * shape.nt)
+            for s, t in np.ndindex(shape.ns, shape.nt):
+                block = (s * shape.nt + t) * n_mom
+                assert set(swap[block:block + n_mom] // n_mom) == {t * shape.nt + s}
 
-    def test_candidates(self):
-        # Bob has three settings: no party swap, 2! 3! - 1 relabelings
-        candidates = [g for g, _ in moments._relabelings(ScenarioShape(1, 1, 2, 3, 2, 2), 1)]
-        assert len(candidates) == 11 and not any(g[0] for g in candidates)
-        # the swap with both parties' settings gives 2 (3!)^2 candidates; the
-        # source values would take them to 2 (3!)^4, beyond RELABELING_LIMIT
-        identity = tuple(range(3))
-        candidates = [g for g, _ in moments._relabelings(ScenarioShape(3, 3, 3, 3, 2, 2), 1)]
-        assert len(candidates) == 2 * 6 * 6 - 1
-        assert all(g[3] == g[4] == identity for g in candidates)
+    @pytest.mark.parametrize("shape", [ScenarioShape(1, 1, 2, 3, 2, 2),
+                                       ScenarioShape(1, 1, 2, 2, 3, 2),
+                                       ScenarioShape(2, 1, 2, 2, 2, 2)],
+                             ids=["settings", "outcomes", "source_values"])
+    def test_no_swap_between_unlike_parties(self, shape):
+        assert moments._swap(shape, 1) is None
 
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_restricted_solve_agrees(self, name, monkeypatch):
         restricted = moments.to_conic(SYMMETRIC[name]())
         sol = moments.solve_sdp(SYMMETRIC[name]())
-        monkeypatch.setattr(moments, "_group", lambda problem: ())
+        monkeypatch.setattr(moments, "_group", lambda problem: False)
         full = moments.to_conic(SYMMETRIC[name]())
         assert restricted.null_basis.shape[1] < full.null_basis.shape[1]
         ref = moments.solve_sdp(SYMMETRIC[name]())
@@ -625,10 +607,10 @@ class TestSymmetry:
         assert np.abs(basis.T @ basis - np.eye(66)).max() <= 1e-12
         assert np.abs(a_mat @ a_mat.T - np.eye(len(a_mat))).max() <= 1e-12
         assert np.abs(a_mat @ basis).max() <= 1e-12
-        swap = dict(moments._relabelings(CHSH_SHAPE, 2))[SWAP]
+        swap = moments._swap(CHSH_SHAPE, 2)
         y = self.moments_of(problem, basis)
         assert np.abs(y[swap] - y).max() <= 1e-12
-        monkeypatch.setattr(moments, "_group", lambda problem: ())
+        monkeypatch.setattr(moments, "_group", lambda problem: False)
         y = self.moments_of(problem, moments.to_conic(problem).null_basis)
         assert np.abs(y[swap] - y).max() > 0.1
 
@@ -636,7 +618,7 @@ class TestSymmetry:
         problem = _chsh_bounded(2, (0.2, 0.3))
         key = (CHSH_SHAPE, 2, True, problem.zeros, (), problem.residual_bounds, False)
         arrays = ("e_mat", "e_pinv", "a_mat", "null_basis", "eq_map")
-        restricted, full = moments._structure(*key, (SWAP,)), moments._structure(*key, ())
+        restricted, full = moments._structure(*key, True), moments._structure(*key, False)
         n = full.cone.dim
         for st in (restricted, full):
             assert st.a_mat.size + st.null_basis.size == n * n
