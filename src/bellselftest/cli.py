@@ -2,7 +2,7 @@
 Bell-expression bounds and membership tests, plus two reproducible demos.
 
 Exit codes: 0 pass/feasible, 1 fail/infeasible, 2 structural error.  All file
-outputs are deterministic (sorted keys, 17-significant-digit floats) so reruns
+outputs are deterministic (sorted keys, shortest round-trip floats) so reruns
 are byte-identical.
 """
 
@@ -72,7 +72,7 @@ def _check_bounds(lo, up):
 
 
 _REQUIRED_KEYS = {
-    "realization.v1": ("shape", "dims", "states", "alice", "bob"),
+    "realization.v2": ("shape", "dims", "states", "alice", "bob"),
     "protocol.v1": ("d", "coeffs", "root", "edges", "perEdge", "compressedGroups"),
     "observed.v1": ("shape", "table"),
     "behavior.v1": ("shape", "tensor"),
@@ -84,9 +84,12 @@ def _load_json(path: str, expect_version: str | None = None) -> dict:
         obj = _jsonio.load(path)
     except FileNotFoundError as exc:
         raise StructuralError(f"no such file: {path}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise StructuralError(f"{path}: not valid JSON ({exc})") from exc
     if expect_version:
+        if not isinstance(obj, dict):
+            raise StructuralError(f"{path}: expected a JSON object, got "
+                                  f"{type(obj).__name__}")
         if obj.get("version") != expect_version:
             raise StructuralError(
                 f"{path}: /version is {obj.get('version')!r}, "
@@ -152,7 +155,7 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    r = Realization.from_json(_load_json(args.realization, "realization.v1"))
+    r = Realization.from_json(_load_json(args.realization, "realization.v2"))
     r.validate()
     beh = behavior_of(r)
     beh.validate()
@@ -168,7 +171,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    r = Realization.from_json(_load_json(args.realization, "realization.v1"))
+    r = Realization.from_json(_load_json(args.realization, "realization.v2"))
     if (args.protocol is None) == (args.w is None):
         raise StructuralError("provide exactly one of --protocol or --w")
     if args.protocol:

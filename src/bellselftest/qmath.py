@@ -5,7 +5,9 @@ engine) works with plain ``numpy`` complex matrices.  This module collects the
 structural predicates (Hermitian, unitary, projector), the two decompositions
 the verification machinery relies on (Schmidt, simultaneous Jordan blocks of
 projector pairs, for one pair or a whole stack of pairs in one pass), and the
-JSON matrix encoding shared by the file formats.
+sparse JSON array encoding of device files: a shape and the
+``[flat index, re, im]`` row of each entry with a set bit, since the states
+and effects of the paper's devices are mostly zeros.
 
 The predicates take a tolerance that defaults to the module constants below;
 validation and the Jordan decomposition use the constants as they are.
@@ -85,19 +87,6 @@ def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL):
     return vals, vecs
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Encode as {"rows", "cols", "entries"} with flat row-major [re, im] pairs.
-
-    ``entries`` is a read-only (rows*cols, 2) float64 view of the matrix,
-    copied only when it is not C-contiguous, which ``_jsonio`` writes in
-    one pass.
-    """
-    m = np.ascontiguousarray(as_matrix(m))
-    entries = m.reshape(-1).view(np.float64).reshape(-1, 2)
-    entries.flags.writeable = False
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
-
-
 def json_count(value, name: str, minimum: int) -> int:
     """``value`` as an integer >= ``minimum``; anything else, a boolean, a
     float or a string included, raises ``ValueError`` naming ``name``."""
@@ -170,15 +159,46 @@ def json_floats(values, name: str, null_as_nan: bool = False) -> np.ndarray:
     return t
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows = json_count(obj["rows"], "rows", 0)
-    cols = json_count(obj["cols"], "cols", 0)
-    entries = json_floats(obj["entries"], "matrix")
-    if entries.shape != (rows * cols, 2):
-        raise ValueError(f"entries of shape {entries.shape} do not match "
-                         f"{rows}*{cols} [re, im] pairs")
-    # a view keeps the sign of every zero, which re + 1j*im would not
-    return entries.view(complex).reshape(rows, cols)
+def sparse_to_json(a) -> dict:
+    """Encode a complex array as ``{"shape", "nonzeros"}``: one
+    ``[flat index, re, im]`` row per entry with a set bit in either part
+    (so -0.0 is kept), in increasing row-major order."""
+    a = np.asarray(a, dtype=complex)
+    pairs = np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(-1, 2)
+    index = np.flatnonzero(pairs.view(np.int64).any(axis=1))
+    return {"shape": list(a.shape),
+            "nonzeros": [[i, re, im] for i, (re, im) in zip(index.tolist(),
+                                                            pairs[index].tolist())]}
+
+
+def sparse_from_json(obj) -> np.ndarray:
+    """The complex array that ``sparse_to_json`` encoded.  The shape must be
+    a list of integers >= 0, and each row an ``[index, re, im]`` triple of an
+    integer index, strictly above the row before and inside the array, and
+    two finite numbers; else ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a matrix must be an object, got {type(obj).__name__}")
+    shape = obj["shape"]
+    if not isinstance(shape, list):
+        raise ValueError(f"shape must be a list of integers, got {shape!r}")
+    shape = tuple(json_count(n, "shape", 0) for n in shape)
+    rows = obj["nonzeros"]
+    if not isinstance(rows, list) or not all(type(r) is list and len(r) == 3 for r in rows):
+        raise ValueError("nonzeros must be a list of [index, re, im] triples")
+    index = [r[0] for r in rows]
+    size = math.prod(shape)
+    if not all(type(i) is int for i in index) or (index and not (
+            0 <= index[0] and index[-1] < size and all(map(int.__lt__, index, index[1:])))):
+        raise ValueError(f"nonzeros indices must be integers that strictly increase "
+                         f"within [0, {size})")
+    out = np.zeros(size, dtype=complex)
+    if rows:
+        values = json_floats([r[1:] for r in rows], "matrix")
+        if values.shape != (len(rows), 2):
+            raise ValueError("nonzeros must hold two numbers after each index")
+        # a view keeps the sign of every zero, which re + 1j*im would not
+        out[index] = values.view(complex)[:, 0]
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -253,12 +273,14 @@ class ProjectiveMeasurement:
                                  f"{nonzero[a + 1 + np.argmax(overlap)]} are not orthogonal")
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "effects": [matrix_to_json(e) for e in self.effects]}
+        return {"dim": self.dim, "effects": sparse_to_json(self.effects)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProjectiveMeasurement":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a measurement must be an object, got {type(obj).__name__}")
         return cls(dim=json_count(obj["dim"], "dim", 1),
-                   effects=tuple(matrix_from_json(e) for e in obj["effects"]))
+                   effects=tuple(sparse_from_json(obj["effects"])))
 
 
 def dichotomic_qubit_measurement(angle: float, dim: int = 2, span: tuple[int, int] = (0, 1),

@@ -138,12 +138,10 @@ class Realization:
     def to_json(self) -> dict:
         sh = self.shape
         return {
-            "version": "realization.v1",
+            "version": "realization.v2",
             "shape": sh.to_json(),
             "dims": list(self.cq.dims),
-            "weights": {f"{s},{t}": self.cq.weight(s, t)
-                        for s in range(sh.ns) for t in range(sh.nt)},
-            "states": {f"{s},{t}": qmath.matrix_to_json(self.cq.states[(s, t)])
+            "states": {f"{s},{t}": qmath.sparse_to_json(self.cq.states[(s, t)])
                        for s in range(sh.ns) for t in range(sh.nt)},
             "alice": [m.to_json() for m in self.alice],
             "bob": [m.to_json() for m in self.bob],
@@ -156,10 +154,17 @@ class Realization:
         if not isinstance(dims, (list, tuple)) or len(dims) != 2:
             raise ValueError(f"dims must be a list of two integers, got {dims!r}")
         dims = tuple(qmath.json_count(d, "dims", 1) for d in dims)
-        states = {}
-        for key, mat in obj["states"].items():
-            s, t = (int(v) for v in key.split(","))
-            states[(s, t)] = qmath.matrix_from_json(mat)
+        keys = [f"{s},{t}" for s in range(sh.ns) for t in range(sh.nt)]
+        states = obj["states"]
+        if not isinstance(states, dict) or set(states) != set(keys):
+            got = sorted(states) if isinstance(states, dict) else type(states).__name__
+            raise ValueError(f"states must have exactly the keys {keys}, got {got}")
+        states = {(s, t): qmath.sparse_from_json(states[f"{s},{t}"])
+                  for s in range(sh.ns) for t in range(sh.nt)}
+        for party in ("alice", "bob"):
+            if not isinstance(obj[party], list):
+                raise ValueError(f"{party} must be a list of measurements, "
+                                 f"got {type(obj[party]).__name__}")
         cq = ClassicalQuantumState(shape=sh, dims=dims, states=states)
         alice = tuple(ProjectiveMeasurement.from_json(m) for m in obj["alice"])
         bob = tuple(ProjectiveMeasurement.from_json(m) for m in obj["bob"])

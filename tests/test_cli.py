@@ -248,17 +248,17 @@ class TestSimulateVerify:
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_non_integer_matrix_header_exits_2(self, tmp_path, capsys, command):
         obj = hardy.canonical_realization(0.25).to_json()
-        obj["states"]["0,0"]["rows"] = 2.7
+        obj["states"]["0,0"]["shape"][0] = 2.7
         bad = tmp_path / "bad.json"
         _jsonio.dump(obj, bad)
         args = ["--w", "0.25"] if command == "verify" else []
         assert main([command, "--realization", str(bad), *args]) == 2
-        assert "rows must be an integer >= 0, got 2.7" in capsys.readouterr().err
+        assert "shape must be an integer >= 0, got 2.7" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_string_matrix_entry_exits_2(self, tmp_path, capsys, command):
         obj = json.loads(_jsonio.dumps(hardy.canonical_realization(0.25).to_json()))
-        obj["states"]["0,0"]["entries"][0][0] = "1.5"
+        obj["states"]["0,0"]["nonzeros"][0][1] = "1.5"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj, indent=2))
         args = ["--w", "0.25"] if command == "verify" else []
@@ -268,12 +268,61 @@ class TestSimulateVerify:
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_huge_integer_matrix_entry_exits_2(self, tmp_path, capsys, command):
         obj = json.loads(_jsonio.dumps(hardy.canonical_realization(0.25).to_json()))
-        obj["states"]["0,0"]["entries"][0][0] = 10 ** 400
+        obj["states"]["0,0"]["nonzeros"][0][1] = 10 ** 400
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         args = ["--w", "0.25"] if command == "verify" else []
         assert main([command, "--realization", str(bad), *args]) == 2
         assert "error: non-finite matrix entry at [0, 0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--realization", "BAD"], ["verify", "--realization", "BAD", "--w", "0.25"],
+        ["verify", "--realization", "REAL", "--protocol", "BAD"],
+        ["membership", "--observed", "BAD"]],
+        ids=["simulate", "verify_realization", "verify_protocol", "membership"])
+    def test_top_level_non_object_exits_2(self, tmp_path, capsys, args):
+        bad, rpath = tmp_path / "bad.json", tmp_path / "real.json"
+        bad.write_text("[1, 2]")
+        _jsonio.dump(hardy.canonical_realization(0.25).to_json(), rpath)
+        args = [{"BAD": str(bad), "REAL": str(rpath)}.get(a, a) for a in args]
+        assert main(args) == 2
+        assert f"{bad}: expected a JSON object, got list" in capsys.readouterr().err
+
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        assert main(["simulate", "--realization", str(bad)]) == 2
+        assert f"error: {bad}: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda o: o.update(states=[]), "states must have exactly the keys ['0,0'], got list"),
+        (lambda o: o.update(alice=3), "alice must be a list of measurements, got int"),
+        (lambda o: o["states"].update({"5,5": o["states"]["0,0"]}),
+         "states must have exactly the keys ['0,0'], got ['0,0', '5,5']"),
+        (lambda o: o["states"].pop("0,0"), "states must have exactly the keys ['0,0'], got []"),
+        (lambda o: o["states"].update({"0,0": 3}), "a matrix must be an object, got int"),
+        (lambda o: o["bob"].append([]), "a measurement must be an object, got list"),
+    ], ids=["states_list", "alice_int", "extra_state_key", "missing_state_key", "state_int",
+            "bob_item_list"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_malformed_realization_exits_2(self, tmp_path, capsys, command, change, message):
+        obj = hardy.canonical_realization(0.25).to_json()
+        change(obj)
+        bad = tmp_path / "bad.json"
+        _jsonio.dump(obj, bad)
+        args = ["--w", "0.25"] if command == "verify" else []
+        assert main([command, "--realization", str(bad), *args]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_realization_v1_exits_2(self, tmp_path, capsys, command):
+        obj = hardy.canonical_realization(0.25).to_json()
+        bad = tmp_path / "old.json"
+        _jsonio.dump({**obj, "version": "realization.v1"}, bad)
+        args = ["--w", "0.25"] if command == "verify" else []
+        assert main([command, "--realization", str(bad), *args]) == 2
+        assert (f"error: {bad}: /version is 'realization.v1', expected 'realization.v2'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["simulate", "verify --protocol", "verify --w"])
     def test_non_projective_measurement_exits_2(self, tmp_path, capsys, command):
@@ -347,13 +396,13 @@ class TestSimulateVerify:
             digests[threads] = json.loads(proc.stdout)
         assert digests["1"] == digests["2"]
         assert digests["1"] == [
-            [0, "832b7aebf92d6f548236608d8d096b92e585a735defa2f0bd810b14436c7f5c3"],
-            [0, "b07db0dd8f30b885d73d60656df0bcaf94a3b90c4a9efb837a74ccfe6cf732ed"],
-            [1, "b7663947f8227b95f78f02e4dff2c30add27bdb0b65e92dfda315f769d5cc844"]]
+            [0, "4743879114af93d2bfc2467193b9ad8fb9c94df29a75e7cbbd5afb4803eec0cb"],
+            [0, "a616ae0c1db0f0616926503a033973ab27843443da953ebf01fc47caee5c11d7"],
+            [1, "bf1e246c7731e52f43d43a0bc80dcc40a652651c19554964eec541c5f7c14fb8"]]
 
     def test_schema_violation_reports_pointer(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        _jsonio.dump({"version": "realization.v1", "shape": {}}, bad)
+        _jsonio.dump({"version": "realization.v2", "shape": {}}, bad)
         rc = main(["simulate", "--realization", str(bad)])
         assert rc == 2
         assert "/dims is missing" in capsys.readouterr().err
@@ -480,10 +529,10 @@ class TestBoundCommand:
         assert captured.err.startswith(f"error: {named} is not finite")
 
     @pytest.mark.parametrize("preset, w, level, bounds, digest", [
-        ("chsh", None, 2, (0.2, 0.3), "9a9a0ac80a4d0ce3"),
-        ("chsh", None, 1, (0.25, 0.25), "076e8f359e6a8a85"),
-        ("tilted-hardy", 0.3, 2, (0.2, 0.3), "087e80100e49b197"),
-        ("tilted-hardy", 0.3, 2, None, "d6e3b3bc652d9af4"),
+        ("chsh", None, 2, (0.2, 0.3), "ad098b78cc71c108"),
+        ("chsh", None, 1, (0.25, 0.25), "60169c6d79fe2c63"),
+        ("tilted-hardy", 0.3, 2, (0.2, 0.3), "c9b1eaaef307966d"),
+        ("tilted-hardy", 0.3, 2, None, "f852f09007b36c51"),
     ], ids=["chsh_l2", "chsh_l1_equal", "hardy_l2", "hardy_l2_single_source"])
     def test_problem_bytes_pinned(self, preset, w, level, bounds, digest):
         """The sdp.v1 problem section of ``bound --out``, byte for byte."""
@@ -644,7 +693,7 @@ class TestDemos:
             runs.append([p.read_bytes() for p in (ppath, rpath, report)])
         assert runs[0] == runs[1]
         assert [_jsonio.loads(b)["version"] for b in runs[0]] == [
-            "protocol.v1", "realization.v1", "report.v1"]
+            "protocol.v1", "realization.v2", "report.v1"]
 
     def test_demo_rows_run_on_calling_thread(self, tmp_path, monkeypatch):
         """Demo rows run one at a time in the calling thread; the environment

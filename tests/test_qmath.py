@@ -12,9 +12,9 @@ from bellselftest.qmath import (
     jordan_blocks,
     json_number,
     kron,
-    matrix_from_json,
-    matrix_to_json,
     schmidt,
+    sparse_from_json,
+    sparse_to_json,
 )
 from conftest import random_projector_pair, random_unitary
 from jordan_reference import reference_jordan_blocks
@@ -256,43 +256,51 @@ class TestJordanStack:
 
 
 class TestMatrixJson:
+    """The sparse array encoding: ``{"shape", "nonzeros"}`` with one
+    ``[flat index, re, im]`` row per entry that has a set bit."""
+
     def test_round_trip(self, rng):
         m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        obj = matrix_to_json(m)
-        assert obj["rows"] == 3 and obj["cols"] == 5
-        assert np.array_equal(matrix_from_json(obj), m)
+        m[1] = 0
+        obj = sparse_to_json(m)
+        assert obj["shape"] == [3, 5] and len(obj["nonzeros"]) == 10
+        assert [r[0] for r in obj["nonzeros"]] == [*range(5), *range(10, 15)]
+        assert np.array_equal(sparse_from_json(obj), m)
 
     def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+        with pytest.raises(ValueError, match=r"within \[0, 4\)"):
+            sparse_from_json({"shape": [2, 2], "nonzeros": [[4, 1.0, 0.0]]})
 
-    @pytest.mark.parametrize("entries", [[[1, 0, 0, 0]], [1, 0, 0, 0],
-                                         [[1, 0], [0]], [[1, 0], [None, 0]]])
+    @pytest.mark.parametrize("entries", [[[0, 1, 0, 0]], [0, 1, 0],
+                                         [[0, 1, 0], [1, 0]], [[0, 1, 0], [1, None, 0]]])
     def test_rejects_entries_not_re_im_pairs(self, entries):
         with pytest.raises(ValueError):
-            matrix_from_json({"rows": 1, "cols": 2, "entries": entries})
+            sparse_from_json({"shape": [1, 2], "nonzeros": entries})
 
     @pytest.mark.parametrize("field, value", [
         ("rows", 2.7), ("rows", True), ("rows", "2"), ("rows", -1), ("rows", None),
         ("cols", 1.0), ("cols", False), ("cols", "1"), ("cols", -2)])
     def test_rejects_non_integer_header(self, field, value):
-        obj = {"rows": 2, "cols": 1, "entries": [[1, 0], [0, 0]], field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0"):
-            matrix_from_json(obj)
+        shape = [2, 1]
+        shape[field == "cols"] = value
+        with pytest.raises(ValueError, match="^shape must be an integer >= 0"):
+            sparse_from_json({"shape": shape, "nonzeros": [[0, 1, 0]]})
 
     def test_negative_header_names_the_field(self):
-        with pytest.raises(ValueError, match="^rows must be an integer >= 0, got -1"):
-            matrix_from_json({"rows": -1, "cols": -2, "entries": [[1, 0], [0, 0]]})
+        with pytest.raises(ValueError, match="^shape must be an integer >= 0, got -1"):
+            sparse_from_json({"shape": [-1, -2], "nonzeros": []})
 
     def test_accepts_numpy_integer_header(self):
-        m = matrix_from_json({"rows": np.int64(1), "cols": 2, "entries": [[1, 0], [0, 1]]})
+        m = sparse_from_json({"shape": [np.int64(1), 2], "nonzeros": [[0, 1, 0], [1, 0, 1]]})
         assert np.array_equal(m, [[1, 1j]])
 
     def test_keeps_signed_zeros(self):
-        m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]])
-        back = matrix_from_json(matrix_to_json(m))
-        assert np.array_equal(np.signbit(back.real), [[True, False]])
-        assert np.array_equal(np.signbit(back.imag), [[False, True]])
+        m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), 0.0]])
+        obj = sparse_to_json(m)
+        assert [r[0] for r in obj["nonzeros"]] == [0, 1]
+        back = sparse_from_json(obj)
+        assert np.array_equal(np.signbit(back.real), [[True, False, False]])
+        assert np.array_equal(np.signbit(back.imag), [[False, True, False]])
 
 
 class TestJsonNumber:
@@ -303,7 +311,7 @@ class TestJsonNumber:
         with pytest.raises(ValueError, match="^p: .* is not finite$"):
             json_number(_jsonio.loads(token), "p")
 
-    @pytest.mark.parametrize("token, value", [("2", 2.0), ("-0", -0.0), ("0.25", 0.25),
+    @pytest.mark.parametrize("token, value", [("2", 2.0), ("-0.0", -0.0), ("0.25", 0.25),
                                               ("1e308", 1e308)])
     def test_reads_finite(self, token, value):
         x = json_number(_jsonio.loads(token), "p")
