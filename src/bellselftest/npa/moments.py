@@ -29,6 +29,11 @@ with its swap gives an optimal y that the swap fixes (Gatermann and Parrilo,
 J. Pure Appl. Algebra 192, 95, 2004).  The restriction shrinks the solver's
 null space and leaves the central path where it is, since the swap permutes
 the cone's coordinates orthogonally and fixes the identity start point.
+On the swap-fixed moments the cone repeats itself: block (t, s) is a
+congruence of block (s, t), and the swap pairs inequality rows that then
+agree.  The cone is merged: one copy of each swapped block and row, scaled
+by sqrt(2) and given multiplicity 2 (``sdp.Cone``), which maps the
+swap-fixed cone points isometrically and keeps the central path.
 """
 
 from __future__ import annotations
@@ -338,6 +343,13 @@ class ConicData:
     solutions.  null_basis is an orthonormal basis of range(C U N) =
     null(A), on which the solver solves its Newton systems.
 
+    With the swap, C is merged (see ``_merged``): the cone holds block
+    (s, t) for s <= t alone and one row of each pair of inequality rows
+    that the swap exchanges, each copy of a pair scaled by sqrt(2) with
+    multiplicity 2.  block_keys names the cone's blocks, and word_swap is
+    the word permutation Pi that lifts block (t, s) as Pi M_st Pi^T, or None
+    without the swap.
+
     a_mat, null_basis, eq_map, the cone and the faces depend on the
     problem's structure and swap test alone: they are shared read-only with
     every other ConicData of the same structure and swap test (see
@@ -350,14 +362,27 @@ class ConicData:
     null_basis: np.ndarray           # n x k, orthonormal, A B = 0
     const: float                     # objective offset
     faces: dict                      # (s,t) -> Q (N x r) face basis
-    block_keys: list
+    block_keys: tuple                # (s,t) of each cone block
     row_spec: list                   # per equality: ("data", s,t,a,b) | ("const", e_i)
     eq_map: np.ndarray               # A C U (E U)^+, from rows of A to equalities
     inconsistency: np.ndarray | None  # r / (r.r) when E y = e has no solution
+    word_swap: np.ndarray | None = None
 
     def lift_block(self, key, reduced: np.ndarray) -> np.ndarray:
         q = self.faces[key]
         return q @ reduced @ q.T
+
+    def lift(self, x: np.ndarray) -> dict:
+        """Moment matrix M_st of every block (s, t) at the cone point x: one
+        copy's Q X Q^T for each cone block, and Pi M_st Pi^T for the block
+        (t, s) that a merged block (s, t) stands for."""
+        mats = [m for stack in self.cone.mats(x) for m in stack]
+        blocks = {}
+        for key, m, mult in zip(self.block_keys, mats, self.cone.block_mult):
+            blocks[key] = self.lift_block(key, m / np.sqrt(mult))
+            if mult > 1:
+                blocks[key[::-1]] = blocks[key][np.ix_(self.word_swap, self.word_swap)]
+        return blocks
 
     def solve(self) -> ConicSolution:
         """solve_conic on this data.  A PrimalInfeasible certificate is
@@ -492,6 +517,7 @@ class _Structure:
     eq_map: np.ndarray               # A C U (E U)^+
     cone: Cone
     faces: MappingProxyType          # (s,t) -> Q (N x r) face basis
+    block_keys: tuple                # (s,t) of each cone block
     value_row: int                   # first row of the value constraints
     data_row: int                    # first row of the data, if pinned
 
@@ -505,13 +531,19 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
     objective, restricted to the swap-fixed moments when ``symmetric``
     (the party swap fixes the problem).  U is an orthonormal basis of the
     swap-fixed y, or the identity when not ``symmetric``; E and C are the
-    rows of ``_rows``.  With y = U w the equalities are E U w = e, and
-    x = C U w; so A is longer and B narrower than without the swap, and
+    rows of ``_rows``, and with the swap C is merged (``_merged``).  With
+    y = U w the equalities are E U w = e, and x = C U w; so B is narrower
+    than without the swap, the merged cone is shorter, and
     A C U (E U)^+ maps the rows of A to the equalities as before."""
     e_mat, c_mat, cone, faces, _, value_row, data_row = _rows(
         shape, level, free_weights, zeros, value_terms, bounds, pinned)
+    block_keys = tuple(product(range(shape.ns), range(shape.nt)))
     if symmetric:
-        fixed = _fixed_basis(_swap(shape, level))
+        perm = _swap(shape, level)
+        fixed = _fixed_basis(perm)
+        kept, merged, keys = _merged(c_mat, cone, block_keys, perm)
+        if merged.dim < cone.dim:       # else C stays as it is, bit for bit
+            c_mat, cone, block_keys = c_mat[kept] * merged.root_mult[:, None], merged, keys
         e_mat, c_mat = e_mat @ fixed, c_mat @ fixed
 
     u, sv, vt = np.linalg.svd(e_mat)
@@ -522,10 +554,62 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
     a_mat = np.ascontiguousarray(complement.T)
     return _Structure(*_read_only(e_mat, e_pinv, a_mat, np.ascontiguousarray(null_basis),
                                   a_mat @ c_mat @ e_pinv),
-                      cone, MappingProxyType(faces), value_row, data_row)
+                      cone, MappingProxyType(faces), block_keys, value_row, data_row)
+
+
+def _merged(c_mat: np.ndarray, cone: Cone, block_keys: tuple, perm: np.ndarray) -> tuple:
+    """(kept rows of C, merged cone, its block keys) for the swap ``perm``
+    of y.  On y that the swap fixes, block (t, s) of C y is a congruence of
+    block (s, t), and an inequality row equals the row it is swapped with;
+    so block (s, t), s < t, and the first row of each swapped pair are kept
+    with multiplicity 2 (their rows are to be scaled by sqrt(2)), block
+    (t, s) and the second row are dropped, and the blocks (s, s) and the
+    rows that the swap fixes keep multiplicity 1."""
+    partner = _ineq_partners(c_mat[:cone.n_lin], perm)
+    lin = np.flatnonzero(partner >= np.arange(cone.n_lin))
+    kept, keys, sizes, mult = [lin], [], [], []
+    for key, n, off in zip(block_keys, cone.blocks, cone.offsets):
+        s, t = key
+        if s <= t:
+            kept.append(np.arange(off, off + svec_dim(n)))
+            keys.append(key)
+            sizes.append(n)
+            mult.append(1 if s == t else 2)
+    merged = Cone(len(lin), sizes, np.where(partner[lin] == lin, 1, 2), mult)
+    return np.concatenate(kept), merged, tuple(keys)
+
+
+def _ineq_partners(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Index of the row that the swap ``perm`` maps each row of ``rows`` to,
+    matched in the orders of ``_row_order`` as ``_symmetry`` compares them;
+    every row is its own partner unless the matching is an involution."""
+    moved = np.empty_like(rows)
+    moved[:, perm] = rows
+    partner = np.empty(len(rows), dtype=int)
+    partner[_row_order(moved)] = _row_order(rows)
+    if not np.array_equal(partner[partner], np.arange(len(rows))):
+        return np.arange(len(rows))
+    return partner
 
 
 # ------------------------------------------------------------------ symmetry
+
+@cache
+def _word_swap(shape: ScenarioShape, level: int) -> np.ndarray | None:
+    """The party swap as a permutation of the word basis, or None when the
+    parties differ in settings, outcomes or source values; built once per
+    process and read-only.  Entry u is the index of the word that swaps
+    Alice's and Bob's operators in word u, so that with Pi[u, image[u]] = 1
+    a swap-fixed relaxation has M_ts = Pi M_st Pi^T."""
+    if (shape.nx, shape.na, shape.ns) != (shape.ny, shape.nb, shape.nt):
+        return None
+    words, index = _words(shape, level)
+    image = np.array([index[mono.canonical_form(tuple((party ^ 1, o, x)
+                                                      for party, o, x in word))]
+                      for word in words])
+    image.setflags(write=False)
+    return image
+
 
 @cache
 def _swap(shape: ScenarioShape, level: int) -> np.ndarray | None:
@@ -535,13 +619,11 @@ def _swap(shape: ScenarioShape, level: int) -> np.ndarray | None:
     block (s, t) to (t, s); perm sends each moment of y to its image, so
     that the swapped moment vector y' has y'[perm] = y.  It is an
     involution."""
-    if (shape.nx, shape.na, shape.ns) != (shape.ny, shape.nb, shape.nt):
+    image = _word_swap(shape, level)
+    if image is None:
         return None
-    words, index = _words(shape, level)
     ids = _moment_ids(shape, level)
     known = ids >= 0
-    image = [index[mono.canonical_form(tuple((party ^ 1, o, x) for party, o, x in word))]
-             for word in words]
     moment = np.empty(int(ids.max()) + 1, dtype=int)
     moment[ids[known]] = ids[np.ix_(image, image)][known]
     perm = np.concatenate([(t * shape.nt + s) * len(moment) + moment
@@ -550,10 +632,11 @@ def _swap(shape: ScenarioShape, level: int) -> np.ndarray | None:
     return perm
 
 
-def _row_order(rows: np.ndarray) -> np.ndarray:
-    """rows in an order that depends on their values alone, to rounding."""
+def _row_order(rows: np.ndarray) -> list:
+    """An order of the rows that depends on their values alone, to
+    rounding."""
     key = np.round(rows, 9) + 0.0       # + 0.0: -0.0 sorts with 0.0
-    return rows[sorted(range(len(rows)), key=lambda i: key[i].tobytes())]
+    return sorted(range(len(rows)), key=lambda i: key[i].tobytes())
 
 
 @lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
@@ -582,7 +665,8 @@ def _symmetry(shape: ScenarioShape, level: int, weights: tuple | None, zeros: tu
                  np.column_stack([c_mat[:cone.n_lin], np.zeros(cone.n_lin)])):
         moved = np.empty_like(rows)
         moved[:, image] = rows
-        if not np.allclose(_row_order(moved), _row_order(rows), rtol=0.0, atol=1e-12):
+        if not np.allclose(moved[_row_order(moved)], rows[_row_order(rows)],
+                           rtol=0.0, atol=1e-12):
             return False
     return True
 
@@ -632,12 +716,16 @@ def to_conic(problem: MomentProblem) -> ConicData:
     swap is tested by ``_group`` at the first call for a structure with
     its right-hand sides and objective, and the answer kept.  Each call builds e, the
     objective c and b = A C U (E U)^+ e, and checks E y = e for
-    consistency."""
+    consistency.  The objective of a block is c = -svec(Q^T F_st Q), and of
+    a merged block -svec(Q^T (F_st + Pi^T F_ts Pi) Q) / sqrt(2), with F_st
+    the symmetric coefficient matrix of the objective's terms in block
+    (s, t) and Pi the word swap (``_word_swap``)."""
     value_terms = tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints)
     pinned = problem.data is not None
+    symmetric = _group(problem)
     st = _structure(problem.shape, problem.level, problem.weights is None, problem.zeros,
-                    value_terms, problem.residual_bounds, pinned, _group(problem))
-    block_keys = problem.block_keys
+                    value_terms, problem.residual_bounds, pinned, symmetric)
+    word_swap = _word_swap(problem.shape, problem.level) if symmetric else None
 
     e = _constants(len(st.e_mat), st.value_row, *_constants_of(problem))
     row_spec = [("const", float(v)) for v in e]
@@ -652,10 +740,15 @@ def to_conic(problem: MomentProblem) -> ConicData:
         f[u, v] += 0.5 * coeff
         f[v, u] += 0.5 * coeff
     c = np.zeros(st.cone.dim)
-    for key, n, off in zip(block_keys, st.cone.blocks, st.cone.offsets):
-        if key in objective:
+    for key, n, off, mult in zip(st.block_keys, st.cone.blocks, st.cone.offsets,
+                                 st.cone.block_mult):
+        f = objective.get(key)
+        if mult > 1 and key[::-1] in objective:
+            f = (np.zeros((size, size)) if f is None else f) \
+                + objective[key[::-1]][np.ix_(word_swap, word_swap)]
+        if f is not None:
             q = st.faces[key]
-            c[off:off + svec_dim(n)] = -svec(q.T @ objective[key] @ q)
+            c[off:off + svec_dim(n)] = -svec(q.T @ f @ q) / np.sqrt(mult)
 
     resid = e - st.e_mat @ (st.e_pinv @ e)
     inconsistency = None
@@ -664,8 +757,8 @@ def to_conic(problem: MomentProblem) -> ConicData:
     return ConicData(a_mat=st.a_mat, b=st.eq_map @ e, c=c, cone=st.cone,
                      null_basis=st.null_basis,
                      const=problem.objective.const, faces=st.faces,
-                     block_keys=block_keys, row_spec=row_spec,
-                     eq_map=st.eq_map, inconsistency=inconsistency)
+                     block_keys=st.block_keys, row_spec=row_spec,
+                     eq_map=st.eq_map, inconsistency=inconsistency, word_swap=word_swap)
 
 
 # ------------------------------------------------------------------- solving
@@ -704,9 +797,8 @@ def solve_sdp(problem: MomentProblem) -> SDPSolution:
     blocks, value = {}, np.nan
     if sol.status is not Status.PRIMAL_INFEASIBLE:
         # Optimal, or MaxIterations with the best iterate, which is carried
-        mats = [m for stack in conic.cone.mats(sol.x) for m in stack]
-        for key, m in zip(conic.block_keys, mats):
-            blocks[key] = conic.lift_block(key, m)
+        lifted = conic.lift(sol.x)
+        blocks = {key: lifted[key] for key in problem.block_keys}
         value = -sol.dual_value + conic.const
     return SDPSolution(status=sol.status, value=float(value),
                        block_matrices=blocks,

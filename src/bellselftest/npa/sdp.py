@@ -18,6 +18,16 @@ relaxation.  Callers pass B with A, whose rows must be orthonormal, so
 A^+ = A^T; ``to_conic`` builds both and certifies inconsistent equalities
 before any solve.
 
+A cone coordinate may stand for m equal copies of one coordinate of a
+larger problem, scaled by sqrt(m) so that inner products are kept: a
+problem that a symmetry fixes is solved on one copy of each pair of
+coordinates it swaps (see ``moments``).  The solver then follows the larger
+problem's central path: it starts at sqrt(m) I, counts nu = sum m n, aims
+the centering at m sigma mu I - lambda^2, and reads sigma_c and the dual
+residual's infinity-norm on c / sqrt(m), the larger problem's coordinates.
+The Nesterov-Todd scaling, the step length and the Newton systems do not
+depend on m.
+
 BLAS runs on one thread inside ``to_conic`` and ``solve_conic``: every loaded
 OpenBLAS is set to one thread on entry and back to the caller's count on exit.
 The problems are small (a few hundred rows, blocks of at most 16x16), where
@@ -190,11 +200,23 @@ class Cone:
 
     runs holds one (n, count, offset) triple per run of consecutive blocks of
     one size n: its slice of x is a contiguous (count, svec_dim(n)) slab, and
-    each operation on the blocks is one batched call per run."""
+    each operation on the blocks is one batched call per run.
 
-    def __init__(self, n_lin: int, block_sizes):
+    lin_mult and block_mult give each orthant coordinate and each block its
+    multiplicity m, 1 by default: the number of equal copies it stands for,
+    scaled by sqrt(m).  run_mult holds block_mult as one (count,) array per
+    run, and root_mult sqrt(m) per coordinate, or None when every m is 1."""
+
+    def __init__(self, n_lin: int, block_sizes, lin_mult=None, block_mult=None):
         self.n_lin = int(n_lin)
         self.blocks = [int(n) for n in block_sizes]
+        self.lin_mult = np.ones(self.n_lin, dtype=int) if lin_mult is None else \
+            np.array(lin_mult, dtype=int)
+        self.block_mult = [1] * len(self.blocks) if block_mult is None else \
+            [int(m) for m in block_mult]
+        if self.lin_mult.shape != (self.n_lin,) or len(self.block_mult) != len(self.blocks) \
+                or (self.lin_mult < 1).any() or min(self.block_mult, default=1) < 1:
+            raise ValueError("need one multiplicity >= 1 per orthant coordinate and block")
         self.offsets = []
         self.runs = []
         off = self.n_lin
@@ -206,14 +228,28 @@ class Cone:
                 self.runs.append((n, 1, off))
             off += svec_dim(n)
         self.dim = off
-        self.nu = self.n_lin + sum(self.blocks)
+        self.run_mult = []
+        start = 0
+        for _, count, _ in self.runs:
+            self.run_mult.append(np.array(self.block_mult[start:start + count], dtype=float))
+            start += count
+        self.nu = int(self.lin_mult.sum()) + sum(m * n for m, n in
+                                                 zip(self.block_mult, self.blocks))
+        root = np.sqrt(np.concatenate([self.lin_mult, *(np.repeat(m, svec_dim(n)) for m, n
+                                                         in zip(self.block_mult, self.blocks))]))
+        self.root_mult = root if (root > 1).any() else None
 
     def identity(self) -> np.ndarray:
+        """sqrt(m) on the orthant and sqrt(m) I on each block."""
         e = np.zeros(self.dim)
-        e[:self.n_lin] = 1.0
-        self.put_mats(e, [np.broadcast_to(np.eye(n), (count, n, n))
-                          for n, count, _ in self.runs])
+        e[:self.n_lin] = np.sqrt(self.lin_mult)
+        self.put_mats(e, [np.sqrt(mult)[:, None, None] * np.eye(n)
+                          for (n, _, _), mult in zip(self.runs, self.run_mult)])
         return e
+
+    def unmerged(self, v: np.ndarray) -> np.ndarray:
+        """v / sqrt(m): the value of one copy at each coordinate."""
+        return v if self.root_mult is None else v / self.root_mult
 
     def mats(self, x: np.ndarray) -> list:
         """One (..., count, n, n) stack per run; x may be a stack (..., dim)."""
@@ -314,11 +350,13 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
 
     The rows of A must be orthonormal, so that A^T is A's pseudo-inverse, and
     null_basis must be an orthonormal basis of null(A) (n x k).  The loop runs
-    on c / sigma_c, sigma_c = max(1, |c|_inf), which leaves the primal residual
-    as it is; the rest is reported on the original data, where the dual
-    residual is 2 sigma_c / (1 + sigma_c) < 2 times the loop's, so at most
-    2 TOL when Optimal.  A run that ends short of TOL, by a failed step or
-    factorization or at MAX_ITER, returns its best iterate as MaxIterations.
+    on c / sigma_c, sigma_c = max(1, |c / sqrt(m)|_inf), which leaves the
+    primal residual as it is; the rest is reported on the original data,
+    where the dual residual is 2 sigma_c / (1 + sigma_c) < 2 times the
+    loop's, so at most 2 TOL when Optimal.  Both infinity-norms over cone
+    coordinates are read on v / sqrt(m) (``Cone.unmerged``).  A run that
+    ends short of TOL, by a failed step or factorization or at MAX_ITER,
+    returns its best iterate as MaxIterations.
     """
     a_mat = np.ascontiguousarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -327,14 +365,14 @@ def solve_conic(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
     if cone.dim != n:
         raise ValueError(f"cone dimension {cone.dim} != variable count {n}")
 
-    sigma_c = max(1.0, float(np.linalg.norm(c, np.inf)))
+    c_inf = float(np.linalg.norm(cone.unmerged(c), np.inf))
+    sigma_c = max(1.0, c_inf)
     sol = _solve_core(a_mat, b, c / sigma_c, cone, null_basis)
     if sol.status is Status.PRIMAL_INFEASIBLE:
         return sol
 
-    cn = 1.0 + float(np.linalg.norm(c, np.inf))
     x, y, s = sol.x, sigma_c * sol.y, sigma_c * sol.s
-    dres = float(np.linalg.norm(a_mat.T @ y + s - c, np.inf)) / cn
+    dres = float(np.linalg.norm(cone.unmerged(a_mat.T @ y + s - c), np.inf)) / (1.0 + c_inf)
     pobj, dobj = float(c @ x), float(b @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return ConicSolution(status=sol.status, x=x, y=y, s=s, primal_value=pobj,
@@ -358,7 +396,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
     bn = 1.0 + float(np.linalg.norm(b, np.inf)) if m else 1.0
-    cn = 1.0 + float(np.linalg.norm(c, np.inf))
+    cn = 1.0 + float(np.linalg.norm(cone.unmerged(c), np.inf))
 
     best = None        # (metric, solution) over iterates, for early exits
     for it in range(MAX_ITER):
@@ -369,7 +407,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
 
         xt, yt, st = x / tau, y / tau, s / tau
         pres = float(np.linalg.norm(a_mat @ xt - b, np.inf)) / bn if m else 0.0
-        dres = float(np.linalg.norm(a_mat.T @ yt + st - c, np.inf)) / cn
+        dres = float(np.linalg.norm(cone.unmerged(a_mat.T @ yt + st - c), np.inf)) / cn
         pobj = float(c @ xt)
         dobj = float(b @ yt)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -388,7 +426,7 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
         by = float(b @ y)
         if by > 0:
             yc, sc = y / by, s / by
-            res = float(np.linalg.norm(a_mat.T @ yc + sc, np.inf))
+            res = float(np.linalg.norm(cone.unmerged(a_mat.T @ yc + sc), np.inf))
             if res <= TOL:
                 return ConicSolution(status=Status.PRIMAL_INFEASIBLE, y=yc, s=sc,
                                      dual_residual=res, iterations=it,
@@ -423,9 +461,10 @@ def _solve_core(a_mat: np.ndarray, b: np.ndarray, c: np.ndarray,
         denom = float(b @ v2 - c @ u2) + kappa / tau
 
         def direction(eta: float, sigma_mu: float, corr=None):
-            tgt_lin = sigma_mu - scal.lam_lin ** 2
-            tgt_mats = [sigma_mu * np.eye(n) - lam[..., :, None] ** 2 * np.eye(n)
-                        for (n, _, _), lam in zip(cone.runs, scal.lam)]
+            tgt_lin = cone.lin_mult * sigma_mu - scal.lam_lin ** 2
+            tgt_mats = [mult[:, None, None] * sigma_mu * np.eye(n)
+                        - lam[..., :, None] ** 2 * np.eye(n)
+                        for (n, _, _), mult, lam in zip(cone.runs, cone.run_mult, scal.lam)]
             tgt_tk = sigma_mu - tau * kappa
             if corr is not None:
                 corr_lin, corr_mats, corr_tk = corr

@@ -171,17 +171,21 @@ def sparse_to_json(a) -> dict:
                                                             pairs[index].tolist())]}
 
 
-def sparse_from_json(obj) -> np.ndarray:
+def sparse_from_json(obj, expected: tuple | None = None) -> np.ndarray:
     """The complex array that ``sparse_to_json`` encoded.  The shape must be
-    a list of integers >= 0, and each row an ``[index, re, im]`` triple of an
-    integer index, strictly above the row before and inside the array, and
-    two finite numbers; else ``ValueError``."""
+    a list of integers >= 0, equal to ``expected`` when that is given, and
+    each row an ``[index, re, im]`` triple of an integer index, strictly
+    above the row before and inside the array, and two finite numbers; else
+    ``ValueError``.  The shape is checked before the array is allocated, so
+    a file that declares a huge one costs no memory."""
     if not isinstance(obj, dict):
         raise ValueError(f"a matrix must be an object, got {type(obj).__name__}")
     shape = obj["shape"]
     if not isinstance(shape, list):
         raise ValueError(f"shape must be a list of integers, got {shape!r}")
     shape = tuple(json_count(n, "shape", 0) for n in shape)
+    if expected is not None and shape != tuple(expected):
+        raise ValueError(f"shape {list(shape)} does not match the expected {list(expected)}")
     rows = obj["nonzeros"]
     if not isinstance(rows, list) or not all(type(r) is list and len(r) == 3 for r in rows):
         raise ValueError("nonzeros must be a list of [index, re, im] triples")
@@ -276,11 +280,13 @@ class ProjectiveMeasurement:
         return {"dim": self.dim, "effects": sparse_to_json(self.effects)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ProjectiveMeasurement":
+    def from_json(cls, obj: dict, effects_shape: tuple | None = None) -> "ProjectiveMeasurement":
+        """The measurement that ``to_json`` encoded; its effect stack must have
+        ``effects_shape`` (outcomes, dim, dim) when that is given."""
         if not isinstance(obj, dict):
             raise ValueError(f"a measurement must be an object, got {type(obj).__name__}")
         return cls(dim=json_count(obj["dim"], "dim", 1),
-                   effects=tuple(sparse_from_json(obj["effects"])))
+                   effects=tuple(sparse_from_json(obj["effects"], effects_shape)))
 
 
 def dichotomic_qubit_measurement(angle: float, dim: int = 2, span: tuple[int, int] = (0, 1),

@@ -159,15 +159,16 @@ class Realization:
         if not isinstance(states, dict) or set(states) != set(keys):
             got = sorted(states) if isinstance(states, dict) else type(states).__name__
             raise ValueError(f"states must have exactly the keys {keys}, got {got}")
-        states = {(s, t): qmath.sparse_from_json(states[f"{s},{t}"])
+        da, db = dims
+        states = {(s, t): qmath.sparse_from_json(states[f"{s},{t}"], (da * db, da * db))
                   for s in range(sh.ns) for t in range(sh.nt)}
         for party in ("alice", "bob"):
             if not isinstance(obj[party], list):
                 raise ValueError(f"{party} must be a list of measurements, "
                                  f"got {type(obj[party]).__name__}")
         cq = ClassicalQuantumState(shape=sh, dims=dims, states=states)
-        alice = tuple(ProjectiveMeasurement.from_json(m) for m in obj["alice"])
-        bob = tuple(ProjectiveMeasurement.from_json(m) for m in obj["bob"])
+        alice = tuple(ProjectiveMeasurement.from_json(m, (sh.na, da, da)) for m in obj["alice"])
+        bob = tuple(ProjectiveMeasurement.from_json(m, (sh.nb, db, db)) for m in obj["bob"])
         return cls(cq=cq, alice=alice, bob=bob)
 
 

@@ -302,8 +302,12 @@ class TestSimulateVerify:
         (lambda o: o["states"].pop("0,0"), "states must have exactly the keys ['0,0'], got []"),
         (lambda o: o["states"].update({"0,0": 3}), "a matrix must be an object, got int"),
         (lambda o: o["bob"].append([]), "a measurement must be an object, got list"),
+        (lambda o: o["states"]["0,0"].update(shape=[4, 5]),
+         "shape [4, 5] does not match the expected [4, 4]"),
+        (lambda o: o["alice"][0]["effects"].update(shape=[3, 2, 2]),
+         "shape [3, 2, 2] does not match the expected [2, 2, 2]"),
     ], ids=["states_list", "alice_int", "extra_state_key", "missing_state_key", "state_int",
-            "bob_item_list"])
+            "bob_item_list", "state_shape", "effects_shape"])
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_malformed_realization_exits_2(self, tmp_path, capsys, command, change, message):
         obj = hardy.canonical_realization(0.25).to_json()

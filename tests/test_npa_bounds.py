@@ -290,8 +290,9 @@ class TestConicStructure:
                 zeros=zeros, residual_bounds=bounds)
 
         assert build(first_block, (0.2, 0.3)).zeros == tuple(hardy_zeros)
-        assert moments.to_conic(build([], (0.2, 0.3))).cone.n_lin == 128
-        assert moments.to_conic(build(hardy_zeros, (0.2, 0.3))).cone.n_lin == 104
+        # the swap merges pairs of rows: the cone counts each pair twice
+        assert moments.to_conic(build([], (0.2, 0.3))).cone.lin_mult.sum() == 128
+        assert moments.to_conic(build(hardy_zeros, (0.2, 0.3))).cone.lin_mult.sum() == 104
         assert len(build([], (0.25, 0.25)).to_json()["equalities"]) == 64
         assert len(build(hardy_zeros, (0.25, 0.25)).to_json()["equalities"]) == 52
         assert build(first_block, None).zeros == tuple(first_block)
@@ -511,6 +512,16 @@ def _source_values_problem():
                                         residual_bounds=(0.2, 0.3))
 
 
+# the benchmark's nominal CHSH L2 intervals, and the CLI's pinned one
+CHSH_INTERVALS = {
+    "chsh_l2_0.25": (0.25, 0.25),
+    "chsh_l2_0.22_0.28": (0.22, 0.28),
+    "chsh_l2_0.19_0.31": (0.19, 0.31),
+    "chsh_l2_0.15_0.35": (0.15, 0.35),
+    "chsh_l2_0.10_0.40": (0.10, 0.40),
+    "chsh_l2_cli": (0.18913474246943984, 0.3098686750156434),
+}
+
 SYMMETRIC = {
     "hardy_l2": lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 2),
     "hardy_l3": lambda: _hardy_problem(SINGLE_SOURCE_CHSH_SHAPE, 3),
@@ -575,22 +586,79 @@ class TestSymmetry:
     def test_no_swap_between_unlike_parties(self, shape):
         assert moments._swap(shape, 1) is None
 
-    @pytest.mark.parametrize("name", SYMMETRIC)
+    @pytest.mark.parametrize("name", [*SYMMETRIC, *CHSH_INTERVALS])
     def test_restricted_solve_agrees(self, name, monkeypatch):
-        restricted = moments.to_conic(SYMMETRIC[name]())
-        sol = moments.solve_sdp(SYMMETRIC[name]())
+        """The merged, restricted solve stops at the full solve's iteration
+        with the same value, and lifts block (1, 0) as the swap of (0, 1)."""
+        make = SYMMETRIC.get(name) or (lambda: _chsh_bounded(2, CHSH_INTERVALS[name]))
+        restricted = moments.to_conic(make())
+        sol = moments.solve_sdp(make())
         monkeypatch.setattr(moments, "_group", lambda problem: False)
-        full = moments.to_conic(SYMMETRIC[name]())
+        full = moments.to_conic(make())
         assert restricted.null_basis.shape[1] < full.null_basis.shape[1]
-        ref = moments.solve_sdp(SYMMETRIC[name]())
+        assert restricted.cone.dim <= full.cone.dim
+        ref = moments.solve_sdp(make())
         assert sol.status is ref.status is Status.OPTIMAL
         assert sol.iterations == ref.iterations
         assert sol.value == pytest.approx(ref.value, abs=1e-9)
+        assert list(sol.block_matrices) == list(ref.block_matrices)
+        for key, m in ref.block_matrices.items():     # both stop at sdp.TOL = 1e-8
+            assert np.abs(sol.block_matrices[key] - m).max() <= 1e-7
+        if (1, 0) in sol.block_matrices:
+            image = moments._word_swap(make().shape, make().level)
+            assert np.array_equal(sol.block_matrices[(1, 0)],
+                                  sol.block_matrices[(0, 1)][np.ix_(image, image)])
+
+    @pytest.mark.parametrize("name, dim, full_dim", [
+        ("hardy_l2", 55, 55), ("hardy_l3", 136, 136), ("fourblock_l2", 165, 220),
+        ("chsh_l2", 345, 492), ("chsh_l2_equal", 273, 364)])
+    def test_merged_cone_dimensions(self, name, dim, full_dim, monkeypatch):
+        """The swap merges blocks (0, 1) and (1, 0), and 112 of the 128
+        CHSH L2 inequality rows in pairs; a single source has nothing to
+        merge."""
+        assert moments.to_conic(SYMMETRIC[name]()).cone.dim == dim
+        monkeypatch.setattr(moments, "_group", lambda problem: False)
+        assert moments.to_conic(SYMMETRIC[name]()).cone.dim == full_dim
+
+    def test_merged_multiplicities(self):
+        cone = moments.to_conic(SYMMETRIC["chsh_l2"]()).cone
+        assert cone.blocks == [13] * 3 and cone.block_mult == [1, 2, 1]
+        assert np.bincount(cone.lin_mult).tolist() == [0, 16, 56]
+        assert cone.nu == 128 + 4 * 13
+
+    @staticmethod
+    def full_points(problem, points):
+        """The merged cone points (columns) in the coordinates of the full
+        cone: a merged row's or block's value / sqrt(2) on both copies, with
+        block (t, s) the congruence R X R^T, R = Q_ts^T Pi Q_st."""
+        _, c_mat, cone, faces, *_ = moments._rows(
+            problem.shape, problem.level, True, problem.zeros, (), problem.residual_bounds,
+            False)
+        perm = moments._swap(problem.shape, problem.level)
+        keys = tuple(np.ndindex(problem.shape.ns, problem.shape.nt))
+        kept, merged, merged_keys = moments._merged(c_mat, cone, keys, perm)
+        partner = moments._ineq_partners(c_mat[:cone.n_lin], perm)
+        image = moments._word_swap(problem.shape, problem.level)
+        expand = np.zeros((cone.dim, merged.dim))
+        for j, i in enumerate(kept[:merged.n_lin]):
+            expand[[i, partner[i]], j] = 1.0 / np.sqrt(merged.lin_mult[j])
+        offset = dict(zip(keys, cone.offsets))
+        for key, n, off, mult in zip(merged_keys, merged.blocks, merged.offsets,
+                                     merged.block_mult):
+            dim = sdp.svec_dim(n)
+            expand[offset[key]:offset[key] + dim, off:off + dim] = np.eye(dim) / np.sqrt(mult)
+            if mult > 1:
+                r = faces[key[::-1]].T @ faces[key][image]
+                units = sdp.smat(np.eye(dim), n)
+                expand[offset[key[::-1]]:offset[key[::-1]] + dim, off:off + dim] = \
+                    sdp.svec(r @ units @ r.T).T / np.sqrt(2.0)
+        assert np.abs(expand.T @ expand - np.eye(merged.dim)).max() <= 1e-12
+        return expand @ points
 
     @staticmethod
     def moments_of(problem, null_basis):
         """The moment vectors y with E y = 0 whose cone points C y are the
-        columns of null_basis."""
+        columns of null_basis, in the full cone's coordinates."""
         e_mat, c_mat, *_ = moments._rows(problem.shape, problem.level, True, problem.zeros,
                                          (), problem.residual_bounds, False)
         _, sv, vt = np.linalg.svd(e_mat)
@@ -608,7 +676,7 @@ class TestSymmetry:
         assert np.abs(a_mat @ a_mat.T - np.eye(len(a_mat))).max() <= 1e-12
         assert np.abs(a_mat @ basis).max() <= 1e-12
         swap = moments._swap(CHSH_SHAPE, 2)
-        y = self.moments_of(problem, basis)
+        y = self.moments_of(problem, self.full_points(problem, basis))
         assert np.abs(y[swap] - y).max() <= 1e-12
         monkeypatch.setattr(moments, "_group", lambda problem: False)
         y = self.moments_of(problem, moments.to_conic(problem).null_basis)
@@ -619,8 +687,8 @@ class TestSymmetry:
         key = (CHSH_SHAPE, 2, True, problem.zeros, (), problem.residual_bounds, False)
         arrays = ("e_mat", "e_pinv", "a_mat", "null_basis", "eq_map")
         restricted, full = moments._structure(*key, True), moments._structure(*key, False)
-        n = full.cone.dim
         for st in (restricted, full):
+            n = st.cone.dim
             assert st.a_mat.size + st.null_basis.size == n * n
         assert sum(getattr(restricted, f).nbytes for f in arrays) <= \
             sum(getattr(full, f).nbytes for f in arrays)

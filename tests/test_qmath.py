@@ -290,6 +290,18 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="^shape must be an integer >= 0, got -1"):
             sparse_from_json({"shape": [-1, -2], "nonzeros": []})
 
+    def test_rejects_unexpected_shape_before_allocating(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array for a refused shape")
+
+        obj = {"shape": [2, 3], "nonzeros": [[0, 1.0, 0.0]]}
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError,
+                           match=r"^shape \[2, 3\] does not match the expected \[2, 2\]$"):
+            sparse_from_json(obj, (2, 2))
+        monkeypatch.undo()
+        assert sparse_from_json(obj, (2, 3)).shape == (2, 3)
+
     def test_accepts_numpy_integer_header(self):
         m = sparse_from_json({"shape": [np.int64(1), 2], "nonzeros": [[0, 1, 0], [1, 0, 1]]})
         assert np.array_equal(m, [[1, 1j]])

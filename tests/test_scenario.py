@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -271,6 +273,27 @@ class TestJsonRoundTrip:
     def test_realization_rejects_bad_dims(self, rng, dims):
         obj = {**random_untrusted(rng).to_json(), "dims": dims}
         with pytest.raises(ValueError, match="^dims must be"):
+            Realization.from_json(obj)
+
+    @pytest.mark.parametrize("part, shape, expected", [
+        ("0,1", [4, 5], [4, 4]), ("alice", [3, 2, 2], [2, 2, 2]), ("bob", [2, 2, 3], [2, 2, 2])],
+        ids=["state", "alice_outcomes", "bob_dim"])
+    def test_realization_rejects_unexpected_shape(self, rng, monkeypatch, part, shape, expected):
+        """A state must be (dA dB) x (dA dB), and an effect stack (outcomes,
+        d, d) for its party's d; a file that declares another shape is
+        refused before its array is allocated."""
+        obj = random_untrusted(rng).to_json()
+        matrix = obj["states"][part] if "," in part else obj[part][1]["effects"]
+        matrix["shape"] = shape
+        zeros = np.zeros
+
+        def guarded(size, *args, **kwargs):
+            assert size != math.prod(shape), "allocated an array for a refused shape"
+            return zeros(size, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", guarded)
+        with pytest.raises(ValueError, match=re.escape(
+                f"shape {shape} does not match the expected {expected}")):
             Realization.from_json(obj)
 
     @pytest.mark.parametrize("field", ["nS", "nT", "nX", "nY", "nA", "nB"])

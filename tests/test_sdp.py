@@ -151,6 +151,80 @@ class TestSemidefinite:
         assert s1.iterations == s2.iterations
 
 
+class TestMultiplicity:
+    """One orthant coordinate and one block of multiplicity 2, with their
+    data scaled by sqrt(2), stand for two equal copies: the solve follows
+    the one on both copies, iteration for iteration."""
+
+    @staticmethod
+    def problem():
+        """Full problem on the orthant (a, a', b) and the 2 x 2 blocks
+        (X, X', Y); each row and the objective treat a, a' and X, X' alike,
+        and |c|_inf = 3 > 1, so that sigma_c scales the loop."""
+        e00, e01, e11 = np.zeros((3, 2, 2))
+        e00[0, 0] = e11[1, 1] = 1.0
+        e01[0, 1] = e01[1, 0] = 0.5
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        cost = np.array([[2.0, -1.5], [-1.5, 1.0]])
+        rows = [  # (a, a', b, X, X', Y)
+            (1.0, 1.0, 1.0, eye, eye, eye),
+            (0.0, 0.0, 0.0, e01, e01, zero),
+            (-1.0, -1.0, 0.0, zero, zero, e00),
+            (0.0, 0.0, 1.0, zero, zero, e11),
+        ]
+        b = np.array([4.0, 1.0, 0.5, 1.0])
+        c = (3.0, 3.0, -2.0, cost, cost, np.array([[1.0, 0.5], [0.5, -2.5]]))
+        return rows, b, c
+
+    @staticmethod
+    def vector(lin, mats, scale):
+        """Orthant values, then each block's svec; the copies' values are
+        the first coordinate and block times ``scale``."""
+        return np.concatenate([np.array(lin) * scale[:len(lin)],
+                               *(s * svec(m) for s, m in zip(scale[len(lin):], mats))])
+
+    def test_merged_copies_solve_alike(self):
+        rows, b, c = self.problem()
+        full = solve_rows(np.array([self.vector(r[:3], r[3:], np.ones(6)) for r in rows]), b,
+                          self.vector(c[:3], c[3:], np.ones(6)), Cone(3, [2, 2, 2]))
+        # a and X stand for both copies; a' and X' are dropped
+        scale = np.array([np.sqrt(2.0), 1.0, np.sqrt(2.0), 1.0])
+        merged_cone = Cone(2, [2, 2], lin_mult=[2, 1], block_mult=[2, 1])
+        merged = solve_rows(
+            np.array([self.vector((r[0], r[2]), (r[3], r[5]), scale) for r in rows]), b,
+            self.vector((c[0], c[2]), (c[3], c[5]), scale), merged_cone)
+        assert merged_cone.nu == Cone(3, [2, 2, 2]).nu == 9
+        assert full.status is merged.status is Status.OPTIMAL
+        assert merged.iterations == full.iterations
+        assert merged.primal_value == pytest.approx(full.primal_value, abs=1e-12)
+        assert merged.dual_value == pytest.approx(full.dual_value, abs=1e-12)
+        assert merged.dual_residual == pytest.approx(full.dual_residual, abs=1e-12)
+        # the copies' mean: rounding moves the full x along a - a' and X - X',
+        # which no row and no cost sees
+        dim = svec_dim(2)
+        a = (full.x[0] + full.x[1]) / np.sqrt(2.0)
+        x = (full.x[3:3 + dim] + full.x[3 + dim:3 + 2 * dim]) / np.sqrt(2.0)
+        assert np.abs(merged.x - np.concatenate([[a, full.x[2]], x, full.x[-dim:]])).max() \
+            <= 1e-12
+
+    def test_identity_and_unmerged(self):
+        cone = Cone(2, [2, 2], lin_mult=[2, 1], block_mult=[2, 1])
+        root2 = np.sqrt(2.0)
+        assert np.array_equal(cone.identity(),
+                              np.concatenate([[root2, 1.0], root2 * svec(np.eye(2)),
+                                              svec(np.eye(2))]))
+        assert np.allclose(cone.unmerged(cone.identity()), Cone(2, [2, 2]).identity())
+        plain = Cone(2, [2, 2])
+        v = np.arange(plain.dim, dtype=float)
+        assert plain.root_mult is None and plain.unmerged(v) is v and plain.nu == 6
+
+    @pytest.mark.parametrize("lin_mult, block_mult", [([1], [1]), ([1, 1], [1, 1]),
+                                                      ([0, 1], [1]), ([1, 1], [1, 0])])
+    def test_bad_multiplicities(self, lin_mult, block_mult):
+        with pytest.raises(ValueError):
+            Cone(2, [2], lin_mult=lin_mult, block_mult=block_mult)
+
+
 class TestCalibration:
     def test_chsh_level1_tsirelson(self):
         from bellselftest.npa import moments
@@ -232,7 +306,8 @@ class TestStall:
     only.  Under residual bounds (l > 0) the events are impossible in every
     block, and ``build_moment_problem`` closes them over all four: the
     relaxation keeps a strictly feasible point and ends Optimal in a few
-    iterations, with every block reduced alike."""
+    iterations, with every block reduced alike.  The party swap merges
+    blocks (0, 1) and (1, 0) into one cone block of multiplicity 2."""
 
     @pytest.mark.parametrize("bounds, uniform, value", [
         ((0.2, 0.3), False, 0.67081145),
@@ -249,7 +324,9 @@ class TestStall:
         problem = moments.build_moment_problem(
             CHSH_SHAPE, 2, weights=weights, zeros=zeros,
             objective=moments.chsh_objective(basis), residual_bounds=bounds)
-        assert moments.to_conic(problem).cone.blocks == [10, 10, 10, 10]
+        conic = moments.to_conic(problem)
+        assert [q.shape[1] for q in conic.faces.values()] == [10, 10, 10, 10]
+        assert conic.cone.blocks == [10, 10, 10] and conic.cone.block_mult == [1, 2, 1]
         sol = moments.solve_sdp(problem)
         assert sol.status is Status.OPTIMAL
         assert sol.iterations <= 12
@@ -280,7 +357,8 @@ def _membership_l1():
 
 def _mixed_l2():
     """Four-block tilted Hardy at w = 0.3 with the zero events in block
-    (0, 0) only: blocks [10, 13, 13, 13], in two runs."""
+    (0, 0) only: blocks [10, 13, 13] after the party swap merges (0, 1)
+    and (1, 0), in two runs."""
     from bellselftest.npa import moments
     from bellselftest.scenario import CHSH_SHAPE
     basis = moments.MomentBasis(CHSH_SHAPE, 2)
@@ -347,8 +425,8 @@ class TestStackedSchur:
         return calls, factored, n - m
 
     @pytest.mark.parametrize("problem, blocks, orthant, k", [
-        ("chsh_l2", [13] * 4, True, 66), ("hardy_l3", [16], False, 11),
-        ("membership_l1", [5] * 4, True, 28), ("mixed_l2", [10, 13, 13, 13], False, 54)],
+        ("chsh_l2", [13] * 3, True, 66), ("hardy_l3", [16], False, 11),
+        ("membership_l1", [5] * 4, True, 28), ("mixed_l2", [10, 13, 13], False, 54)],
         ids=["chsh_l2", "hardy_l3", "membership_l1", "mixed_l2"])
     def test_matches_row_loop(self, monkeypatch, problem, blocks, orthant, k):
         calls, factored, null_dim = self.stacked_calls(monkeypatch, SOLVES[problem])
@@ -437,7 +515,7 @@ class TestMixedSizeCone:
 
         monkeypatch.setattr(sdp, "_Scaling", Recording)
         val, sol = _mixed_l2()
-        assert runs and all(r == [(10, 1, 0), (13, 3, 55)] for r in runs)
+        assert runs and all(r == [(10, 1, 0), (13, 2, 55)] for r in runs)
         assert sol.status is Status.OPTIMAL
         assert sol.iterations == 8
         assert val == pytest.approx(0.08056496, abs=5e-9)
