@@ -541,9 +541,8 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
     if symmetric:
         perm = _swap(shape, level)
         fixed = _fixed_basis(perm)
-        kept, merged, keys = _merged(c_mat, cone, block_keys, perm)
-        if merged.dim < cone.dim:       # else C stays as it is, bit for bit
-            c_mat, cone, block_keys = c_mat[kept] * merged.root_mult[:, None], merged, keys
+        kept, cone, block_keys = _merged(c_mat, cone, block_keys, perm)
+        c_mat = c_mat[kept] * cone.root_mult[:, None]
         e_mat, c_mat = e_mat @ fixed, c_mat @ fixed
 
     u, sv, vt = np.linalg.svd(e_mat)

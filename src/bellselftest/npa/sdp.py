@@ -205,7 +205,7 @@ class Cone:
     lin_mult and block_mult give each orthant coordinate and each block its
     multiplicity m, 1 by default: the number of equal copies it stands for,
     scaled by sqrt(m).  run_mult holds block_mult as one (count,) array per
-    run, and root_mult sqrt(m) per coordinate, or None when every m is 1."""
+    run, and root_mult sqrt(m) per coordinate."""
 
     def __init__(self, n_lin: int, block_sizes, lin_mult=None, block_mult=None):
         self.n_lin = int(n_lin)
@@ -235,9 +235,8 @@ class Cone:
             start += count
         self.nu = int(self.lin_mult.sum()) + sum(m * n for m, n in
                                                  zip(self.block_mult, self.blocks))
-        root = np.sqrt(np.concatenate([self.lin_mult, *(np.repeat(m, svec_dim(n)) for m, n
-                                                         in zip(self.block_mult, self.blocks))]))
-        self.root_mult = root if (root > 1).any() else None
+        self.root_mult = np.sqrt(np.concatenate([self.lin_mult, *(
+            np.repeat(m, svec_dim(n)) for m, n in zip(self.block_mult, self.blocks))]))
 
     def identity(self) -> np.ndarray:
         """sqrt(m) on the orthant and sqrt(m) I on each block."""
@@ -249,7 +248,7 @@ class Cone:
 
     def unmerged(self, v: np.ndarray) -> np.ndarray:
         """v / sqrt(m): the value of one copy at each coordinate."""
-        return v if self.root_mult is None else v / self.root_mult
+        return v / self.root_mult
 
     def mats(self, x: np.ndarray) -> list:
         """One (..., count, n, n) stack per run; x may be a stack (..., dim)."""

@@ -171,20 +171,25 @@ def sparse_to_json(a) -> dict:
                                                             pairs[index].tolist())]}
 
 
-def sparse_from_json(obj, expected: tuple | None = None) -> np.ndarray:
+def sparse_from_json(obj, expected: tuple) -> np.ndarray:
     """The complex array that ``sparse_to_json`` encoded.  The shape must be
-    a list of integers >= 0, equal to ``expected`` when that is given, and
-    each row an ``[index, re, im]`` triple of an integer index, strictly
-    above the row before and inside the array, and two finite numbers; else
-    ``ValueError``.  The shape is checked before the array is allocated, so
-    a file that declares a huge one costs no memory."""
+    a list of integers >= 0 equal to ``expected``, and each row an
+    ``[index, re, im]`` triple of an integer index, strictly above the row
+    before and inside the array, and two finite numbers; else
+    ``ValueError``.  The shape is checked before the array is allocated."""
+    return _dense(*_sparse_entries(obj, expected))
+
+
+def _sparse_entries(obj, expected: tuple) -> tuple:
+    """(shape, flat indices, (rows, 2) float parts) of ``sparse_from_json``'s
+    ``obj``, checked as it says, without allocating the array."""
     if not isinstance(obj, dict):
         raise ValueError(f"a matrix must be an object, got {type(obj).__name__}")
     shape = obj["shape"]
     if not isinstance(shape, list):
         raise ValueError(f"shape must be a list of integers, got {shape!r}")
     shape = tuple(json_count(n, "shape", 0) for n in shape)
-    if expected is not None and shape != tuple(expected):
+    if shape != tuple(expected):
         raise ValueError(f"shape {list(shape)} does not match the expected {list(expected)}")
     rows = obj["nonzeros"]
     if not isinstance(rows, list) or not all(type(r) is list and len(r) == 3 for r in rows):
@@ -195,11 +200,15 @@ def sparse_from_json(obj, expected: tuple | None = None) -> np.ndarray:
             0 <= index[0] and index[-1] < size and all(map(int.__lt__, index, index[1:])))):
         raise ValueError(f"nonzeros indices must be integers that strictly increase "
                          f"within [0, {size})")
-    out = np.zeros(size, dtype=complex)
-    if rows:
-        values = json_floats([r[1:] for r in rows], "matrix")
-        if values.shape != (len(rows), 2):
-            raise ValueError("nonzeros must hold two numbers after each index")
+    values = json_floats([r[1:] for r in rows], "matrix") if rows else np.empty((0, 2))
+    if values.shape != (len(rows), 2):
+        raise ValueError("nonzeros must hold two numbers after each index")
+    return shape, index, values
+
+
+def _dense(shape: tuple, index: list, values: np.ndarray) -> np.ndarray:
+    out = np.zeros(math.prod(shape), dtype=complex)
+    if index:
         # a view keeps the sign of every zero, which re + 1j*im would not
         out[index] = values.view(complex)[:, 0]
     return out.reshape(shape)
@@ -280,13 +289,19 @@ class ProjectiveMeasurement:
         return {"dim": self.dim, "effects": sparse_to_json(self.effects)}
 
     @classmethod
-    def from_json(cls, obj: dict, effects_shape: tuple | None = None) -> "ProjectiveMeasurement":
+    def from_json(cls, obj: dict, effects_shape: tuple) -> "ProjectiveMeasurement":
         """The measurement that ``to_json`` encoded; its effect stack must have
-        ``effects_shape`` (outcomes, dim, dim) when that is given."""
+        ``effects_shape`` (outcomes, d, d) and at least d nonzero rows, as
+        effects that sum to I_d have.  Both are checked before the stack is
+        allocated, so d is bounded by the file's own entries."""
         if not isinstance(obj, dict):
             raise ValueError(f"a measurement must be an object, got {type(obj).__name__}")
-        return cls(dim=json_count(obj["dim"], "dim", 1),
-                   effects=tuple(sparse_from_json(obj["effects"], effects_shape)))
+        dim = json_count(obj["dim"], "dim", 1)
+        shape, index, values = _sparse_entries(obj["effects"], effects_shape)
+        if len(index) < shape[-1]:
+            raise ValueError(f"effects hold {len(index)} nonzero entries, but effects "
+                             f"that sum to I_{shape[-1]} need at least {shape[-1]}")
+        return cls(dim=dim, effects=tuple(_dense(shape, index, values)))
 
 
 def dichotomic_qubit_measurement(angle: float, dim: int = 2, span: tuple[int, int] = (0, 1),

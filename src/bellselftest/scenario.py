@@ -160,15 +160,20 @@ class Realization:
             got = sorted(states) if isinstance(states, dict) else type(states).__name__
             raise ValueError(f"states must have exactly the keys {keys}, got {got}")
         da, db = dims
-        states = {(s, t): qmath.sparse_from_json(states[f"{s},{t}"], (da * db, da * db))
-                  for s in range(sh.ns) for t in range(sh.nt)}
-        for party in ("alice", "bob"):
+        measurements = []
+        for party, count, n, d in (("alice", sh.nx, sh.na, da), ("bob", sh.ny, sh.nb, db)):
             if not isinstance(obj[party], list):
                 raise ValueError(f"{party} must be a list of measurements, "
                                  f"got {type(obj[party]).__name__}")
+            measurements.append(tuple(ProjectiveMeasurement.from_json(m, (n, d, d))
+                                      for m in obj[party]))
+            if len(obj[party]) != count:
+                raise ValueError(f"{party} must hold {count} measurements, got {len(obj[party])}")
+        # read after the measurements, whose nonzeros bound dA and dB
+        states = {(s, t): qmath.sparse_from_json(states[f"{s},{t}"], (da * db, da * db))
+                  for s in range(sh.ns) for t in range(sh.nt)}
         cq = ClassicalQuantumState(shape=sh, dims=dims, states=states)
-        alice = tuple(ProjectiveMeasurement.from_json(m, (sh.na, da, da)) for m in obj["alice"])
-        bob = tuple(ProjectiveMeasurement.from_json(m, (sh.nb, db, db)) for m in obj["bob"])
+        alice, bob = measurements
         return cls(cq=cq, alice=alice, bob=bob)
 
 

@@ -306,8 +306,11 @@ class TestSimulateVerify:
          "shape [4, 5] does not match the expected [4, 4]"),
         (lambda o: o["alice"][0]["effects"].update(shape=[3, 2, 2]),
          "shape [3, 2, 2] does not match the expected [2, 2, 2]"),
+        (lambda o: o["alice"][0]["effects"].update(nonzeros=[[0, 1.0, 0.0]]),
+         "effects hold 1 nonzero entries, but effects that sum to I_2 need at least 2"),
+        (lambda o: o.update(alice=[]), "alice must hold 2 measurements, got 0"),
     ], ids=["states_list", "alice_int", "extra_state_key", "missing_state_key", "state_int",
-            "bob_item_list", "state_shape", "effects_shape"])
+            "bob_item_list", "state_shape", "effects_shape", "few_effects", "alice_empty"])
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_malformed_realization_exits_2(self, tmp_path, capsys, command, change, message):
         obj = hardy.canonical_realization(0.25).to_json()

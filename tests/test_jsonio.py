@@ -103,7 +103,7 @@ def assert_sparse_round_trip(a):
     obj = sparse_to_json(a)
     assert obj["shape"] == list(np.shape(a))
     assert [r[0] for r in obj["nonzeros"]] == set_bits(a)
-    assert_same_value(sparse_from_json(_jsonio.loads(_jsonio.dumps(obj))),
+    assert_same_value(sparse_from_json(_jsonio.loads(_jsonio.dumps(obj)), np.shape(a)),
                       np.array(a, dtype=complex))
 
 
@@ -254,8 +254,8 @@ def sparse_text(nonzeros, shape=(1,)):
     return f'{{"nonzeros":{nonzeros},"shape":{list(shape)}}}'
 
 
-def read_sparse(text):
-    return sparse_from_json(_jsonio.loads(text))
+def read_sparse(text, shape=(1,)):
+    return sparse_from_json(_jsonio.loads(text), shape)
 
 
 class TestReader:
@@ -271,7 +271,7 @@ class TestReader:
         assert_same_text(again, text)
 
     def test_signed_zeros_around_long_tokens(self):
-        got = read_sparse(sparse_text("[[0,-0.0,0.5],[1,1.5,-0.0],[2,-1.0,-0.25]]", (3,)))
+        got = read_sparse(sparse_text("[[0,-0.0,0.5],[1,1.5,-0.0],[2,-1.0,-0.25]]", (3,)), (3,))
         assert_same_value(got, complex_of(np.array([-0.0, 1.5, -1.0]),
                                           np.array([0.5, -0.0, -0.25])))
 
@@ -316,7 +316,7 @@ class TestReader:
             "null_leaf", "list_leaves", "nan", "minus_infinity"])
     def test_rejects_malformed_nonzeros(self, nonzeros, message):
         with pytest.raises(ValueError, match=message):
-            read_sparse(sparse_text(nonzeros, (2, 2)))
+            read_sparse(sparse_text(nonzeros, (2, 2)), (2, 2))
 
     @pytest.mark.parametrize("text, message", [
         ('{"nonzeros":[],"shape":3}', "shape must be a list of integers"),
@@ -333,15 +333,15 @@ class TestReader:
         text = json.dumps({"shape": [1], "nonzeros": [[0, 0.5, 0.25]]}, indent=2)
         path.write_text(text.replace("0.25", bad))
         with pytest.raises(ValueError, match="^matrix entries must be numbers"):
-            sparse_from_json(_jsonio.load(path))
+            sparse_from_json(_jsonio.load(path), (1,))
 
     def test_invalid_token_past_the_first_match(self):
         """Every row is checked, not a leading run of them."""
         rows = ",".join(f"[{i},0.5,-0.25]" for i in range(1500))
-        assert read_sparse(sparse_text(f"[{rows}]", (1600,)))[1499] == 0.5 - 0.25j
+        assert read_sparse(sparse_text(f"[{rows}]", (1600,)), (1600,))[1499] == 0.5 - 0.25j
         for last in ("[1499,1,2]", "[1600,1,2]", '[1500,"1",2]', "[1500.0,1,2]"):
             with pytest.raises(ValueError):
-                read_sparse(sparse_text(f"[{rows},{last}]", (1600,)))
+                read_sparse(sparse_text(f"[{rows},{last}]", (1600,)), (1600,))
 
     def test_unclosed_pair_lists_fail_fast(self):
         text = '{"nonzeros":[[' * 80000 + "]]"
@@ -400,7 +400,7 @@ class TestReader:
 class TestZeroLists:
     def test_each_zero_list_is_its_own_array(self):
         """Arrays without rows decode to fresh, writable +0.0 arrays."""
-        arrays = [read_sparse(sparse_text("[]", shape))
+        arrays = [read_sparse(sparse_text("[]", shape), shape)
                   for shape in ((2, 2), (2, 2), (2, 2), (4,), (1, 1, 1))]
         for a in arrays:
             assert a.dtype == complex and a.flags.writeable and not a.any()
@@ -432,10 +432,10 @@ class TestZeroLists:
         for shape in ((2,), (1,)):
             text = sparse_text(entries, shape)
             if entries == "[[0,0,0]]":
-                assert_same_value(read_sparse(text), np.zeros(shape, dtype=complex))
+                assert_same_value(read_sparse(text, shape), np.zeros(shape, dtype=complex))
             else:
                 with pytest.raises(ValueError):
-                    read_sparse(text)
+                    read_sparse(text, shape)
 
     def test_unclosed_zero_list(self):
         for text in ('{"nonzeros":[],"shape":[2]', '{"nonzeros":[', '{"nonzeros":[[0,0'):
@@ -514,4 +514,4 @@ class TestMatrixEntries:
             assert obj == sparse_to_json(view.copy())
             assert obj["shape"] == list(view.shape)
             assert obj["nonzeros"] == [[i, z.real, z.imag] for i, z in enumerate(view.ravel())]
-            assert np.array_equal(sparse_from_json(obj), view)
+            assert np.array_equal(sparse_from_json(obj, view.shape), view)

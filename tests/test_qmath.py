@@ -265,17 +265,17 @@ class TestMatrixJson:
         obj = sparse_to_json(m)
         assert obj["shape"] == [3, 5] and len(obj["nonzeros"]) == 10
         assert [r[0] for r in obj["nonzeros"]] == [*range(5), *range(10, 15)]
-        assert np.array_equal(sparse_from_json(obj), m)
+        assert np.array_equal(sparse_from_json(obj, (3, 5)), m)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError, match=r"within \[0, 4\)"):
-            sparse_from_json({"shape": [2, 2], "nonzeros": [[4, 1.0, 0.0]]})
+            sparse_from_json({"shape": [2, 2], "nonzeros": [[4, 1.0, 0.0]]}, (2, 2))
 
     @pytest.mark.parametrize("entries", [[[0, 1, 0, 0]], [0, 1, 0],
                                          [[0, 1, 0], [1, 0]], [[0, 1, 0], [1, None, 0]]])
     def test_rejects_entries_not_re_im_pairs(self, entries):
         with pytest.raises(ValueError):
-            sparse_from_json({"shape": [1, 2], "nonzeros": entries})
+            sparse_from_json({"shape": [1, 2], "nonzeros": entries}, (1, 2))
 
     @pytest.mark.parametrize("field, value", [
         ("rows", 2.7), ("rows", True), ("rows", "2"), ("rows", -1), ("rows", None),
@@ -284,11 +284,11 @@ class TestMatrixJson:
         shape = [2, 1]
         shape[field == "cols"] = value
         with pytest.raises(ValueError, match="^shape must be an integer >= 0"):
-            sparse_from_json({"shape": shape, "nonzeros": [[0, 1, 0]]})
+            sparse_from_json({"shape": shape, "nonzeros": [[0, 1, 0]]}, (2, 1))
 
     def test_negative_header_names_the_field(self):
         with pytest.raises(ValueError, match="^shape must be an integer >= 0, got -1"):
-            sparse_from_json({"shape": [-1, -2], "nonzeros": []})
+            sparse_from_json({"shape": [-1, -2], "nonzeros": []}, (1, 2))
 
     def test_rejects_unexpected_shape_before_allocating(self, monkeypatch):
         def no_allocation(*args, **kwargs):
@@ -303,14 +303,15 @@ class TestMatrixJson:
         assert sparse_from_json(obj, (2, 3)).shape == (2, 3)
 
     def test_accepts_numpy_integer_header(self):
-        m = sparse_from_json({"shape": [np.int64(1), 2], "nonzeros": [[0, 1, 0], [1, 0, 1]]})
+        m = sparse_from_json({"shape": [np.int64(1), 2], "nonzeros": [[0, 1, 0], [1, 0, 1]]},
+                             (1, 2))
         assert np.array_equal(m, [[1, 1j]])
 
     def test_keeps_signed_zeros(self):
         m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), 0.0]])
         obj = sparse_to_json(m)
         assert [r[0] for r in obj["nonzeros"]] == [0, 1]
-        back = sparse_from_json(obj)
+        back = sparse_from_json(obj, m.shape)
         assert np.array_equal(np.signbit(back.real), [[True, False, False]])
         assert np.array_equal(np.signbit(back.imag), [[False, True, False]])
 

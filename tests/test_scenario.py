@@ -296,6 +296,43 @@ class TestJsonRoundTrip:
                 f"shape {shape} does not match the expected {expected}")):
             Realization.from_json(obj)
 
+    def test_realization_rejects_dims_beyond_effects(self, rng, monkeypatch):
+        """Effects that sum to I_d hold at least d nonzero entries, so a
+        party's d is bounded by its own effect stacks.  dims [3, 2] with
+        shapes that agree with it, but Alice's stacks holding diag(1, 1, 0),
+        is refused before any array is allocated."""
+        obj = random_untrusted(rng).to_json()
+        da, db = 3, obj["dims"][1]
+        obj["dims"] = [da, db]
+        for m in obj["alice"]:
+            m["dim"] = da
+            m["effects"] = {"shape": [obj["shape"]["nA"], da, da],
+                            "nonzeros": [[0, 1.0, 0.0], [13, 1.0, 0.0]]}
+        for state in obj["states"].values():
+            state["shape"] = [da * db, da * db]
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an array for a refused dimension")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match=re.escape(
+                "effects hold 2 nonzero entries, but effects that sum to I_3 need at least 3")):
+            Realization.from_json(obj)
+
+    def test_realization_rejects_wrong_measurement_count(self, rng, monkeypatch):
+        """Without a measurement nothing bounds the party's d, so the count
+        is checked before the states are allocated."""
+        obj = {**random_untrusted(rng).to_json(), "bob": []}
+        zeros = np.zeros
+
+        def no_state(size, *args, **kwargs):
+            assert size != math.prod(obj["states"]["0,0"]["shape"]), "allocated a state"
+            return zeros(size, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", no_state)
+        with pytest.raises(ValueError, match="^bob must hold 2 measurements, got 0$"):
+            Realization.from_json(obj)
+
     @pytest.mark.parametrize("field", ["nS", "nT", "nX", "nY", "nA", "nB"])
     @pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
     def test_shape_rejects_non_integer_count(self, field, value):
@@ -349,4 +386,4 @@ class TestJsonRoundTrip:
     def test_measurement_rejects_non_integer_dim(self, value):
         obj = {**COMP.to_json(), "dim": value}
         with pytest.raises(ValueError, match="^dim must be an integer >= 1"):
-            ProjectiveMeasurement.from_json(obj)
+            ProjectiveMeasurement.from_json(obj, (2, 2, 2))

@@ -216,7 +216,8 @@ class TestMultiplicity:
         assert np.allclose(cone.unmerged(cone.identity()), Cone(2, [2, 2]).identity())
         plain = Cone(2, [2, 2])
         v = np.arange(plain.dim, dtype=float)
-        assert plain.root_mult is None and plain.unmerged(v) is v and plain.nu == 6
+        assert np.array_equal(plain.root_mult, np.ones(plain.dim)) and plain.nu == 6
+        assert plain.unmerged(v).tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("lin_mult, block_mult", [([1], [1]), ([1, 1], [1, 1]),
                                                       ([0, 1], [1]), ([1, 1], [1, 0])])
