@@ -115,23 +115,6 @@ def _write_csv(path: str, header: list, rows: list) -> None:
             writer.writerow([f"{v:.8f}" if isinstance(v, float) else v for v in row])
 
 
-def read_csv(path: str) -> tuple[list, list]:
-    """Read back a demo CSV: header plus float-typed rows where possible."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for raw in reader:
-            row = []
-            for cell in raw:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-            rows.append(row)
-    return header, rows
-
-
 # ---------------------------------------------------------------- subcommands
 
 def cmd_protocol(args) -> int:

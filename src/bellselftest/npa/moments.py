@@ -61,6 +61,7 @@ from .sdp import (
 
 _PRUNE_TOL = 1e-12
 RANK_TOL = 1e-10         # singular values below this fraction of the largest are zero
+CONSISTENCY_TOL = 1e-8   # E y = e holds when its residual is within this times 1 + |e|
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,32 @@ def _prob_terms(shape: ScenarioShape, level: int, s: int, t: int,
     return MappingProxyType(terms)
 
 
+def check_level(level: int) -> None:
+    """Raise ValueError unless the relaxation level is in [1, 3]."""
+    if not 1 <= level <= 3:
+        raise ValueError(f"level must be in [1, 3], got {level}")
+
+
+def data_events(shape: ScenarioShape) -> list:
+    """Event (s, t, a, b, x, y) that each entry of pinned data fixes, in the
+    entries' index order.  With sources wired to settings, data[s, t, a, b]
+    is p(stab|st) in block (s, t); with one source pair, data[x, y, a, b] is
+    p(ab|xy) in block (0, 0).  A wired shape with one source pair reads the
+    same either way."""
+    if shape.wired:
+        return [(s, t, a, b, s, t)
+                for s, t, a, b in np.ndindex(shape.ns, shape.nt, shape.na, shape.nb)]
+    if shape.ns == shape.nt == 1:
+        return [(0, 0, a, b, x, y)
+                for x, y, a, b in np.ndindex(shape.nx, shape.ny, shape.na, shape.nb)]
+    raise ValueError("pinned data needs sources wired to settings or one source pair")
+
+
 class MomentBasis:
     """Word basis of one relaxation level plus entry lookaside tables."""
 
     def __init__(self, shape: ScenarioShape, level: int):
-        if not 1 <= level <= 3:
-            raise ValueError(f"level must be in [1, 3], got {level}")
+        check_level(level)
         self.shape = shape
         self.level = level
         self.words, self.index = _words(shape, level)
@@ -224,7 +245,7 @@ class MomentProblem:
     value_constraints: tuple          # [(LinearExpr, const)]: expr = const
     objective: LinearExpr             # maximized
     residual_bounds: tuple | None     # (l, u) or None
-    data: np.ndarray | None = None    # observed p(stab|st), pinned, or None
+    data: np.ndarray | None = None    # pinned entries (``data_events``), or None
 
     @property
     def basis(self) -> MomentBasis:
@@ -243,8 +264,8 @@ class MomentProblem:
         eqs, ineqs = _residual_rows(basis, self.residual_bounds, self.zeros)
         eqs = [*self.value_constraints, *((e, 0.0) for e in eqs)]
         if self.data is not None:
-            eqs += [(basis.prob_expr(s, t, a, b, s, t), float(v))
-                    for (s, t, a, b), v in np.ndenumerate(self.data)]
+            eqs += [(basis.prob_expr(*event), float(v))
+                    for event, v in zip(data_events(self.shape), self.data.flat)]
         return {
             "version": "sdp.v1",
             "shape": self.shape.to_json(),
@@ -265,8 +286,8 @@ def build_moment_problem(shape: ScenarioShape, level: int,
                          value_constraints=(),
                          objective: LinearExpr | None = None,
                          residual_bounds: tuple | None = None) -> MomentProblem:
-    """Assemble the relaxation; raises unless residual_bounds is None or two
-    real numbers (l, u) with 0 < l <= u < 1.
+    """Assemble the relaxation; raises unless the level is in [1, 3] and
+    residual_bounds is None or two real numbers (l, u) with 0 < l <= u < 1.
 
     value_constraints is a list of (LinearExpr, const); zeros is a list of
     (s, t, a, b, x, y) events eliminated exactly, each closed over every block
@@ -277,17 +298,8 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     """
     MomentBasis(shape, level)   # rejects a bad level
     zeros = tuple(tuple(int(v) for v in z) for z in zeros)
+    residual_bounds = residual_interval(residual_bounds)
     if residual_bounds is not None:
-        try:
-            lo, up = residual_bounds
-        except (TypeError, ValueError):
-            lo = up = None
-        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (lo, up)):
-            raise ValueError(f"residualBounds must be two real numbers [l, u], "
-                             f"got {residual_bounds!r}")
-        residual_bounds = lo, up = float(lo), float(up)
-        if not (0.0 < lo <= up < 1.0):
-            raise ValueError("residual bounds need 0 < l <= u < 1")
         # l > 0: an event impossible in one source slice is impossible in all
         closed, present = dict.fromkeys(z[2:] for z in zeros), set(zeros)
         zeros += tuple(st + e for st in product(range(shape.ns), range(shape.nt))
@@ -299,6 +311,24 @@ def build_moment_problem(shape: ScenarioShape, level: int,
                                                  for expr, const in value_constraints),
                          objective=objective or zero_expr(),
                          residual_bounds=residual_bounds)
+
+
+def residual_interval(residual_bounds) -> tuple | None:
+    """residual_bounds as floats (l, u), or None; raises unless it is None
+    or two real numbers with 0 < l <= u < 1."""
+    if residual_bounds is None:
+        return None
+    try:
+        lo, up = residual_bounds
+    except (TypeError, ValueError):
+        lo = up = None
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (lo, up)):
+        raise ValueError(f"residualBounds must be two real numbers [l, u], "
+                         f"got {residual_bounds!r}")
+    lo, up = float(lo), float(up)
+    if not (0.0 < lo <= up < 1.0):
+        raise ValueError("residual bounds need 0 < l <= u < 1")
+    return lo, up
 
 
 def _residual_rows(basis: MomentBasis, bounds: tuple | None, zeros: tuple) -> tuple:
@@ -477,8 +507,8 @@ def _rows(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
     rows += [expr_vec(terms) for terms in (*value_terms, *(e.terms.items() for e in eqs))]
     data_row = len(rows)
     if pinned:
-        rows += [expr_vec(basis.prob_expr(s, t, a, b, s, t).terms.items())
-                 for s, t, a, b in np.ndindex(shape.ns, shape.nt, shape.na, shape.nb)]
+        rows += [expr_vec(basis.prob_expr(*event).terms.items())
+                 for event in data_events(shape)]
 
     cone = Cone(len(ineqs), [faces[key].shape[1] for key in block_keys])
     c_mat = np.zeros((cone.dim, n_y))
@@ -751,7 +781,7 @@ def to_conic(problem: MomentProblem) -> ConicData:
 
     resid = e - st.e_mat @ (st.e_pinv @ e)
     inconsistency = None
-    if np.linalg.norm(resid) > 1e-9 * (1.0 + np.linalg.norm(e)):
+    if np.linalg.norm(resid) > CONSISTENCY_TOL * (1.0 + np.linalg.norm(e)):
         inconsistency = resid / float(resid @ resid)
     return ConicData(a_mat=st.a_mat, b=st.eq_map @ e, c=c, cone=st.cone,
                      null_basis=st.null_basis,

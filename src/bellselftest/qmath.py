@@ -2,14 +2,14 @@
 
 Everything downstream (scenarios, Hardy tests, qudit protocols, the moment
 engine) works with plain ``numpy`` complex matrices.  This module collects the
-structural predicates (Hermitian, unitary, projector), the two decompositions
+structural checks (Hermitian, projector stacks), the two decompositions
 the verification machinery relies on (Schmidt, simultaneous Jordan blocks of
 projector pairs, for one pair or a whole stack of pairs in one pass), and the
 sparse JSON array encoding of device files: a shape and the
 ``[flat index, re, im]`` row of each entry with a set bit, since the states
 and effects of the paper's devices are mostly zeros.
 
-The predicates take a tolerance that defaults to the module constants below;
+``is_hermitian`` takes a tolerance that defaults to ``HERMITIAN_TOL``;
 validation and the Jordan decomposition use the constants as they are.
 """
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-UNITARY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 NORM_TOL = 1e-12
 CLUSTER_TOL = 1e-8  # eigenvalue clustering threshold for Jordan blocks
@@ -54,23 +53,11 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - dag(m))) <= tol
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= tol
-
-
-def _projector_each(m: np.ndarray, tol: float = PROJECTOR_TOL) -> np.ndarray:
+def _projector_each(m: np.ndarray) -> np.ndarray:
     """For each matrix of the stack m (k, n, n), whether it is Hermitian and
-    idempotent within tol."""
-    return ((np.max(np.abs(m - dag(m)), axis=(1, 2), initial=0.0) <= tol)
-            & (np.max(np.abs(m @ m - m), axis=(1, 2), initial=0.0) <= tol))
-
-
-def is_projector(m: np.ndarray, tol: float = PROJECTOR_TOL) -> bool:
-    m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and bool(_projector_each(m[None], tol)[0])
+    idempotent within ``PROJECTOR_TOL``."""
+    return ((np.max(np.abs(m - dag(m)), axis=(1, 2), initial=0.0) <= PROJECTOR_TOL)
+            & (np.max(np.abs(m @ m - m), axis=(1, 2), initial=0.0) <= PROJECTOR_TOL))
 
 
 def _projector_stack(m: np.ndarray) -> bool:

@@ -291,14 +291,6 @@ def residual_bounds(b: Behavior) -> tuple[float, float]:
     return lo, hi
 
 
-def zero_pattern(b: Behavior, tol: float) -> set:
-    """Index set {(s,t,a,b,x,y)} of entries at or below tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    idx = np.argwhere(b.tensor <= tol)
-    return {tuple(int(v) for v in row) for row in idx}
-
-
 class ImpossibilityResult(NamedTuple):
     ok: bool
     witness: tuple | None  # (a, b, x, y) of the first failing event

@@ -312,14 +312,3 @@ def protocol_of(c: SchmidtVector, tree: CoveringTree | None = None) -> QuditProt
     groups = tuple(tuple(g) for g in compressed_groups(tree.edges))
     return QuditProtocol(coeffs=c.coeffs.copy(), tree=tree,
                          per_edge=per_edge, groups=groups)
-
-
-def path_tree(c: SchmidtVector) -> CoveringTree:
-    """Path 0-1-...-d-1; valid when consecutive coefficients differ, which is
-    the generic all-distinct case where two compressed groups suffice."""
-    edges = tuple((k, k + 1) for k in range(c.d - 1))
-    t = CoveringTree(d=c.d, edges=edges, root=0)
-    ok, diag = validate_tree(t, c)
-    if not ok:
-        raise ValueError(f"path tree invalid for these coefficients: {diag}")
-    return t

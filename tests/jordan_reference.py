@@ -15,9 +15,21 @@ from bellselftest.qmath import (
     as_matrix,
     dag,
     eig_hermitian,
-    is_projector,
-    is_unitary,
 )
+
+
+def is_unitary(m: np.ndarray, tol: float) -> bool:
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        return False
+    return np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= tol
+
+
+def is_projector(m: np.ndarray, tol: float = PROJECTOR_TOL) -> bool:
+    """Whether m is square, Hermitian and idempotent within tol."""
+    m = as_matrix(m)
+    return (m.shape[0] == m.shape[1] and np.max(np.abs(m - dag(m))) <= tol
+            and np.max(np.abs(m @ m - m)) <= tol)
 
 
 def reference_jordan_blocks(p: np.ndarray, q: np.ndarray) -> JordanDecomposition:

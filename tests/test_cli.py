@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -12,11 +13,28 @@ import pytest
 import bellselftest
 from bellselftest import _jsonio, hardy
 from bellselftest.cli import (_preset_problem, _problem_from_spec, build_parser,
-                              cmd_membership, main, read_csv)
+                              cmd_membership, main)
 from bellselftest.npa import membership, moments
 from bellselftest.npa.membership import pr_box_observed
 from bellselftest.scenario import CHSH_SHAPE, behavior_of, observed, source_independent
 from bellselftest.tree import QuditProtocol
+
+
+def read_csv(path: str) -> tuple[list, list]:
+    """Read back a demo CSV: header plus float-typed rows where possible."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for raw in reader:
+            row = []
+            for cell in raw:
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    row.append(cell)
+            rows.append(row)
+    return header, rows
 
 
 class TestProtocolCommand:

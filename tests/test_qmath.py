@@ -8,7 +8,6 @@ from bellselftest.qmath import (
     PureState,
     dag,
     eig_hermitian,
-    is_unitary,
     jordan_blocks,
     json_number,
     kron,
@@ -17,7 +16,7 @@ from bellselftest.qmath import (
     sparse_to_json,
 )
 from conftest import random_projector_pair, random_unitary
-from jordan_reference import reference_jordan_blocks
+from jordan_reference import is_unitary, reference_jordan_blocks
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)

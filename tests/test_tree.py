@@ -9,13 +9,23 @@ from bellselftest.tree import (
     SchmidtVector,
     build_tree,
     compressed_groups,
-    path_tree,
     protocol_of,
     root_path,
     validate_tree,
 )
 
 FIG2 = np.array([1 / 6, 1 / 8, 1 / 6, 1 / 6, 1 / 8, 1 / 4])
+
+
+def path_tree(c: SchmidtVector) -> CoveringTree:
+    """Path 0-1-...-d-1; valid when consecutive coefficients differ, which is
+    the generic all-distinct case where two compressed groups suffice."""
+    edges = tuple((k, k + 1) for k in range(c.d - 1))
+    t = CoveringTree(d=c.d, edges=edges, root=0)
+    ok, diag = validate_tree(t, c)
+    if not ok:
+        raise ValueError(f"path tree invalid for these coefficients: {diag}")
+    return t
 
 
 class TestBuildTree:
