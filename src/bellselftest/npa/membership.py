@@ -114,7 +114,11 @@ def membership_problem(o: ObservedBehavior, level: int,
                        residual_bounds=None) -> MomentProblem:
     """Relaxation with all observed entries pinned as data equalities, one
     block per source pair."""
-    bounds = _checked_bounds(o, level, residual_bounds)
+    return _full_problem(o, level, _checked_bounds(o, level, residual_bounds))
+
+
+def _full_problem(o: ObservedBehavior, level: int, bounds: tuple | None) -> MomentProblem:
+    """membership_problem on input that ``_checked_bounds`` has passed."""
     # the data rows fix each source weight L_st(1) through completeness
     problem = build_moment_problem(o.shape, level, objective=zero_expr(),
                                    residual_bounds=bounds)
@@ -155,7 +159,7 @@ def membership_test(o: ObservedBehavior, level: int,
         return MembershipResult(status=MembershipStatus.FEASIBLE)
     lo, up = bounds
     if lo < up:
-        return _result(to_conic(membership_problem(o, level, bounds)), o.shape)
+        return _result(to_conic(_full_problem(o, level, bounds)), o.shape)
     return _result(to_conic(_independent_problem(o, level, lo)), o.shape, 1.0 / lo)
 
 

@@ -294,9 +294,12 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     (s, t) when residual bounds are given.  A value constraint that
     contradicts a zero event is not rejected here: ``to_conic`` finds the
     equalities inconsistent and the solve returns PrimalInfeasible with a
-    certificate, without running the interior-point loop.
+    certificate, without running the interior-point loop.  A contradiction
+    within CONSISTENCY_TOL (1 + |e|), e the equalities' right-hand side, is
+    absorbed: the equalities are projected onto the range of their rows and
+    solved.
     """
-    MomentBasis(shape, level)   # rejects a bad level
+    check_level(level)
     zeros = tuple(tuple(int(v) for v in z) for z in zeros)
     residual_bounds = residual_interval(residual_bounds)
     if residual_bounds is not None:

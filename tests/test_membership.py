@@ -224,6 +224,23 @@ class TestSmallestRelaxation:
             assert cert.evaluate(o) == pytest.approx(-1.0, abs=1e-9)
             assert min(cert.evaluate(f) for f in feasible) >= -1e-9
 
+    @pytest.mark.parametrize("offset", [-0.05, 0.05])
+    @pytest.mark.parametrize("shape", SHAPES, ids=["chsh", "three_outcomes", "three_settings"])
+    def test_one_block_agrees_off_the_table_weight(self, shape, offset):
+        """At l = u != p(st) = 1 / (nS nT) the full problem's equalities sum
+        to a contradiction; the one-block problem's data rows sum to
+        p(xy) / l != 1 against its norm row L(1) = 1.  Both are certified
+        without a solve, and the one-block certificate reads -1."""
+        rng = np.random.default_rng(140)
+        weight = 1.0 / (shape.ns * shape.nt) + offset
+        for o in (_quantum(rng, shape), _pr_mixture(shape, 0.5)):
+            res = membership_test(o, 1, residual_bounds=(weight, weight))
+            full = moments.to_conic(membership_problem(o, 1, (weight, weight))).solve()
+            assert full.iterations == 0
+            assert res.status is SOLVER_STATUS[full.status] is MembershipStatus.INFEASIBLE
+            assert res.iterations == 0
+            assert res.certificate.evaluate(o) == pytest.approx(-1.0, abs=1e-9)
+
     @pytest.mark.parametrize("level, blocks, dim, k", [(1, [5], 15, 2), (2, [13], 91, 22)])
     def test_one_block_sizes(self, level, blocks, dim, k, monkeypatch):
         seen = []

@@ -323,6 +323,16 @@ CACHED_FIELDS = ("a_mat", "b", "c", "null_basis", "eq_map")
 MEMBER_BOUNDS = (None, (0.25, 0.25), (0.2, 0.3))
 
 
+def _pinned_hardy_zero(value):
+    """Conic form of the single-source CHSH level-2 relaxation with a Hardy
+    zero event eliminated and its probability also pinned to ``value``."""
+    shape = SINGLE_SOURCE_CHSH_SHAPE
+    event = moments.hardy_zero_events(shape)[0]
+    expr = moments.MomentBasis(shape, 2).prob_expr(*event)
+    return moments.to_conic(moments.build_moment_problem(
+        shape, 2, weights={(0, 0): 1.0}, zeros=[event], value_constraints=[(expr, value)]))
+
+
 class TestStructureCache:
     """to_conic keeps what depends on the problem's structure alone for the
     last STRUCTURE_CACHE_SIZE structures, and every result matches a cold
@@ -398,21 +408,27 @@ class TestStructureCache:
         assert moments._structure.cache_info().currsize == 2
 
     def test_hit_still_certifies_inconsistent_equalities(self):
-        shape = SINGLE_SOURCE_CHSH_SHAPE
-        basis = moments.MomentBasis(shape, 2)
-        event = moments.hardy_zero_events(shape)[0]
-
-        def pinned(value):
-            return moments.to_conic(moments.build_moment_problem(
-                shape, 2, weights={(0, 0): 1.0}, zeros=[event],
-                value_constraints=[(basis.prob_expr(*event), value)]))
-
-        consistent, contradicting = pinned(0.0), pinned(0.25)
+        consistent, contradicting = _pinned_hardy_zero(0.0), _pinned_hardy_zero(0.25)
         assert contradicting.a_mat is consistent.a_mat
         assert consistent.inconsistency is None
         sol = contradicting.solve()
         assert sol.status is Status.PRIMAL_INFEASIBLE
         assert sol.iterations == 0 and sol.certificate is not None
+
+    def test_consistency_threshold_for_bound_problems(self):
+        """A contradiction above CONSISTENCY_TOL (1 + |e|) is certified at
+        iteration 0; one below it is absorbed into the nearest consistent
+        equalities and solved.  Here |e| is about 1 (the weight row), so the
+        threshold is about 2e-8."""
+        assert moments.CONSISTENCY_TOL == 1e-8
+        contradicting = _pinned_hardy_zero(4e-8)
+        assert contradicting.inconsistency is not None
+        sol = contradicting.solve()
+        assert sol.status is Status.PRIMAL_INFEASIBLE
+        assert sol.iterations == 0 and sol.certificate is not None
+        absorbed = _pinned_hardy_zero(5e-9)
+        assert absorbed.inconsistency is None
+        assert absorbed.solve().status is Status.OPTIMAL
 
     def test_new_inequality_coefficient_misses(self):
         first = moments.to_conic(_chsh_bounded(1, (0.2, 0.3)))

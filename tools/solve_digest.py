@@ -1,14 +1,13 @@
 """Print one line per conic solve of the benchmark's bound and membership rounds.
 
-    python3 tools/solve_digest.py [--seeds 7 8 11 12 ...]
-        [--workloads bounds membership] [--against FILE]
+    python3 tools/solve_digest.py [--seeds 7 8 11 12 ...] [--against FILE]
 
 Run from any directory; the checkout is the one that holds this file, so to
 digest another checkout, copy this file into its ``tools/``.  For each seed
-(default 7, 8 and 11-18) it runs one round of each workload (default
-``bounds`` and ``membership``) of perfbench/workloads.py, with OpenBLAS held
-at one thread.  Each line is tagged with the round's position of its
-operation and the operation's name, then a tab:
+(default 7, 8 and 11-18) it runs one round of the ``bounds`` and of the
+``membership`` workload of perfbench/workloads.py, with OpenBLAS held at one
+thread.  Each line is tagged with the round's position of its operation and
+the operation's name, then a tab:
 
 - per ``ConicData.solve``: its status, the primal and dual values as
   ``float.hex``, the iteration count, the sha256 of the certificate's bytes
@@ -48,7 +47,7 @@ def _answer(out) -> str:
     return getattr(status, "value", status)
 
 
-def digest_lines(seeds, workload_names=WORKLOADS) -> list:
+def digest_lines(seeds) -> list:
     """The digest's lines, a "# seed S workload" header before each round."""
     os.environ["OPENBLAS_NUM_THREADS"] = "1"     # before numpy loads OpenBLAS
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -74,7 +73,7 @@ def digest_lines(seeds, workload_names=WORKLOADS) -> list:
     try:
         with tempfile.TemporaryDirectory() as workdir:
             for seed in seeds:
-                for name in workload_names:
+                for name in WORKLOADS:
                     lines.append(f"# seed {seed} {name}")
                     for i, op in enumerate(workloads.WORKLOADS[name](seed, workdir).ops()):
                         tag[0] = f"{i} {op.name}"
@@ -139,13 +138,12 @@ def compare(saved: list, lines: list) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     parser.add_argument("--against", type=Path, metavar="FILE",
                         help="compare with a digest saved from another checkout")
     args = parser.parse_args(argv)
     saved = args.against.read_text().splitlines() if args.against else None
     try:
-        lines = digest_lines(args.seeds, args.workloads)
+        lines = digest_lines(args.seeds)
     except ImportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
