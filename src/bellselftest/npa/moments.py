@@ -22,18 +22,22 @@ constraints as given: the rows are built, and factored, once per structure.
 
 A problem without pinned data is solved on the moments that the party swap
 fixes, when the parties have as many settings, outcomes and source values
-and the swap (Alice <-> Bob, source pair (s, t) -> (t, s)) maps the
-objective, the equalities with their right-hand sides and the inequality
-rows onto themselves.  The relaxation is convex, so averaging an optimal y
-with its swap gives an optimal y that the swap fixes (Gatermann and Parrilo,
-J. Pure Appl. Algebra 192, 95, 2004).  The restriction shrinks the solver's
-null space and leaves the central path where it is, since the swap permutes
-the cone's coordinates orthogonally and fixes the identity start point.
-On the swap-fixed moments the cone repeats itself: block (t, s) is a
-congruence of block (s, t), and the swap pairs inequality rows that then
-agree.  The cone is merged: one copy of each swapped block and row, scaled
-by sqrt(2) and given multiplicity 2 (``sdp.Cone``), which maps the
-swap-fixed cone points isometrically and keeps the central path.
+and the swap (Alice <-> Bob, source pair (s, t) -> (t, s)) fixes the
+problem: it maps the zero events onto themselves, fixed weights have
+p(st) = p(ts), the objective is swap-fixed and the value constraints with
+their constants map onto themselves.  The equalities and inequality rows
+then map onto themselves too, so the swap is decided on every call from
+these alone, without the rows.  The relaxation is convex, so averaging an
+optimal y with its swap gives an optimal y that the swap fixes (Gatermann
+and Parrilo, J. Pure Appl. Algebra 192, 95, 2004).  The restriction shrinks
+the solver's null space and leaves the central path where it is, since the
+swap permutes the cone's coordinates orthogonally and fixes the identity
+start point.  On the swap-fixed moments the cone repeats itself: block
+(t, s) is a congruence of block (s, t), and the swap pairs the inequality
+rows of each event with those of its image, which then agree.  The cone is
+merged: one copy of each swapped block and row, scaled by sqrt(2) and given
+multiplicity 2 (``sdp.Cone``), which maps the swap-fixed cone points
+isometrically and keeps the central path.
 """
 
 from __future__ import annotations
@@ -297,10 +301,25 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     certificate, without running the interior-point loop.  A contradiction
     within CONSISTENCY_TOL (1 + |e|), e the equalities' right-hand side, is
     absorbed: the equalities are projected onto the range of their rows and
-    solved.
+    solved.  Raises ValueError unless every term (s, t, u, v) of the
+    objective and of each value constraint has 0 <= s < nS, 0 <= t < nT and
+    0 <= u <= v < N, N the size of the word basis, and every zero event
+    (s, t, a, b, x, y) lies within the shape.
     """
     check_level(level)
+    objective = objective or zero_expr()
+    value_constraints = tuple((expr, float(const)) for expr, const in value_constraints)
+    size = len(_words(shape, level)[0])
+    for expr in (objective, *(expr for expr, _ in value_constraints)):
+        for s, t, u, v in expr.terms:
+            if not (0 <= s < shape.ns and 0 <= t < shape.nt and 0 <= u <= v < size):
+                raise ValueError(f"term {(s, t, u, v)} is outside the {shape.ns} x "
+                                 f"{shape.nt} blocks of size {size}")
     zeros = tuple(tuple(int(v) for v in z) for z in zeros)
+    dims = (shape.ns, shape.nt, shape.na, shape.nb, shape.nx, shape.ny)
+    for z in zeros:
+        if len(z) != len(dims) or not all(0 <= v < n for v, n in zip(z, dims)):
+            raise ValueError(f"zero event {z} is outside the shape {dims}")
     residual_bounds = residual_interval(residual_bounds)
     if residual_bounds is not None:
         # l > 0: an event impossible in one source slice is impossible in all
@@ -310,9 +329,7 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     return MomentProblem(shape=shape, level=level,
                          weights=None if weights is None else dict(weights),
                          zeros=zeros,
-                         value_constraints=tuple((expr, float(const))
-                                                 for expr, const in value_constraints),
-                         objective=objective or zero_expr(),
+                         value_constraints=value_constraints, objective=objective,
                          residual_bounds=residual_bounds)
 
 
@@ -334,19 +351,25 @@ def residual_interval(residual_bounds) -> tuple | None:
     return lo, up
 
 
+def _residual_events(shape: ScenarioShape, zeros: tuple) -> list:
+    """The events (s, t, a, b, x, y) that have residual bounds, in the order
+    of their rows: every event whose (a, b, x, y) no zero event closes."""
+    closed = {z[2:] for z in zeros}
+    return [event for event in product(range(shape.ns), range(shape.nt), range(shape.na),
+                                       range(shape.nb), range(shape.nx), range(shape.ny))
+            if event[2:] not in closed]
+
+
 def _residual_rows(basis: MomentBasis, bounds: tuple | None, zeros: tuple) -> tuple:
     """(equalities, inequalities) of the residual bounds (l, u), as rows
-    expr = 0 and expr >= 0; the events of the closed ``zeros`` have none."""
+    expr = 0 and expr >= 0: per event of ``_residual_events``, one equality
+    when l = u, else its lower and then its upper inequality."""
     eqs, ineqs = [], []
     if bounds is None:
         return eqs, ineqs
     lo, up = bounds
-    shape = basis.shape
-    closed = {z[2:] for z in zeros}
-    # p(stab|xy) per event not closed, and its sum over (s, t) per (a, b, x, y)
-    probs = {key: basis.prob_expr(*key) for key in product(
-        range(shape.ns), range(shape.nt), range(shape.na), range(shape.nb),
-        range(shape.nx), range(shape.ny)) if key[2:] not in closed}
+    # p(stab|xy) per event, and its sum over (s, t) per (a, b, x, y)
+    probs = {event: basis.prob_expr(*event) for event in _residual_events(basis.shape, zeros)}
     totals: dict = {}
     for (_, _, *event), p_st in probs.items():
         totals[tuple(event)] = totals.get(tuple(event), zero_expr()) + p_st
@@ -384,8 +407,8 @@ class ConicData:
     without the swap.
 
     a_mat, null_basis, eq_map, the cone and the faces depend on the
-    problem's structure and swap test alone: they are shared read-only with
-    every other ConicData of the same structure and swap test (see
+    problem's structure and swap decision alone: they are shared read-only
+    with every other ConicData of the same structure and swap decision (see
     ``to_conic``)."""
 
     a_mat: np.ndarray
@@ -463,29 +486,22 @@ def _face(shape: ScenarioShape, level: int, events: tuple) -> tuple:
 
 def _expr_vec(shape: ScenarioShape, level: int, terms) -> np.ndarray:
     """Coefficients over y of the entry terms ((s, t, u, v), coeff): block
-    (s, t) holds moments (s nt + t) n_mom to (s nt + t + 1) n_mom - 1.
-    KeyError for a block that the shape does not have."""
+    (s, t) holds moments (s nt + t) n_mom to (s nt + t + 1) n_mom - 1."""
     ids = _moment_ids(shape, level)
     n_mom = int(ids.max()) + 1
     vec = np.zeros(n_mom * shape.ns * shape.nt)
     for (s, t, u, v), coeff in terms:
-        if not (0 <= s < shape.ns and 0 <= t < shape.nt):
-            raise KeyError((s, t))
         if ids[u, v] >= 0:
             vec[(s * shape.nt + t) * n_mom + ids[u, v]] += coeff
     return vec
 
 
-@lru_cache(maxsize=1)
 def _rows(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
           value_terms: tuple, bounds: tuple | None, pinned: bool) -> tuple:
-    """(E, C, cone, faces, face slice, value row, data row) of one structure.
-    E holds the weight, face (the rows of ``face slice``), zero-event, value
-    (``value_terms``: entry terms, from the value row on), residual and, when
-    pinned, data rows (from the data row on); C the residual inequalities,
-    then each block's cone rows.  E and C are read-only and kept for the
-    last structure only: a problem without data reads them twice when it is
-    new, in ``_symmetry`` and then in ``_structure``."""
+    """(E, C, cone, faces, value row, data row) of one structure.  E holds
+    the weight, face, zero-event, value (``value_terms``: entry terms, from
+    the value row on), residual and, when pinned, data rows (from the data
+    row on); C the residual inequalities, then each block's cone rows."""
     basis = MomentBasis(shape, level)
     n_mom = len(_onehot(shape, level))
     block_keys = [(s, t) for s in range(shape.ns) for t in range(shape.nt)]
@@ -496,14 +512,12 @@ def _rows(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
     rows = [expr_vec(norms)] if free_weights else [expr_vec([n]) for n in norms]
     # faces: M_st(y) vanishes on the null vectors of the block's zero events
     faces, cone_rows = {}, {}
-    face_start = len(rows)
     for key in block_keys:
         events = tuple((a, b, x, y) for (s, t, a, b, x, y) in zeros if (s, t) == key)
         faces[key], face_rows, cone_rows[key] = _face(shape, level, events)
         face = np.zeros((len(face_rows), n_y))
         face[:, col[key]:col[key] + n_mom] = face_rows
         rows.extend(face)
-    face_slice = slice(face_start, len(rows))
     rows += [expr_vec(basis.prob_expr(*z).terms.items()) for z in zeros]
     value_row = len(rows)
     eqs, ineqs = _residual_rows(basis, bounds, zeros)
@@ -519,28 +533,15 @@ def _rows(shape: ScenarioShape, level: int, free_weights: bool, zeros: tuple,
         c_mat[i] = expr_vec(expr.terms.items())
     for key, n, off in zip(block_keys, cone.blocks, cone.offsets):
         c_mat[off:off + svec_dim(n), col[key]:col[key] + n_mom] = cone_rows[key]
-    return (*_read_only(np.array(rows), c_mat), cone, faces, face_slice, value_row,
-            data_row)
+    return np.array(rows), c_mat, cone, faces, value_row, data_row
 
 
-def _constants(size: int, value_row: int, weights: tuple | None,
-               value_consts: tuple) -> np.ndarray:
-    """e of E y = e without data: the weights, or 1 for their sum when they
-    are free, the value constraints' constants from the value row on, and
-    zero on every other row."""
-    e = np.zeros(size)
-    head = (1.0,) if weights is None else weights
-    e[:len(head)] = head
-    e[value_row:value_row + len(value_consts)] = value_consts
-    return e
-
-
-STRUCTURE_CACHE_SIZE = 16   # structures and swap tests kept, least recently used out
+STRUCTURE_CACHE_SIZE = 16   # structures kept, least recently used out
 
 
 @dataclass(frozen=True)
 class _Structure:
-    """What ``to_conic`` derives from E, C and the swap test alone; every
+    """What ``to_conic`` derives from E, C and the swap decision alone; every
     array read-only."""
 
     e_mat: np.ndarray                # E U
@@ -568,13 +569,13 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
     y = U w the equalities are E U w = e, and x = C U w; so B is narrower
     than without the swap, the merged cone is shorter, and
     A C U (E U)^+ maps the rows of A to the equalities as before."""
-    e_mat, c_mat, cone, faces, _, value_row, data_row = _rows(
+    e_mat, c_mat, cone, faces, value_row, data_row = _rows(
         shape, level, free_weights, zeros, value_terms, bounds, pinned)
     block_keys = tuple(product(range(shape.ns), range(shape.nt)))
     if symmetric:
-        perm = _swap(shape, level)
-        fixed = _fixed_basis(perm)
-        kept, cone, block_keys = _merged(c_mat, cone, block_keys, perm)
+        fixed = _fixed_basis(_swap(shape, level))
+        events = _residual_events(shape, zeros) if cone.n_lin else []
+        kept, cone, block_keys = _merged(cone, block_keys, events)
         c_mat = c_mat[kept] * cone.root_mult[:, None]
         e_mat, c_mat = e_mat @ fixed, c_mat @ fixed
 
@@ -589,15 +590,20 @@ def _structure(shape: ScenarioShape, level: int, free_weights: bool, zeros: tupl
                       cone, MappingProxyType(faces), block_keys, value_row, data_row)
 
 
-def _merged(c_mat: np.ndarray, cone: Cone, block_keys: tuple, perm: np.ndarray) -> tuple:
-    """(kept rows of C, merged cone, its block keys) for the swap ``perm``
-    of y.  On y that the swap fixes, block (t, s) of C y is a congruence of
-    block (s, t), and an inequality row equals the row it is swapped with;
-    so block (s, t), s < t, and the first row of each swapped pair are kept
-    with multiplicity 2 (their rows are to be scaled by sqrt(2)), block
-    (t, s) and the second row are dropped, and the blocks (s, s) and the
-    rows that the swap fixes keep multiplicity 1."""
-    partner = _ineq_partners(c_mat[:cone.n_lin], perm)
+def _merged(cone: Cone, block_keys: tuple, events: list) -> tuple:
+    """(kept rows of C, merged cone, its block keys) for a problem that the
+    party swap fixes, whose residual inequalities are the lower and upper
+    rows of each of ``events`` in turn (no events without inequalities).
+    On y that the swap fixes, block (t, s) of C y is a congruence of block
+    (s, t), and the rows of an event equal those of its image
+    (``_swapped``); so block (s, t), s < t, and the first of each pair of
+    swapped rows are kept with multiplicity 2 (their rows are to be scaled
+    by sqrt(2)), block (t, s) and the second row are dropped, and the
+    blocks (s, s) and the rows of the events that the swap fixes keep
+    multiplicity 1."""
+    index = {event: i for i, event in enumerate(events)}
+    partner = np.array([2 * index[_swapped(event)] + k for event in events for k in (0, 1)],
+                       dtype=int)
     lin = np.flatnonzero(partner >= np.arange(cone.n_lin))
     kept, keys, sizes, mult = [lin], [], [], []
     for key, n, off in zip(block_keys, cone.blocks, cone.offsets):
@@ -611,20 +617,13 @@ def _merged(c_mat: np.ndarray, cone: Cone, block_keys: tuple, perm: np.ndarray) 
     return np.concatenate(kept), merged, tuple(keys)
 
 
-def _ineq_partners(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Index of the row that the swap ``perm`` maps each row of ``rows`` to,
-    matched in the orders of ``_row_order`` as ``_symmetry`` compares them;
-    every row is its own partner unless the matching is an involution."""
-    moved = np.empty_like(rows)
-    moved[:, perm] = rows
-    partner = np.empty(len(rows), dtype=int)
-    partner[_row_order(moved)] = _row_order(rows)
-    if not np.array_equal(partner[partner], np.arange(len(rows))):
-        return np.arange(len(rows))
-    return partner
-
-
 # ------------------------------------------------------------------ symmetry
+
+def _swapped(event: tuple) -> tuple:
+    """The party swap's image (t, s, b, a, y, x) of event (s, t, a, b, x, y)."""
+    s, t, a, b, x, y = event
+    return t, s, b, a, y, x
+
 
 @cache
 def _word_swap(shape: ScenarioShape, level: int) -> np.ndarray | None:
@@ -671,38 +670,6 @@ def _row_order(rows: np.ndarray) -> list:
     return sorted(range(len(rows)), key=lambda i: key[i].tobytes())
 
 
-@lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
-def _symmetry(shape: ScenarioShape, level: int, weights: tuple | None, zeros: tuple,
-              value_terms: tuple, value_consts: tuple, bounds: tuple | None,
-              objective_terms: tuple) -> bool:
-    """Whether the party swap (``_swap``) fixes a problem without data: it
-    maps the objective over y to itself, and both the rows of E y = e, with
-    their right-hand sides, and the inequality rows onto themselves as sets.
-    The face rows are not compared, since their bases are not unique; the
-    zero-event rows fix them, since a swap that maps the events onto
-    themselves maps each block's face onto its image's."""
-    perm = _swap(shape, level)
-    if perm is None:
-        return False
-    e_mat, c_mat, cone, _, face_slice, value_row, _ = _rows(
-        shape, level, weights is None, zeros, value_terms, bounds, False)
-    e = _constants(len(e_mat), value_row, weights, value_consts)
-    keep = np.ones(len(e), dtype=bool)
-    keep[face_slice] = False
-    blocks = set(product(range(shape.ns), range(shape.nt)))
-    objective = [term for term in objective_terms if term[0][:2] in blocks]
-    image = np.append(perm, len(perm))      # the right-hand sides stay
-    for rows in (np.append(_expr_vec(shape, level, objective), 0.0)[None],
-                 np.column_stack([e_mat[keep], e[keep]]),
-                 np.column_stack([c_mat[:cone.n_lin], np.zeros(cone.n_lin)])):
-        moved = np.empty_like(rows)
-        moved[:, image] = rows
-        if not np.allclose(moved[_row_order(moved)], rows[_row_order(rows)],
-                           rtol=0.0, atol=1e-12):
-            return False
-    return True
-
-
 def _fixed_basis(perm: np.ndarray) -> np.ndarray:
     """Orthonormal basis U of the vectors y with y[perm] = y, for an
     involution perm: one column per orbit {i, perm[i]}, in the order of the
@@ -714,25 +681,32 @@ def _fixed_basis(perm: np.ndarray) -> np.ndarray:
     return u
 
 
-def _constants_of(problem: MomentProblem) -> tuple:
-    """(weights, value constants) of a problem, as ``_constants`` takes them."""
-    weights = None if problem.weights is None else \
-        tuple(float(problem.weights[key]) for key in problem.block_keys)
-    return weights, tuple(const - expr.const for expr, const in problem.value_constraints)
-
-
 def _group(problem: MomentProblem) -> bool:
-    """Whether the party swap fixes the problem (see ``_symmetry``).  A
-    problem with pinned data is never restricted: a certificate from a
-    restricted solve would be valid only on the tables that the swap leaves
-    invariant."""
-    if problem.data is not None:
+    """Whether the party swap (``_swap``) fixes the problem: the parties
+    are alike, the swap (``_swapped``) maps the zero events onto
+    themselves, fixed weights have p(st) = p(ts), the objective over y is
+    swap-fixed, and the value constraints with their constants map onto
+    themselves as a set.  The weight, face, zero-event and residual rows
+    then map onto themselves too, so they are not compared.  A problem with
+    pinned data is never restricted: a certificate from a restricted solve
+    would be valid only on the tables that the swap leaves invariant."""
+    shape, level = problem.shape, problem.level
+    perm = None if problem.data is not None else _swap(shape, level)
+    if perm is None or set(map(_swapped, problem.zeros)) != set(problem.zeros):
         return False
-    weights, value_consts = _constants_of(problem)
-    return _symmetry(problem.shape, problem.level, weights, problem.zeros,
-                     tuple(tuple(expr.terms.items()) for expr, _ in problem.value_constraints),
-                     value_consts, problem.residual_bounds,
-                     tuple(problem.objective.terms.items()))
+    weights = problem.weights
+    if weights is not None and any(abs(weights[s, t] - weights[t, s]) > 1e-12
+                                   for s, t in problem.block_keys):
+        return False
+    objective = _expr_vec(shape, level, problem.objective.terms.items())
+    if np.abs(objective[perm] - objective).max() > 1e-12:
+        return False
+    if not problem.value_constraints:
+        return True
+    rows = np.array([np.append(_expr_vec(shape, level, expr.terms.items()), const - expr.const)
+                     for expr, const in problem.value_constraints])
+    moved = rows[:, np.append(perm, len(perm))]         # the constants stay
+    return bool(np.abs(moved[_row_order(moved)] - rows[_row_order(rows)]).max() <= 1e-12)
 
 
 @serial_blas
@@ -743,10 +717,10 @@ def to_conic(problem: MomentProblem) -> ConicData:
 
     The rows E and C and all that is derived from them are built by
     ``_structure`` once per structure, the problem without its right-hand
-    sides and objective, and swap test, so a stream of membership tests or
-    bounds that differ only there builds and factors its rows once.  The
-    swap is tested by ``_group`` at the first call for a structure with
-    its right-hand sides and objective, and the answer kept.  Each call builds e, the
+    sides and objective, and swap decision, so a stream of membership tests
+    or bounds that differ only there builds and factors its rows once.  The
+    swap is decided by ``_group`` on every call, from the problem's events,
+    weights, value constraints and objective.  Each call builds e, the
     objective c and b = A C U (E U)^+ e, and checks E y = e for
     consistency.  The objective of a block is c = -svec(Q^T F_st Q), and of
     a merged block -svec(Q^T (F_st + Pi^T F_ts Pi) Q) / sqrt(2), with F_st
@@ -759,7 +733,15 @@ def to_conic(problem: MomentProblem) -> ConicData:
                     value_terms, problem.residual_bounds, pinned, symmetric)
     word_swap = _word_swap(problem.shape, problem.level) if symmetric else None
 
-    e = _constants(len(st.e_mat), st.value_row, *_constants_of(problem))
+    # e: the weights, or 1 for their sum when they are free, the value
+    # constraints' constants from the value row on, and zero elsewhere
+    e = np.zeros(len(st.e_mat))
+    if problem.weights is None:
+        e[0] = 1.0
+    else:
+        e[:len(problem.block_keys)] = [problem.weights[key] for key in problem.block_keys]
+    e[st.value_row:st.value_row + len(value_terms)] = [
+        const - expr.const for expr, const in problem.value_constraints]
     row_spec = [("const", float(v)) for v in e]
     if pinned:
         e[st.data_row:] = problem.data.ravel()

@@ -21,15 +21,8 @@ class _Zero:
     def __repr__(self):
         return "ZERO"
 
-    def __reduce__(self):
-        return (_zero_instance, ())
-
 
 ZERO = _Zero()
-
-
-def _zero_instance():
-    return ZERO
 
 
 def symbol(party: int, outcome: int, setting: int) -> tuple:

@@ -40,3 +40,10 @@ def test_declared_dependencies_are_numpy_alone():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
     assert re.findall(r'"([A-Za-z0-9_.-]+)', deps) == ["numpy"]
+
+
+def test_numpy_floor_has_vecdot():
+    """qmath calls np.vecdot, which NumPy added in 2.0."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text).groups()
+    assert tuple(map(int, floor)) >= (2, 0)

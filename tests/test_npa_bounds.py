@@ -195,6 +195,38 @@ class TestProblemAssembly:
         with pytest.raises(TypeError):
             first.index[()] = 1
 
+    # a block the single-source shape lacks, u < 0, u > v and u >= N (N = 5)
+    STRAY_TERMS = {"block": (1, 1, 0, 1), "u_negative": (0, 0, -1, 0),
+                   "u_above_v": (0, 0, 2, 1), "u_beyond_basis": (0, 0, 0, 5)}
+
+    @pytest.mark.parametrize("where", ["objective", "value_constraint"])
+    @pytest.mark.parametrize("term", STRAY_TERMS.values(), ids=STRAY_TERMS)
+    def test_term_outside_the_shape_is_rejected(self, term, where):
+        shape = SINGLE_SOURCE_CHSH_SHAPE
+        stray = moments.MomentBasis(shape, 1).prob_expr(0, 0, 0, 0, 0, 0) \
+            + 5.0 * moments.LinearExpr({term: 1.0})
+        kwargs = {"objective": stray} if where == "objective" else \
+            {"value_constraints": [(stray, 0.5)]}
+        with pytest.raises(ValueError, match="outside"):
+            moments.build_moment_problem(shape, 1, weights={(0, 0): 1.0}, **kwargs)
+
+    @pytest.mark.parametrize("event", [(-1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0),
+                                       (0, 0, 2, 0, 0, 0), (0, 0, 0, -1, 0, 0),
+                                       (0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 0, 0)],
+                             ids=["s_negative", "s_beyond", "a_beyond", "b_negative",
+                                  "x_beyond", "seven_fields"])
+    def test_zero_event_outside_the_shape_is_rejected(self, event):
+        with pytest.raises(ValueError, match="outside"):
+            moments.build_moment_problem(CHSH_SHAPE, 1, zeros=[event])
+
+    def test_terms_at_the_edges_are_kept(self):
+        shape = SINGLE_SOURCE_CHSH_SHAPE
+        expr = moments.LinearExpr({(0, 0, 0, 0): 1.0, (0, 0, 0, 4): 1.0, (0, 0, 4, 4): 1.0})
+        problem = moments.build_moment_problem(shape, 1, weights={(0, 0): 1.0},
+                                               value_constraints=[(expr, 0.5)],
+                                               objective=expr)
+        assert problem.objective is expr and problem.value_constraints == ((expr, 0.5),)
+
     def test_problem_json(self):
         basis = moments.MomentBasis(SINGLE_SOURCE_CHSH_SHAPE, 2)
         problem = moments.build_moment_problem(
@@ -528,6 +560,63 @@ def _source_values_problem():
                                         residual_bounds=(0.2, 0.3))
 
 
+# an event of block (0, 1) and its image under the party swap, in block (1, 0)
+VALUED_EVENT, VALUED_IMAGE = (0, 1, 0, 1, 0, 0), (1, 0, 1, 0, 0, 0)
+
+
+def _valued_chsh(*constraints):
+    """CHSH L2 on [0.2, 0.3] with the value constraints p(event) + offset =
+    value, one per (event, offset, value)."""
+    basis = moments.MomentBasis(CHSH_SHAPE, 2)
+    return moments.build_moment_problem(
+        CHSH_SHAPE, 2, objective=moments.chsh_objective(basis), residual_bounds=(0.2, 0.3),
+        value_constraints=[(basis.prob_expr(*event) + offset, value)
+                           for event, offset, value in constraints])
+
+
+# value constraints (event, offset, value), which count as a set, each on
+# value - offset; and whether the swap fixes them
+VALUED = {
+    "values_swapped_pair": ([(VALUED_EVENT, 0.0, 0.1), (VALUED_IMAGE, 0.0, 0.1)], True),
+    "values_first_alone": ([(VALUED_EVENT, 0.0, 0.1)], False),
+    "values_second_alone": ([(VALUED_IMAGE, 0.0, 0.1)], False),
+    "values_unequal": ([(VALUED_EVENT, 0.0, 0.1), (VALUED_IMAGE, 0.0, 0.2)], False),
+    "values_offset_equal": ([(VALUED_EVENT, 0.05, 0.15), (VALUED_IMAGE, 0.0, 0.1)], True),
+    "values_offset_unequal": ([(VALUED_EVENT, 0.05, 0.1), (VALUED_IMAGE, 0.0, 0.1)], False),
+}
+
+
+def _ineq_partners(problem):
+    """Index of the residual inequality row that the party swap maps each
+    one to: rows 2i and 2i + 1 bound event i of ``_residual_events``, and
+    the swap sends the event to its image."""
+    events = moments._residual_events(problem.shape, problem.zeros)
+    index = {event: i for i, event in enumerate(events)}
+    return np.array([2 * index[moments._swapped(event)] + k for event in events
+                     for k in (0, 1)])
+
+
+def _three_sources_l1():
+    """nS = nT = 3 at level 1 under [0.08, 0.15], with CHSH correlators
+    summed over every block."""
+    shape = ScenarioShape(3, 3, 2, 2, 2, 2)
+    basis = moments.MomentBasis(shape, 1)
+    objective = moments.zero_expr()
+    for s, t, x, y in np.ndindex(3, 3, 2, 2):
+        objective = objective + (-1.0 if x * y else 1.0) * moments.correlator_expr(
+            basis, s, t, x, y)
+    return moments.build_moment_problem(shape, 1, objective=objective,
+                                        residual_bounds=(0.08, 0.15))
+
+
+def _hardy_chsh_bounded():
+    """CHSH L2 on [0.2, 0.3] with the Hardy zero events in every block."""
+    basis = moments.MomentBasis(CHSH_SHAPE, 2)
+    return moments.build_moment_problem(CHSH_SHAPE, 2, objective=moments.chsh_objective(basis),
+                                        zeros=moments.hardy_zero_events(CHSH_SHAPE),
+                                        residual_bounds=(0.2, 0.3))
+
+
 # the benchmark's nominal CHSH L2 intervals, and the CLI's pinned one
 CHSH_INTERVALS = {
     "chsh_l2_0.25": (0.25, 0.25),
@@ -568,11 +657,37 @@ class TestSymmetry:
         (lambda: _weighted_hardy((0.25,) * 4, [(0, 0)]), True),
         (_bob_settings_problem, False),
         (_source_values_problem, False),
+        *((lambda c=c: _valued_chsh(*c), symmetric) for c, symmetric in VALUED.values()),
     ], ids=[*SYMMETRIC, "chsh_l2_scaled_term", "fourblock_l2_weights_0.2_0.4",
             "fourblock_l2_weights_0.4_0.2", "fourblock_l2_zeros_01", "fourblock_l2_zeros_00",
-            "bob_settings", "source_values"])
+            "bob_settings", "source_values", *VALUED])
     def test_detected_group(self, make, symmetric):
         assert moments._group(make()) is symmetric
+
+    @pytest.mark.parametrize("make", [lambda: _chsh_bounded(2, (0.2, 0.3)), _hardy_chsh_bounded,
+                                      _three_sources_l1],
+                             ids=["chsh_l2", "chsh_l2_hardy_zeros", "three_sources_l1"])
+    def test_merged_rows_pair_swapped_rows(self, make):
+        """The inequality rows paired by event index are each other's
+        images under the swap, and the merged cone keeps one row of each
+        pair with multiplicity 2 and the rows the swap fixes with 1."""
+        problem = make()
+        assert moments._group(problem)
+        _, c_mat, cone, *_ = moments._rows(problem.shape, problem.level, True, problem.zeros,
+                                           (), problem.residual_bounds, False)
+        rows = c_mat[:cone.n_lin]
+        moved = np.empty_like(rows)
+        moved[:, moments._swap(problem.shape, problem.level)] = rows
+        partner = _ineq_partners(problem)
+        assert np.array_equal(partner[partner], np.arange(cone.n_lin))
+        assert np.abs(moved - rows[partner]).max() <= 1e-12
+        keys = tuple(np.ndindex(problem.shape.ns, problem.shape.nt))
+        kept, merged, _ = moments._merged(
+            cone, keys, moments._residual_events(problem.shape, problem.zeros))
+        lin = kept[:merged.n_lin]
+        assert sorted({*lin, *partner[lin]}) == list(range(cone.n_lin))
+        assert np.array_equal(merged.lin_mult, np.where(partner[lin] == lin, 1, 2))
+        assert (partner[lin] != lin).any() and (partner[lin] == lin).any()
 
     @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize("bounds", MEMBER_BOUNDS)
@@ -650,10 +765,10 @@ class TestSymmetry:
         _, c_mat, cone, faces, *_ = moments._rows(
             problem.shape, problem.level, True, problem.zeros, (), problem.residual_bounds,
             False)
-        perm = moments._swap(problem.shape, problem.level)
         keys = tuple(np.ndindex(problem.shape.ns, problem.shape.nt))
-        kept, merged, merged_keys = moments._merged(c_mat, cone, keys, perm)
-        partner = moments._ineq_partners(c_mat[:cone.n_lin], perm)
+        kept, merged, merged_keys = moments._merged(
+            cone, keys, moments._residual_events(problem.shape, problem.zeros))
+        partner = _ineq_partners(problem)
         image = moments._word_swap(problem.shape, problem.level)
         expand = np.zeros((cone.dim, merged.dim))
         for j, i in enumerate(kept[:merged.n_lin]):
@@ -723,10 +838,9 @@ class TestSymmetry:
         assert calls == []
 
     def test_new_problem_builds_its_rows_once(self, monkeypatch):
-        """A new problem without data reads its rows for its group and again
-        for its structure; they are built once."""
-        for cached in (moments._symmetry, moments._structure, moments._rows):
-            cached.cache_clear()
+        """A new problem without data builds its rows once, for its
+        structure; the swap is decided without them."""
+        moments._structure.cache_clear()
         calls = []
         residual_rows = moments._residual_rows
 

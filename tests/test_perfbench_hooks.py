@@ -43,8 +43,8 @@ def test_traced_solve_records_each_layer(monkeypatch):
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        moments.max_value(SINGLE_SOURCE_CHSH_SHAPE, 1, moments.chsh_objective(basis),
-                          weights={(0, 0): 1.0})
+        moments.max_value(SINGLE_SOURCE_CHSH_SHAPE, 1,
+                          moments.correlator_expr(basis, 0, 0, 0, 0), weights={(0, 0): 1.0})
     finally:
         tracer.uninstall()
     names = [sp.name for sp in tracer.spans]
