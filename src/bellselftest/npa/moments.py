@@ -303,8 +303,10 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     absorbed: the equalities are projected onto the range of their rows and
     solved.  Raises ValueError unless every term (s, t, u, v) of the
     objective and of each value constraint has 0 <= s < nS, 0 <= t < nT and
-    0 <= u <= v < N, N the size of the word basis, and every zero event
-    (s, t, a, b, x, y) lies within the shape.
+    0 <= u <= v < N, N the size of the word basis, every zero event
+    (s, t, a, b, x, y) lies within the shape, and the keys of weights, when
+    given, are exactly the blocks (s, t); the message names the missing and
+    the extra keys.
     """
     check_level(level)
     objective = objective or zero_expr()
@@ -320,6 +322,13 @@ def build_moment_problem(shape: ScenarioShape, level: int,
     for z in zeros:
         if len(z) != len(dims) or not all(0 <= v < n for v, n in zip(z, dims)):
             raise ValueError(f"zero event {z} is outside the shape {dims}")
+    if weights is not None:
+        blocks = list(product(range(shape.ns), range(shape.nt)))
+        missing = [key for key in blocks if key not in weights]
+        extra = [key for key in weights if key not in blocks]
+        if missing or extra:
+            raise ValueError(f"weights must have exactly the blocks {blocks}: "
+                             f"missing {missing}, extra {extra}")
     residual_bounds = residual_interval(residual_bounds)
     if residual_bounds is not None:
         # l > 0: an event impossible in one source slice is impossible in all

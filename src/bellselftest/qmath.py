@@ -7,7 +7,11 @@ the verification machinery relies on (Schmidt, simultaneous Jordan blocks of
 projector pairs, for one pair or a whole stack of pairs in one pass), and the
 sparse JSON array encoding of device files: a shape and the
 ``[flat index, re, im]`` row of each entry with a set bit, since the states
-and effects of the paper's devices are mostly zeros.
+and effects of the paper's devices are mostly zeros.  Each party's
+measurements are read as one stack, in one pass over the party's rows
+(``measurements_from_json``), and checked in one pass over the party's
+nonzero effects (``validate_party``); the writer finds the set bits of an
+array with one OR of the two halves of each entry.
 
 ``is_hermitian`` takes a tolerance that defaults to ``HERMITIAN_TOL``;
 validation and the Jordan decomposition use the constants as they are.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -128,13 +133,15 @@ def json_floats(values, name: str, null_as_nan: bool = False) -> np.ndarray:
     raises ``ValueError`` naming ``name`` and the leaf's index."""
     if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
         leaves = np.asarray(values, dtype=object)
-        ok = np.fromiter((is_json_number(v) or (null_as_nan and v is None)
-                          for v in leaves.flat), dtype=bool, count=leaves.size)
-        if not ok.all():
-            index = _first_false(ok.reshape(leaves.shape))
-            raise ValueError(f"{name} entries must be numbers, got "
-                             f"{type(leaves[tuple(index)]).__name__} as {name} "
-                             f"entry at {index}")
+        plain = {int, float, type(None)} if null_as_nan else {int, float}
+        if not set(map(type, leaves.flat)) <= plain:   # look leaf by leaf
+            ok = np.fromiter((is_json_number(v) or (null_as_nan and v is None)
+                              for v in leaves.flat), dtype=bool, count=leaves.size)
+            if not ok.all():
+                index = _first_false(ok.reshape(leaves.shape))
+                raise ValueError(f"{name} entries must be numbers, got "
+                                 f"{type(leaves[tuple(index)]).__name__} as {name} "
+                                 f"entry at {index}")
     try:
         t = np.asarray(values, dtype=float, order="C")
     except OverflowError:  # an integer beyond the float range: read as ±inf
@@ -152,7 +159,8 @@ def sparse_to_json(a) -> dict:
     (so -0.0 is kept), in increasing row-major order."""
     a = np.asarray(a, dtype=complex)
     pairs = np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(-1, 2)
-    index = np.flatnonzero(pairs.view(np.int64).any(axis=1))
+    bits = pairs.view(np.int64)
+    index = np.flatnonzero(bits[:, 0] | bits[:, 1])
     return {"shape": list(a.shape),
             "nonzeros": [[i, re, im] for i, (re, im) in zip(index.tolist(),
                                                             pairs[index].tolist())]}
@@ -164,7 +172,50 @@ def sparse_from_json(obj, expected: tuple) -> np.ndarray:
     ``[index, re, im]`` triple of an integer index, strictly above the row
     before and inside the array, and two finite numbers; else
     ``ValueError``.  The shape is checked before the array is allocated."""
-    return _dense(*_sparse_entries(obj, expected))
+    expected = tuple(expected)
+    stack = _stack_of([obj], expected)
+    return stack.reshape(expected) if stack is not None \
+        else _dense(*_sparse_entries(obj, expected))
+
+
+def _stack_of(objs: list, shape: tuple):
+    """The (len(objs), *shape) complex stack of the arrays that
+    ``sparse_to_json`` wrote as ``objs``, read in one pass: one type check
+    over the rows, one over the indices and one over the values, one index
+    check in which each array's indices restart at 0, and one scatter.
+
+    None unless each object is as the writer writes it: its shape a list
+    of ints equal to ``shape``, and its rows [int index, int or float, int
+    or float] with indices that strictly increase within [0, size) and
+    finite values.  ``_sparse_entries`` then reads the objects one by one
+    and words the first error; what it accepts and this pass does not (a
+    numpy scalar, say) it reads to the same arrays."""
+    size = math.prod(shape)
+    if not objs or len(objs) * size >= 1 << 62 or not all(
+            type(a) is dict and type(a.get("nonzeros")) is list
+            and type(a.get("shape")) is list and a["shape"] == list(shape)
+            and all(type(n) is int for n in a["shape"]) for a in objs):
+        return None
+    rows = [a["nonzeros"] for a in objs]
+    flat_rows = list(chain.from_iterable(rows))
+    if not (set(map(type, flat_rows)) <= {list} and set(map(len, flat_rows)) <= {3}):
+        return None
+    flat = list(chain.from_iterable(flat_rows))
+    if not (set(map(type, flat[0::3])) <= {int} and set(map(type, flat)) <= {int, float}):
+        return None
+    try:
+        index = np.array(flat[0::3], dtype=np.int64)
+        values = np.ascontiguousarray(np.array(flat, dtype=float).reshape(-1, 3)[:, 1:])
+    except OverflowError:   # an integer beyond int64 or the float range
+        return None
+    key = index + np.repeat(np.arange(len(objs)) * size, list(map(len, rows)))
+    if len(index) and (index.min() < 0 or index.max() >= size) \
+            or not (np.diff(key) > 0).all() or not np.isfinite(values).all():
+        return None
+    stack = np.zeros((len(objs), *shape), dtype=complex)
+    # a view keeps the sign of every zero, as in _dense
+    stack.reshape(-1)[key] = values.view(complex)[:, 0]
+    return stack
 
 
 def _sparse_entries(obj, expected: tuple) -> tuple:
@@ -230,47 +281,35 @@ class ProjectiveMeasurement:
 
     Effects must be Hermitian idempotents, mutually orthogonal, and sum to the
     identity.  Zero effects are allowed (padding outcomes that never occur).
+    ``effects`` is given as matrices, or as one (outcomes, d, d) complex
+    array whose slices become the effects without a copy: a device file's
+    reader (``measurements_from_json``) gives each measurement its slice of
+    the party's (measurements, outcomes, d, d) stack.  ``validate_party``
+    checks a party's measurements in one pass; ``validate`` is that check
+    on a party of one.
     """
 
     dim: int
     effects: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "effects", tuple(as_matrix(e) for e in self.effects)
-        )
+        effects = self.effects
+        if not (isinstance(effects, np.ndarray) and effects.ndim == 3
+                and effects.dtype == complex):
+            effects = [as_matrix(e) for e in effects]
+        object.__setattr__(self, "effects", tuple(effects))
 
     @property
     def n_outcomes(self) -> int:
         return len(self.effects)
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on the first failure, in this order: the
-        first effect of the wrong shape or not a projector within
-        ``PROJECTOR_TOL``, effects that do not sum to the identity, the first
-        pair of effects that is not orthogonal.  The effects are checked as
-        one stack, and an effect that is exactly zero, a projector orthogonal
-        to every effect, is left out of the products."""
-        shape = (self.dim, self.dim)
-        n_ok = next((i for i, e in enumerate(self.effects) if e.shape != shape),
-                    len(self.effects))
-        stack = np.array(self.effects[:n_ok]).reshape(n_ok, *shape)
-        nonzero = np.flatnonzero(stack.any(axis=(1, 2)))
-        nz = stack[nonzero]
-        projector = _projector_each(nz)
-        if not projector.all():
-            i = nonzero[np.argmin(projector)]
-            raise ValueError(f"effect {i} is not a projector within {PROJECTOR_TOL}")
-        if n_ok < len(self.effects):
-            raise ValueError(f"effect {n_ok} has shape {self.effects[n_ok].shape}, "
-                             f"expected {shape}")
-        if _max_abs(nz.sum(axis=0) - np.eye(self.dim)) > PROJECTOR_TOL:
-            raise ValueError("effects do not sum to the identity")
-        for a in range(len(nz) - 1):
-            overlap = np.max(np.abs(nz[a] @ nz[a + 1:]), axis=(1, 2)) > PROJECTOR_TOL
-            if overlap.any():
-                raise ValueError(f"effects {nonzero[a]} and "
-                                 f"{nonzero[a + 1 + np.argmax(overlap)]} are not orthogonal")
+        """``validate_party`` on a party of this one measurement: raise
+        ``ValueError`` on the first effect not a projector within
+        ``PROJECTOR_TOL``, then the first effect of the wrong shape, effects
+        that do not sum to the identity, the first pair of effects that is
+        not orthogonal."""
+        validate_party((self,), self.dim, self.n_outcomes)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "effects": sparse_to_json(self.effects)}
@@ -288,7 +327,105 @@ class ProjectiveMeasurement:
         if len(index) < shape[-1]:
             raise ValueError(f"effects hold {len(index)} nonzero entries, but effects "
                              f"that sum to I_{shape[-1]} need at least {shape[-1]}")
-        return cls(dim=dim, effects=tuple(_dense(shape, index, values)))
+        return cls(dim=dim, effects=_dense(shape, index, values))
+
+
+def measurements_from_json(objs: list, effects_shape: tuple) -> tuple:
+    """One party's measurements, each as ``ProjectiveMeasurement.from_json``
+    reads it, read as one (measurements, *effects_shape) stack whose slices
+    are the measurements' effects (``_stack_of``).  A party with an entry
+    that this pass does not accept is read one measurement at a time by
+    ``from_json``, which raises the first error in file order."""
+    shape = tuple(effects_shape)
+    stack = None
+    if all(type(m) is dict and type(m.get("dim")) is int and m["dim"] >= 1
+           and type(m.get("effects")) is dict
+           and type(m["effects"].get("nonzeros")) is list
+           and len(m["effects"]["nonzeros"]) >= shape[-1] for m in objs):
+        stack = _stack_of([m["effects"] for m in objs], shape)
+    if stack is None:
+        return tuple(ProjectiveMeasurement.from_json(m, shape) for m in objs)
+    return tuple(ProjectiveMeasurement(dim=m["dim"], effects=effects)
+                 for m, effects in zip(objs, stack))
+
+
+_PAIR_CHUNK_BYTES = 1 << 18  # bytes of one chunk of effect products in validate_party
+
+
+def validate_party(measurements, dim: int, n_outcomes: int, party: str = "") -> None:
+    """Raise ``ValueError`` on the first fault of one party's measurements,
+    measurement by measurement, and within a measurement in this order: a
+    ``dim`` or outcome count other than the party's ``dim`` and
+    ``n_outcomes`` (named by ``party``), the first effect that is not a
+    projector within ``PROJECTOR_TOL``, the first effect of the wrong
+    shape, effects that do not sum to the identity, the first pair of
+    effects that is not orthogonal.
+
+    The party is checked in one pass over its nonzero effects, gathered
+    measurement by measurement: one projector check over all of them, one
+    comparison of every measurement's sum with the identity, and one
+    product per pair within a measurement.  A zero effect is a projector
+    orthogonal to every effect, so it is left out of the products, and so
+    is a pair whose product is exactly zero because no column that holds
+    an entry of the first effect meets a row that holds one of the second.
+    Each check looks only at the measurements before the first fault found
+    so far."""
+    shape = (dim, dim)
+    faults = []             # (measurement, rank in the order above, message)
+    nonzero, parts, sums = [], [], []
+    for k, m in enumerate(measurements):
+        if m.dim != dim or m.n_outcomes != n_outcomes:
+            faults.append((k, 0, f"{party} measurement dimension/outcome mismatch"))
+            break
+        n_ok = next((i for i, e in enumerate(m.effects) if e.shape != shape), n_outcomes)
+        stack = np.array(m.effects[:n_ok], dtype=complex).reshape(n_ok, *shape)
+        nonzero.append(np.flatnonzero(stack.any(axis=(1, 2))))
+        parts.append(stack[nonzero[-1]])
+        if n_ok < n_outcomes:
+            faults.append((k, 2, f"effect {n_ok} has shape {m.effects[n_ok].shape}, "
+                                 f"expected {shape}"))
+            break
+        sums.append(parts[-1].sum(axis=0))
+    nz = np.concatenate(parts) if parts else np.empty((0, *shape), dtype=complex)
+    owner = np.repeat(np.arange(len(nonzero)), [len(i) for i in nonzero])
+    local = np.concatenate(nonzero) if nonzero else np.empty(0, dtype=np.intp)
+
+    projector = _projector_each(nz)
+    if not projector.all():
+        i = int(np.argmin(projector))
+        faults.append((int(owner[i]), 1,
+                       f"effect {local[i]} is not a projector within {PROJECTOR_TOL}"))
+    limit = min(faults)[0] if faults else len(sums)
+    off = np.max(np.abs(np.reshape(sums[:limit], (limit, *shape)) - np.eye(dim)),
+                 axis=(1, 2), initial=0.0) > PROJECTOR_TOL
+    if off.any():
+        limit = int(np.argmax(off))
+        faults.append((limit, 3, "effects do not sum to the identity"))
+    kept = owner < limit
+    _orthogonality_fault(nz[kept], owner[kept], local[kept], faults)
+    if faults:
+        raise ValueError(min(faults)[2])
+
+
+def _orthogonality_fault(nz: np.ndarray, owner: np.ndarray, local: np.ndarray,
+                         faults: list) -> None:
+    """Append to ``faults`` the first measurement's first pair (a, b), a < b,
+    of effects whose product exceeds ``PROJECTOR_TOL``.  Effect nz[i] is
+    effect local[i] of measurement owner[i].  Only pairs in which a column
+    that holds an entry of a meets a row that holds one of b are multiplied,
+    in chunks of ``_PAIR_CHUNK_BYTES``."""
+    entries = nz != 0
+    meet = entries.any(axis=1).astype(float) @ entries.any(axis=2).T.astype(float)
+    a, b = np.nonzero(np.triu((owner[:, None] == owner) & (meet > 0), 1))
+    step = max(1, _PAIR_CHUNK_BYTES // max(1, nz[:1].nbytes))
+    for lo in range(0, len(a), step):
+        sl = slice(lo, lo + step)
+        overlap = np.max(np.abs(nz[a[sl]] @ nz[b[sl]]), axis=(1, 2)) > PROJECTOR_TOL
+        if overlap.any():
+            p = lo + int(np.argmax(overlap))
+            faults.append((int(owner[a[p]]), 4, f"effects {local[a[p]]} and "
+                                                f"{local[b[p]]} are not orthogonal"))
+            return
 
 
 def dichotomic_qubit_measurement(angle: float, dim: int = 2, span: tuple[int, int] = (0, 1),

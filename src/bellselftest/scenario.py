@@ -115,21 +115,18 @@ class Realization:
         self.validate_measurements()
 
     def validate_measurements(self) -> None:
-        """The measurement half of ``validate``: counts, dimensions and
-        outcome numbers against the shape, then each measurement's own
-        checks.  The states are not looked at."""
+        """The measurement half of ``validate``: the counts against the
+        shape, then ``qmath.validate_party`` on Alice's measurements and
+        then on Bob's, each party in one pass that raises the first fault
+        measurement by measurement (a dimension or outcome count other than
+        the shape's, then the measurement's own checks).  The states are
+        not looked at."""
         sh = self.shape
         da, db = self.cq.dims
         if len(self.alice) != sh.nx or len(self.bob) != sh.ny:
             raise ValueError("measurement count does not match shape")
-        for m in self.alice:
-            if m.dim != da or m.n_outcomes != sh.na:
-                raise ValueError("Alice measurement dimension/outcome mismatch")
-            m.validate()
-        for m in self.bob:
-            if m.dim != db or m.n_outcomes != sh.nb:
-                raise ValueError("Bob measurement dimension/outcome mismatch")
-            m.validate()
+        qmath.validate_party(self.alice, da, sh.na, "Alice")
+        qmath.validate_party(self.bob, db, sh.nb, "Bob")
 
     @property
     def shape(self) -> ScenarioShape:
@@ -165,8 +162,7 @@ class Realization:
             if not isinstance(obj[party], list):
                 raise ValueError(f"{party} must be a list of measurements, "
                                  f"got {type(obj[party]).__name__}")
-            measurements.append(tuple(ProjectiveMeasurement.from_json(m, (n, d, d))
-                                      for m in obj[party]))
+            measurements.append(qmath.measurements_from_json(obj[party], (n, d, d)))
             if len(obj[party]) != count:
                 raise ValueError(f"{party} must hold {count} measurements, got {len(obj[party])}")
         # read after the measurements, whose nonzeros bound dA and dB

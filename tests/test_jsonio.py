@@ -6,6 +6,7 @@ written again as the same bytes."""
 
 import json
 import math
+import re
 import sys
 import time
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from bellselftest import _jsonio
-from bellselftest.qmath import sparse_from_json, sparse_to_json
+from bellselftest.qmath import ProjectiveMeasurement, sparse_from_json, sparse_to_json
 from bellselftest.scenario import (
     Behavior,
     ClassicalQuantumState,
@@ -395,6 +396,63 @@ class TestReader:
                 _jsonio.dumps(got)
             return
         assert_same_value(_jsonio.loads(_jsonio.dumps(got)), want)
+
+
+class TestPartyRead:
+    """A party's measurements are read as one stack; what that pass refuses
+    is refused with the message of the measurement-by-measurement read."""
+
+    SIZE = 27   # each d = 3 effect stack is (3, 3, 3)
+
+    @pytest.fixture
+    def obj(self):
+        return json.loads(_jsonio.dumps(canonical_device(3).to_json()))
+
+    def test_indices_restart_at_each_measurement(self, obj):
+        rows = [m["effects"]["nonzeros"] for m in obj["alice"]]
+        assert rows[1][0][0] < rows[0][-1][0]
+        r = Realization.from_json(obj)
+        for party in ("alice", "bob"):
+            ms = getattr(r, party)
+            for m, m_obj in zip(ms, obj[party], strict=True):
+                one = ProjectiveMeasurement.from_json(m_obj, (3, 3, 3))
+                assert m.dim == one.dim
+                assert_same_value(np.array(m.effects), np.array(one.effects))
+            # the effects are slices of one party stack
+            assert len({id(e.base) for m in ms for e in m.effects}) == 1
+
+    @pytest.mark.parametrize("fault", ["repeated", "decreasing"])
+    def test_unordered_index_in_the_second_measurement(self, obj, fault):
+        rows = obj["alice"][1]["effects"]["nonzeros"]
+        if fault == "repeated":
+            rows[1][0] = rows[0][0]
+        else:
+            rows[0], rows[1] = rows[1], rows[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"nonzeros indices must be integers that strictly increase within "
+                f"[0, {self.SIZE})")):
+            Realization.from_json(obj)
+
+    @pytest.mark.parametrize("index", [SIZE, -1])
+    def test_index_out_of_range_in_bobs_last_measurement(self, obj, index):
+        rows = obj["bob"][-1]["effects"]["nonzeros"]
+        rows[-1 if index > 0 else 0][0] = index
+        with pytest.raises(ValueError, match=re.escape(
+                f"nonzeros indices must be integers that strictly increase within "
+                f"[0, {self.SIZE})")):
+            Realization.from_json(obj)
+
+    @pytest.mark.parametrize("token, message", [
+        ("true", "matrix entries must be numbers, got bool as matrix entry at [1, 0]"),
+        ('"1"', "matrix entries must be numbers, got str as matrix entry at [1, 0]"),
+        ("NaN", "non-finite matrix entry at [1, 0]"),
+        ("1e400", "non-finite matrix entry at [1, 0]")],
+        ids=["true", "string", "nan", "overflow"])
+    def test_bad_value_mid_party(self, obj, token, message):
+        obj["alice"][2]["effects"]["nonzeros"][1][1] = "VALUE"
+        text = json.dumps(obj).replace('"VALUE"', token)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Realization.from_json(_jsonio.loads(text))
 
 
 class TestZeroLists:

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -218,6 +219,23 @@ class TestProblemAssembly:
     def test_zero_event_outside_the_shape_is_rejected(self, event):
         with pytest.raises(ValueError, match="outside"):
             moments.build_moment_problem(CHSH_SHAPE, 1, zeros=[event])
+
+    def test_weights_missing_a_block_are_rejected(self):
+        basis = moments.MomentBasis(CHSH_SHAPE, 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "weights must have exactly the blocks [(0, 0), (0, 1), (1, 0), (1, 1)]: "
+                "missing [(0, 1), (1, 0), (1, 1)], extra []")):
+            moments.max_value(CHSH_SHAPE, 1, moments.chsh_objective(basis),
+                              weights={(0, 0): 1.0})
+
+    def test_weights_with_an_extra_key_are_rejected(self):
+        basis = moments.MomentBasis(CHSH_SHAPE, 1)
+        with pytest.raises(ValueError, match=re.escape("missing [], extra [(5, 5)]")):
+            moments.max_value(CHSH_SHAPE, 1, moments.chsh_objective(basis),
+                              weights={**UNIFORM, (5, 5): 0.0})
+        _, sol = moments.max_value(CHSH_SHAPE, 1, moments.chsh_objective(basis),
+                                   weights=UNIFORM)
+        assert sol.status is Status.OPTIMAL
 
     def test_terms_at_the_edges_are_kept(self):
         shape = SINGLE_SOURCE_CHSH_SHAPE
