@@ -402,18 +402,17 @@ def validate_party(measurements, dim: int, n_outcomes: int, party: str = "") -> 
         limit = int(np.argmax(off))
         faults.append((limit, 3, "effects do not sum to the identity"))
     kept = owner < limit
-    _orthogonality_fault(nz[kept], owner[kept], local[kept], faults)
+    faults += _orthogonality_fault(nz[kept], owner[kept], local[kept])
     if faults:
         raise ValueError(min(faults)[2])
 
 
-def _orthogonality_fault(nz: np.ndarray, owner: np.ndarray, local: np.ndarray,
-                         faults: list) -> None:
-    """Append to ``faults`` the first measurement's first pair (a, b), a < b,
-    of effects whose product exceeds ``PROJECTOR_TOL``.  Effect nz[i] is
-    effect local[i] of measurement owner[i].  Only pairs in which a column
-    that holds an entry of a meets a row that holds one of b are multiplied,
-    in chunks of ``_PAIR_CHUNK_BYTES``."""
+def _orthogonality_fault(nz: np.ndarray, owner: np.ndarray, local: np.ndarray) -> list:
+    """The fault, in a list, of the first measurement's first pair (a, b),
+    a < b, of effects whose product exceeds ``PROJECTOR_TOL``, or [].
+    Effect nz[i] is effect local[i] of measurement owner[i].  Only pairs in
+    which a column that holds an entry of a meets a row that holds one of b
+    are multiplied, in chunks of ``_PAIR_CHUNK_BYTES``."""
     entries = nz != 0
     meet = entries.any(axis=1).astype(float) @ entries.any(axis=2).T.astype(float)
     a, b = np.nonzero(np.triu((owner[:, None] == owner) & (meet > 0), 1))
@@ -423,9 +422,9 @@ def _orthogonality_fault(nz: np.ndarray, owner: np.ndarray, local: np.ndarray,
         overlap = np.max(np.abs(nz[a[sl]] @ nz[b[sl]]), axis=(1, 2)) > PROJECTOR_TOL
         if overlap.any():
             p = lo + int(np.argmax(overlap))
-            faults.append((int(owner[a[p]]), 4, f"effects {local[a[p]]} and "
-                                                f"{local[b[p]]} are not orthogonal"))
-            return
+            return [(int(owner[a[p]]), 4,
+                     f"effects {local[a[p]]} and {local[b[p]]} are not orthogonal")]
+    return []
 
 
 def dichotomic_qubit_measurement(angle: float, dim: int = 2, span: tuple[int, int] = (0, 1),
