@@ -172,10 +172,7 @@ def sparse_from_json(obj, expected: tuple) -> np.ndarray:
     ``[index, re, im]`` triple of an integer index, strictly above the row
     before and inside the array, and two finite numbers; else
     ``ValueError``.  The shape is checked before the array is allocated."""
-    expected = tuple(expected)
-    stack = _stack_of([obj], expected)
-    return stack.reshape(expected) if stack is not None \
-        else _dense(*_sparse_entries(obj, expected))
+    return _dense(*_sparse_entries(obj, expected))
 
 
 def _stack_of(objs: list, shape: tuple):
@@ -189,7 +186,9 @@ def _stack_of(objs: list, shape: tuple):
     or float] with indices that strictly increase within [0, size) and
     finite values.  ``_sparse_entries`` then reads the objects one by one
     and words the first error; what it accepts and this pass does not (a
-    numpy scalar, say) it reads to the same arrays."""
+    numpy scalar, say) it reads to the same arrays.  The two readers spell
+    the same rules, and ``tests/test_party_read_fuzz.py`` holds them to
+    the same verdict on randomly broken device files."""
     size = math.prod(shape)
     if not objs or len(objs) * size >= 1 << 62 or not all(
             type(a) is dict and type(a.get("nonzeros")) is list
@@ -349,9 +348,6 @@ def measurements_from_json(objs: list, effects_shape: tuple) -> tuple:
                  for m, effects in zip(objs, stack))
 
 
-_PAIR_CHUNK_BYTES = 1 << 18  # bytes of one chunk of effect products in validate_party
-
-
 def validate_party(measurements, dim: int, n_outcomes: int, party: str = "") -> None:
     """Raise ``ValueError`` on the first fault of one party's measurements,
     measurement by measurement, and within a measurement in this order: a
@@ -410,21 +406,23 @@ def validate_party(measurements, dim: int, n_outcomes: int, party: str = "") -> 
 def _orthogonality_fault(nz: np.ndarray, owner: np.ndarray, local: np.ndarray) -> list:
     """The fault, in a list, of the first measurement's first pair (a, b),
     a < b, of effects whose product exceeds ``PROJECTOR_TOL``, or [].
-    Effect nz[i] is effect local[i] of measurement owner[i].  Only pairs in
-    which a column that holds an entry of a meets a row that holds one of b
-    are multiplied, in chunks of ``_PAIR_CHUNK_BYTES``."""
+    Effect nz[i] is effect local[i] of measurement owner[i], with owner
+    nondecreasing.  The pairs within each measurement are listed in that
+    order, and those in which a column that holds an entry of a meets a
+    row that holds one of b are multiplied in one call: on the canonical
+    d = 16 device, 30 of each party's 150 pairs.  The products take at
+    most (outcomes - 1) / 2 times the memory of ``nz``."""
+    after = np.searchsorted(owner, owner, side="right") - np.arange(len(nz)) - 1
+    a = np.repeat(np.arange(len(nz)), after)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(after) - after, after)
     entries = nz != 0
-    meet = entries.any(axis=1).astype(float) @ entries.any(axis=2).T.astype(float)
-    a, b = np.nonzero(np.triu((owner[:, None] == owner) & (meet > 0), 1))
-    step = max(1, _PAIR_CHUNK_BYTES // max(1, nz[:1].nbytes))
-    for lo in range(0, len(a), step):
-        sl = slice(lo, lo + step)
-        overlap = np.max(np.abs(nz[a[sl]] @ nz[b[sl]]), axis=(1, 2)) > PROJECTOR_TOL
-        if overlap.any():
-            p = lo + int(np.argmax(overlap))
-            return [(int(owner[a[p]]), 4,
-                     f"effects {local[a[p]]} and {local[b[p]]} are not orthogonal")]
-    return []
+    meet = (entries.any(axis=1)[a] & entries.any(axis=2)[b]).any(axis=1)
+    a, b = a[meet], b[meet]
+    overlap = np.max(np.abs(nz[a] @ nz[b]), axis=(1, 2), initial=0.0) > PROJECTOR_TOL
+    if not overlap.any():
+        return []
+    p = int(np.argmax(overlap))
+    return [(int(owner[a[p]]), 4, f"effects {local[a[p]]} and {local[b[p]]} are not orthogonal")]
 
 
 def dichotomic_qubit_measurement(angle: float, dim: int = 2, span: tuple[int, int] = (0, 1),

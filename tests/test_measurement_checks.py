@@ -7,6 +7,7 @@ raises, and ``ProjectiveMeasurement.validate`` agrees with the reference's
 ``validate`` on each measurement.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,6 @@ import pytest
 from conftest import random_unitary
 from measurement_reference import reference_validate, reference_validate_measurements
 
-from bellselftest import qmath
 from bellselftest.qmath import ProjectiveMeasurement, dichotomic_qubit_measurement
 from bellselftest.scenario import ClassicalQuantumState, Realization, ScenarioShape
 from bellselftest.selftest import canonical_qudit_realization
@@ -81,18 +81,19 @@ def misshape(i):
     return change
 
 
-def nearly_orthogonal(effects, first=0, overlap=1.3e-10, angle=np.pi / 8):
-    """Effects m = first and n = first + 1 become the rank-one projectors
-    onto e_m and onto the unit vector along overlap e_m + e_n, both rotated
-    by ``angle`` in the span of e_m and e_n.  They sum to that span's
-    identity within 0.71 overlap in every entry, while their product has an
-    entry of 0.85 overlap: only the orthogonality check sees it."""
-    span = [first, first + 1]
+def nearly_orthogonal(effects, first=0, overlap=1.3e-10, angle=np.pi / 8, second=None):
+    """Effects m = first and n = second (first + 1 by default) become the
+    rank-one projectors onto e_m and onto the unit vector along
+    overlap e_m + e_n, both rotated by ``angle`` in the span of e_m and
+    e_n.  They sum to that span's identity within 0.71 overlap in every
+    entry, while their product has an entry of 0.85 overlap: only the
+    orthogonality check sees it."""
+    span = [first, first + 1 if second is None else second]
     rot = np.eye(len(effects[0]))
     rot[np.ix_(span, span)] = [[np.cos(angle), -np.sin(angle)],
                                [np.sin(angle), np.cos(angle)]]
     vectors = np.zeros((2, len(rot)))
-    vectors[0, first] = 1.0
+    vectors[0, span[0]] = 1.0
     vectors[1, span] = np.array([overlap, 1.0]) / np.hypot(overlap, 1.0)
     for i, v in zip(span, vectors):
         u = rot @ v
@@ -130,6 +131,13 @@ def faults(r, *steps):
 WIDER = ProjectiveMeasurement(dim=D + 1, effects=tuple(np.diag(np.eye(D + 1)[k])
                                                        for k in range(D)))
 FEWER = dichotomic_qubit_measurement(0.3, dim=D, span=(0, 1), pad_outcomes=2)
+DIAGONAL = ProjectiveMeasurement(dim=D, effects=tuple(np.diag(np.eye(D)[k]) for k in range(D)))
+
+
+def far_and_near_overlaps(effects):
+    """Effects 0 and 3 overlap, and so do 1 and 2, which lie closer."""
+    nearly_orthogonal(effects, first=0, second=3)
+    nearly_orthogonal(effects, first=1, second=2)
 
 CASES = {
     "projector_first": ([("alice", 0, halve(0))], "effect 0 is not a projector within 1e-10"),
@@ -145,6 +153,8 @@ CASES = {
                        "effects 0 and 1 are not orthogonal"),
     "late_non_orthogonal": ([("alice", 0, late_overlap)],
                             f"effects {D - 2} and {D - 1} are not orthogonal"),
+    "far_pair_first": ([("alice", 0, DIAGONAL), ("alice", 0, far_and_near_overlaps)],
+                       "effects 0 and 3 are not orthogonal"),
     "dim_mismatch": ([("alice", 1, WIDER)], "Alice measurement dimension/outcome mismatch"),
     "outcome_mismatch": ([("bob", 2, FEWER)], "Bob measurement dimension/outcome mismatch"),
     "sum_before_projector": ([("alice", 1, zero(0)), ("alice", 3, halve(0))],
@@ -169,13 +179,28 @@ def test_first_fault_matches_reference(fig2_device, case):
     assert assert_same_verdict(faults(fig2_device, *steps)) == want
 
 
-@pytest.mark.parametrize("case", ["non_orthogonal", "late_non_orthogonal",
-                                  "orthogonality_before_mismatch", "alice_before_bob"])
-def test_one_pair_per_chunk(fig2_device, monkeypatch, case):
-    """Products taken one pair at a time find the same first pair."""
-    monkeypatch.setattr(qmath, "_PAIR_CHUNK_BYTES", 1)
-    steps, want = CASES[case]
-    assert assert_same_verdict(faults(fig2_device, *steps)) == want
+def qubit_party_device(settings: int) -> Realization:
+    """A qubit device with many two-outcome settings per party."""
+    shape = ScenarioShape(1, 1, settings, settings, 2, 2)
+    cq = ClassicalQuantumState(shape=shape, dims=(2, 2), states={(0, 0): np.eye(4) / 4})
+    ms = tuple(dichotomic_qubit_measurement(0.1 * x) for x in range(settings))
+    return Realization(cq=cq, alice=ms, bob=ms)
+
+
+def test_many_small_measurements():
+    """A party of 5000 qubit measurements (10,000 nonzero effects) is
+    checked in memory linear in the settings, and its last measurement's
+    fault is found."""
+    r = qubit_party_device(5000)
+    tracemalloc.start()
+    try:
+        r.validate_measurements()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20   # the party's effects take 0.64 MB
+    r = with_effects(r, "bob", 4999, lambda e: nearly_orthogonal(e, first=0))
+    assert assert_same_verdict(r) == "effects 0 and 1 are not orthogonal"
 
 
 @pytest.mark.parametrize("d", [2, 6, 8, 16])
